@@ -763,7 +763,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", "-i", default="-", help="document path or - for stdin")
         p.add_argument("--output", "-o", default="-", help="output path or - for stdout")
-        p.add_argument("--seed", type=int, default=0, help="reserved; all algorithms are deterministic")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     for name, fn, blurb in (

@@ -114,23 +114,12 @@ def end_direction(point: SingularPoint, slot: str | None) -> str:
     raise GraphError(f"unknown kind {kind!r}")
 
 
-def _slot_letter(point: SingularPoint, slot: str | None) -> str:
-    """Slot kind collapsed to one letter, erasing arbitrary 0/1 labels."""
-    if slot is None:
-        return "f"
-    if slot in ("s0", "s1"):
-        return "s"
-    if slot in ("u0", "u1"):
-        return "u"
-    if slot in ("b0", "b1"):
-        return "b"
-    if slot == "zone":
-        return "z"
-    if slot == "in":
-        return "i"
-    if slot == "out":
-        return "o"
-    return "?"
+#: slot kinds as the canonical form sees them: the arbitrary 0/1 labels on
+#: stable/unstable/boundary slots are erased; unknown slots share code 7
+_SLOT_CLASS = {
+    None: 0, "s0": 1, "s1": 1, "u0": 2, "u1": 2, "b0": 3, "b1": 3, "zone": 4, "in": 5, "out": 6,
+}
+_KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
 
 
 @dataclass(frozen=True)
@@ -197,8 +186,11 @@ class FoliationGraph:
         self.rotation: dict[str, tuple[Dart, ...]] = {
             pid: tuple((eid, end) for eid, end in seq) for pid, seq in rotation.items()
         }
+        # lazily built caches; the graph is never mutated after construction
         self._faces: tuple[Face, ...] | None = None
         self._canon: str | None = None
+        self._rotation_pos: dict[Dart, tuple[tuple[Dart, ...], int]] | None = None
+        self._slot_edge: dict[tuple[str, str | None], Separatrix] | None = None
 
     # ----------------------------------------------------------------- darts
 
@@ -230,15 +222,23 @@ class FoliationGraph:
         eid, end = dart
         return (eid, "tgt" if end == "src" else "src")
 
+    def _position(self, dart: Dart) -> tuple[tuple[Dart, ...], int]:
+        """The rotation tuple holding ``dart`` and its index there."""
+        if self._rotation_pos is None:
+            pos: dict[Dart, tuple[tuple[Dart, ...], int]] = {}
+            for seq in self.rotation.values():
+                for i, d in enumerate(seq):
+                    pos.setdefault(d, (seq, i))
+            self._rotation_pos = pos
+        return self._rotation_pos[dart]
+
     def sigma(self, dart: Dart) -> Dart:
         """Rotation successor: next dart counterclockwise at the same point."""
-        seq = self.rotation[self.dart_point(dart)]
-        i = seq.index(dart)
+        seq, i = self._position(dart)
         return seq[(i + 1) % len(seq)]
 
     def sigma_inv(self, dart: Dart) -> Dart:
-        seq = self.rotation[self.dart_point(dart)]
-        i = seq.index(dart)
+        seq, i = self._position(dart)
         return seq[(i - 1) % len(seq)]
 
     def phi(self, dart: Dart) -> Dart:
@@ -485,10 +485,16 @@ class FoliationGraph:
         return [p for p in self.points.values() if p.kind in SADDLE_KINDS]
 
     def edge_at_slot(self, pid: str, slot: str) -> Separatrix:
-        for e in self.edges.values():
-            if e.src == EndRef(pid, slot) or e.dst == EndRef(pid, slot):
-                return e
-        raise GraphError(f"slot {pid}.{slot} is vacant")
+        if self._slot_edge is None:
+            by_slot: dict[tuple[str, str | None], Separatrix] = {}
+            for e in self.edges.values():
+                for ref in (e.src, e.dst):
+                    by_slot.setdefault((ref.point, ref.slot), e)
+            self._slot_edge = by_slot
+        try:
+            return self._slot_edge[(pid, slot)]
+        except KeyError:
+            raise GraphError(f"slot {pid}.{slot} is vacant") from None
 
     def edges_at_point(self, pid: str) -> list[Separatrix]:
         return [
@@ -604,69 +610,79 @@ class FoliationGraph:
         Isomorphism means: a bijection of points and edges preserving kinds,
         signs, marker flags, flow directions, slot kinds (the arbitrary 0/1
         labels on stable/unstable/boundary slots are erased) and the
-        counterclockwise rotation order.  Computed as the minimum, over all
-        starting darts, of a deterministic breadth-first encoding.
+        counterclockwise rotation order.  Defined for connected graphs, which
+        every valid graph is.
+
+        Each dart gets a small integer label (point kind and sign, slot kind,
+        src/tgt end, marker flag).  A breadth-first walk from a start dart,
+        stepping to ``theta`` then ``sigma``, numbers the darts; each dart in
+        walk order contributes ``(label, pos[theta], pos[sigma])``, and the
+        form is the least such code over all starts.  Only darts whose local
+        invariant ``(label, point degree, label of theta, label of sigma)``
+        is least are tried as starts, since an isomorphism maps that class
+        onto its counterpart, and a walk is abandoned as soon as its prefix
+        exceeds the best code so far.
+
+        Only equality of the returned strings is specified; their format
+        and order carry no meaning and may change between versions.
         """
-        if self._canon is not None:
-            return self._canon
-        darts = sorted(self.darts())
+        if self._canon is None:
+            self._canon = self._canonical_code()
+        return self._canon
+
+    def _canonical_code(self) -> str:
+        darts = self.darts()
         if not darts:
-            self._canon = "empty"
-            return self._canon
-        best: str | None = None
-        for start in darts:
-            enc = self._encode_from(start)
-            if best is None or enc < best:
-                best = enc
-        assert best is not None
-        self._canon = best
-        return best
+            return "empty"
+        n = len(darts)
+        # dart 2k is the src end of the k-th edge, 2k + 1 its tgt end: theta is d ^ 1
+        index = {d: i for i, d in enumerate(darts)}
+        label = [0] * n
+        for k, e in enumerate(self.edges.values()):
+            for end, ref in ((0, e.src), (1, e.dst)):
+                p = self.points[ref.point]
+                label[2 * k + end] = (
+                    ((_KIND_CODE[p.kind] * 3 + p.sign + 1) * 8 + _SLOT_CLASS.get(ref.slot, 7)) * 2
+                    + end
+                ) * 2 + e.marker
+        sigma = [0] * n
+        degree = [0] * n
+        for seq in self.rotation.values():
+            for j, d in enumerate(seq):
+                i = index[d]
+                sigma[i] = index[seq[(j + 1) % len(seq)]]
+                degree[i] = len(seq)
 
-    def _encode_from(self, start: Dart) -> str:
-        index: dict[Dart, int] = {}
-        order: list[Dart] = []
-
-        def visit(d: Dart) -> None:
-            if d not in index:
-                index[d] = len(order)
-                order.append(d)
-
-        visit(start)
-        i = 0
-        while i < len(order):
-            d = order[i]
-            visit(self.theta(d))
-            visit(self.sigma(d))
-            i += 1
-
-        point_index: dict[str, int] = {}
-        for d in order:
-            pid = self.dart_point(d)
-            if pid not in point_index:
-                point_index[pid] = len(point_index)
-
-        point_bits: list[str] = []
-        for pid in sorted(point_index, key=point_index.get):  # type: ignore[arg-type]
-            p = self.points[pid]
-            point_bits.append(f"{p.kind[0]}{p.sign:+d}")
-        dart_bits: list[str] = []
-        for d in order:
-            eid, end = d
-            e = self.edges[eid]
-            ref = self.end_ref(d)
-            dart_bits.append(
-                ",".join(
-                    (
-                        str(point_index[ref.point]),
-                        _slot_letter(self.points[ref.point], ref.slot),
-                        "S" if end == "src" else "T",
-                        str(index[self.theta(d)]),
-                        str(index[self.sigma(d)]),
-                        "m" if e.marker else "-",
-                    )
-                )
-            )
-        return "|".join(point_bits) + "||" + "|".join(dart_bits)
+        local = [(label[d], degree[d], label[d ^ 1], label[sigma[d]]) for d in range(n)]
+        least = min(local)
+        best: list[tuple[int, int, int]] = []
+        for start in range(n):
+            if local[start] != least:
+                continue
+            pos = [-1] * n
+            pos[start] = 0
+            order = [start]
+            code: list[tuple[int, int, int]] = []
+            tied = bool(best)  # prefix equal to best so far
+            for d in order:
+                t = d ^ 1
+                if pos[t] < 0:
+                    pos[t] = len(order)
+                    order.append(t)
+                s = sigma[d]
+                if pos[s] < 0:
+                    pos[s] = len(order)
+                    order.append(s)
+                item = (label[d], pos[t], pos[s])
+                if tied:
+                    if len(code) == len(best) or item > best[len(code)]:
+                        break
+                    tied = item == best[len(code)]
+                code.append(item)
+            else:
+                if not tied or len(code) < len(best):
+                    best = code
+        return ";".join(f"{a},{b},{c}" for a, b, c in best)
 
     def is_isomorphic(self, other: "FoliationGraph") -> bool:
         return self.canonical_form() == other.canonical_form()

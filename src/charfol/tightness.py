@@ -250,19 +250,24 @@ def _collapse_join(g: FoliationGraph, saddle_id: str, feeder: str) -> FoliationG
 def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
     """Search for a saddle order whose normalized assignment tames simply.
 
-    Recursive bottom-up collapse with backtracking over allowable events;
-    failures are memoized by canonical form.  The returned order is always
-    re-verified on the input graph by the caller.
+    Recursive bottom-up collapse with backtracking over allowable events.
+    A graph that admits no order is remembered, so an isomorphic graph met
+    later is pruned at once.  The memo is keyed by canonical form inside
+    buckets of a cheap isomorphism invariant (edge count and the multiset
+    of point kinds and signs); the canonical form is computed only when a
+    graph fails or its bucket already holds a failure, so a search that
+    succeeds without backtracking never computes one.  The returned order
+    is always re-verified on the input graph by the caller.
     """
-    failures: set = set()
+    failures: dict[tuple, set[str]] = {}
 
     def recurse(h: FoliationGraph) -> list[str] | None:
         saddles = [p.id for p in h.points.values() if p.kind == HYPERBOLIC]
         embryos = [p.id for p in h.points.values() if p.kind == EMBRYO]
         if not saddles and not embryos:
             return []
-        key = h.canonical_form()
-        if key in failures:
+        bucket = (len(h.edges), tuple(sorted((p.kind, p.sign) for p in h.points.values())))
+        if bucket in failures and h.canonical_form() in failures[bucket]:
             return None
         for cand in allowable_candidates(h):
             if cand.case == "PosHypDistinctSources":
@@ -296,7 +301,7 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
                 sub = recurse(collapsed)
                 if sub is not None:
                     return sub
-        failures.add(key)
+        failures.setdefault(bucket, set()).add(h.canonical_form())
         return None
 
     order = recurse(g)
@@ -566,7 +571,8 @@ def enumerate_reference(plus: int, minus: int) -> list[FoliationGraph]:
 
     Positive elliptic points are the blocks of a set partition of the stable
     slots, negative ones of the unstable slots; elliptic rotations range over
-    cyclic orders; results are deduplicated by canonical form.  Sources feed
+    cyclic orders; results are deduplicated by canonical form and listed in
+    the order their first representative is assembled.  Sources feed
     saddles directly, so no connections and no markers occur (a floating
     elliptic would add a second source corner to some face).
     """
@@ -637,10 +643,8 @@ def enumerate_reference(plus: int, minus: int) -> list[FoliationGraph]:
                     cand = FoliationGraph(points, edges, rotation)
                     if cand.validate():
                         continue
-                    key = cand.canonical_form()
-                    if key not in seen:
-                        seen[key] = cand
-    return [seen[k] for k in sorted(seen)]
+                    seen.setdefault(cand.canonical_form(), cand)
+    return list(seen.values())
 
 
 def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
@@ -651,7 +655,8 @@ def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
     permutation of the slots, so the source side ranges over permutations of
     the stable slots and the sink side over permutations of the unstable
     slots.  Candidates are vetted with a flat dart-array face trace before
-    any graph object is built.
+    any graph object is built.  Classes are listed in the order their first
+    representative is found, which does not depend on the canonical form.
     """
     total = plus + minus
     if total == 0:
@@ -765,10 +770,8 @@ def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
             g = _assemble(signs, s_cycles, u_cycles)
             if g.validate():
                 raise DecisionError("enumeration filter accepted an invalid graph")
-            key = g.canonical_form()
-            if key not in seen_forms:
-                seen_forms[key] = g
-    return [seen_forms[k] for k in sorted(seen_forms)]
+            seen_forms.setdefault(g.canonical_form(), g)
+    return list(seen_forms.values())
 
 
 def _assemble(

@@ -1,11 +1,14 @@
 """Decision procedure, allowable vertices, enumeration, the oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from charfol import GraphError
-from charfol import zoo
+from charfol import FoliationGraph, GraphError
+from charfol import tightness, zoo
+from charfol.cli import parse
+from charfol.moves import create_pair
 from charfol.tightness import (
     DecisionError,
     InternalCheckError,
@@ -138,6 +141,93 @@ def test_synthesize_orders_frozen():
     assert synthesize_taming(zoo.example("three_basin_chain")) == ("h0", "h1")
     assert synthesize_taming(zoo.example("overtwisted_loop_positive")) is None
     assert synthesize_taming(zoo.example("double_join_cycle")) is None
+
+
+# an untameable class of the (2, 1) universe: surplus (1, 1), no taming order
+UNTAMEABLE = """foliation v1
+point h0 hyperbolic +
+point h1 hyperbolic +
+point h2 hyperbolic -
+point p0 elliptic +
+point p1 elliptic +
+point p2 elliptic +
+point z0 elliptic -
+point z1 elliptic -
+sep e0 p0 h0:s0
+sep e1 h0:u0 z0
+sep e10 p2 h2:s1
+sep e11 h2:u1 z1
+sep e2 p1 h0:s1
+sep e3 h0:u1 z1
+sep e4 p0 h1:s0
+sep e5 h1:u0 z1
+sep e6 p1 h1:s1
+sep e7 h1:u1 z0
+sep e8 p1 h2:s0
+sep e9 h2:u0 z1
+rot h0: e0.tgt e1.src e2.tgt e3.src
+rot h1: e4.tgt e5.src e6.tgt e7.src
+rot h2: e8.tgt e9.src e10.tgt e11.src
+rot p0: e0.src e4.src
+rot p1: e2.src e6.src e8.src
+rot p2: e10.src
+rot z0: e1.tgt e7.tgt
+rot z1: e3.tgt e11.tgt e9.tgt e5.tgt
+"""
+
+
+def _walk(g: FoliationGraph, rng: random.Random, done) -> FoliationGraph:
+    while not done(g):
+        g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+    return g
+
+
+def test_first_try_synthesis_never_computes_a_canonical_form(monkeypatch):
+    g = _walk(
+        zoo.example("tight_one_saddle"), random.Random(4), lambda h: len(h.saddle_points()) >= 10
+    )
+    expected = decide_tightness(g).to_data()
+    assert expected["verdict"] == "tight"
+
+    def refuse(self):
+        raise AssertionError("canonical_form called on the first-try path")
+
+    monkeypatch.setattr(FoliationGraph, "canonical_form", refuse)
+    assert decide_tightness(FoliationGraph.from_data(g.to_data())).to_data() == expected
+
+
+def test_failure_memo_prunes_as_before(monkeypatch):
+    # two pairs planted in the untameable class make the search meet
+    # isomorphic dead ends again: the memo prunes them (7 hits at the commit
+    # that keyed every node), and allowable_candidates runs on the same 6
+    # nodes; verdict and certificate are pinned from that commit
+    g = _walk(parse(UNTAMEABLE).graph, random.Random(11), lambda h: len(h.points) >= 12)
+    calls = []
+    real = tightness.allowable_candidates
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(tightness, "allowable_candidates", counted)
+    assert synthesize_taming(g) is None
+    assert len(calls) == 6
+    assert decide_tightness(g).to_data() == {
+        "verdict": "overtwisted",
+        "reason": "no simple taming order exists",
+        "polygon": {
+            "corners": [
+                {"point": "h0", "role": "pseudovertex", "sign": 1},
+                {"point": "p1", "role": "vertex", "sign": 1},
+                {"point": "h1", "role": "pseudovertex", "sign": 1},
+                {"point": "p0", "role": "vertex", "sign": 1},
+            ],
+            "embedded": True,
+            "faces": [0, 2],
+            "same_sign": True,
+            "sides": 2,
+        },
+    }
 
 
 def test_verify_taming_order_round_trip():
