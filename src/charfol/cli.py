@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .handles import ExtensionError, extend_to_ball, verify_decomposition
 from .invariants import (
@@ -484,8 +484,17 @@ def _emit_json(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+class _InvalidDocument(Exception):
+    """A parsed document whose graph breaks the structural rules, listed in ``args[0]``."""
+
+
 def _load(args: argparse.Namespace) -> FoliationDocument:
-    return parse(_read_text(args.input))
+    """Read and parse the input document; raises unless its graph is valid."""
+    doc = parse(_read_text(args.input))
+    problems = doc.graph.validate()
+    if problems:
+        raise _InvalidDocument(problems)
+    return doc
 
 
 def _assignment_from(doc: FoliationDocument) -> dict[str, Fraction] | None:
@@ -503,10 +512,7 @@ def _fail_invalid(args: argparse.Namespace, problems: list[str]) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    doc = _load(args)
-    problems = doc.graph.validate()
-    if problems:
-        return _fail_invalid(args, problems)
+    _load(args)
     if args.json:
         _write_text(args.output, _emit_json({"valid": True, "problems": []}))
     else:
@@ -517,9 +523,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_invariants(args: argparse.Namespace) -> int:
     doc = _load(args)
     g = doc.graph
-    problems = g.validate()
-    if problems:
-        return _fail_invalid(args, problems)
     decomposition = skeleton_decomposition(g)
     dp, dm = point_surplus(g)
     polygon = find_same_sign_polygon(g)
@@ -595,9 +598,6 @@ def _describe_certificate(cert) -> list[str]:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     doc = _load(args)
-    problems = doc.graph.validate()
-    if problems:
-        return _fail_invalid(args, problems)
     cert = decide_tightness(doc.graph)
     if args.json:
         _write_text(args.output, _emit_json(cert.to_data()))
@@ -609,22 +609,18 @@ def cmd_decide(args: argparse.Namespace) -> int:
 def cmd_tame(args: argparse.Namespace) -> int:
     doc = _load(args)
     g = doc.graph
-    problems = g.validate()
-    if problems:
-        return _fail_invalid(args, problems)
     values = _assignment_from(doc)
     if values is not None:
         check_assignment(g, values)
-        report = simplicity_check(g, values)
-        payload = {
-            "mode": "verify",
-            "lyapunov": is_lyapunov(g, values),
-            "taming": is_taming(g, values),
-            "circle_simple": report.circle_simple,
-            "component_simple": report.component_simple,
-        }
+        lyapunov = is_lyapunov(g, values)
+        # simplicity is defined for Lyapunov assignments only
+        report = simplicity_check(g, values) if lyapunov else None
+        payload = {"mode": "verify", "lyapunov": lyapunov, "taming": is_taming(g, values)}
+        if report is not None:
+            payload["circle_simple"] = report.circle_simple
+            payload["component_simple"] = report.component_simple
         payload["tames_simply"] = (
-            payload["lyapunov"] and payload["taming"] and payload["circle_simple"]
+            lyapunov and payload["taming"] and payload.get("circle_simple", False)
         )
         if args.json:
             _write_text(args.output, _emit_json(payload))
@@ -657,9 +653,6 @@ def cmd_tame(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     doc = _load(args)
     g = doc.graph
-    problems = g.validate()
-    if problems:
-        return _fail_invalid(args, problems)
     values = _assignment_from(doc)
     if values is None:
         order = synthesize_taming(g)
@@ -711,9 +704,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     doc = _load(args)
-    problems = doc.graph.validate()
-    if problems:
-        return _fail_invalid(args, problems)
     result = oracle_tightness(doc.graph)
     payload = {
         "tight": result["tight"],
@@ -740,9 +730,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     doc = _load(args)
-    problems = doc.graph.validate()
-    if problems:
-        return _fail_invalid(args, problems)
     text = render_dot(doc.graph) if args.format == "dot" else render_svg(doc.graph)
     _write_text(args.output, text)
     return 0
@@ -795,7 +782,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except _InvalidDocument as exc:
+            return _fail_invalid(args, exc.args[0])
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .model import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError
+from .model import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
 from .taming import (
-    _components,
     check_assignment,
     is_taming,
     level_just_below,
@@ -151,7 +150,7 @@ def _saddle_event(g: FoliationGraph, a, hid: str) -> Record:
     value = a[hid]
     t = level_just_below(g, a, value)
     region = sublevel_region(g, a, t)
-    roots = _components(g, region)
+    roots = region.components()
     circles = region.boundary_circles()
     s0 = g.edge_at_slot(hid, "s0")
     s1 = g.edge_at_slot(hid, "s1")
@@ -237,24 +236,14 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
     # independent replay: count components and level circles
     components = 0
     circles = 0
-    comp_of_zero: dict[str, int] = {}
-    merged: dict[int, int] = {}
-
-    def find(c: int) -> int:
-        while merged.get(c, c) != c:
-            merged[c] = merged.get(merged[c], merged[c])
-            c = merged[c]
-        return c
-
-    next_comp = 0
+    zero_cells = UnionFind()  # ball components, named by their zero-cells
     for r in dec.records:
         pid = r.to_data()["point"]
         p = g.points[pid]
         if isinstance(r, ZeroCell):
             if not (p.kind == ELLIPTIC and p.sign > 0):
                 problems.append(f"zero-cell at non-source {pid}")
-            comp_of_zero[pid] = next_comp
-            next_comp += 1
+            zero_cells.add(pid)
             components += 1
             circles += 1
         elif isinstance(r, HalfHandle1):
@@ -266,7 +255,7 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
                 problems.append(f"half-handle-1 data for {pid} does not replay")
             t = level_just_below(g, a, r.value)
             region = sublevel_region(g, a, t)
-            comp = _components(g, region)
+            comp = region.components()
             reps = []
             for root in r.components:
                 members = [
@@ -280,14 +269,10 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
                     problems.append(f"component {root} holds no source point")
                     return problems
                 reps.append(min(members))
-            ra, rb = (find(comp_of_zero[c]) for c in reps)
-            if ra == rb:
-                problems.append(
-                    f"half-handle-1 {pid} joins a component to itself"
-                )
-            else:
-                merged[ra] = rb
+            if zero_cells.union(*reps):
                 components -= 1
+            else:
+                problems.append(f"half-handle-1 {pid} joins a component to itself")
             circles -= 1
         elif isinstance(r, HalfHandle2):
             if not (p.kind == HYPERBOLIC and saddle_function_sign(g, a, pid) < 0):

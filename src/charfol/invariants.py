@@ -15,18 +15,30 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .model import (
-    CORNER,
     ELLIPTIC,
     EMBRYO,
     HYPERBOLIC,
     Dart,
-    Face,
     FoliationGraph,
     GraphError,
+    SingularPoint,
+    UnionFind,
 )
+
+
+def _surplus(points: Iterable[SingularPoint]) -> tuple[int, int]:
+    dp = dm = 0
+    for p in points:
+        if p.kind in (ELLIPTIC, HYPERBOLIC):
+            step = 1 if p.kind == ELLIPTIC else -1
+            if p.sign > 0:
+                dp += step
+            else:
+                dm += step
+    return dp, dm
 
 
 def point_surplus(g: FoliationGraph) -> tuple[int, int]:
@@ -35,19 +47,7 @@ def point_surplus(g: FoliationGraph) -> tuple[int, int]:
     Embryos and corner remnants are neutral.  On a valid sphere the two
     numbers add up to 2.
     """
-    dp = dm = 0
-    for p in g.points.values():
-        if p.kind == ELLIPTIC:
-            if p.sign > 0:
-                dp += 1
-            else:
-                dm += 1
-        elif p.kind == HYPERBOLIC:
-            if p.sign > 0:
-                dp -= 1
-            else:
-                dm -= 1
-    return dp, dm
+    return _surplus(g.points.values())
 
 
 # --------------------------------------------------------------------- regions
@@ -130,36 +130,23 @@ class Region:
     # bookkeeping ------------------------------------------------------------
 
     def surplus(self) -> tuple[int, int]:
-        dp = dm = 0
-        for pid in self.inside:
-            p = self.graph.points[pid]
-            if p.kind == ELLIPTIC:
-                if p.sign > 0:
-                    dp += 1
-                else:
-                    dm += 1
-            elif p.kind == HYPERBOLIC:
-                if p.sign > 0:
-                    dp -= 1
-                else:
-                    dm -= 1
-        return dp, dm
+        """The point surplus of the points inside."""
+        return _surplus(self.graph.points[pid] for pid in self.inside)
 
-    def component_count(self) -> int:
-        parent = {pid: pid for pid in self.inside}
+    def components(self) -> dict[str, str]:
+        """Map each inside point to a root naming its component.
 
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        Interior edges join components.  The roots follow from those edges
+        taken in id order alone, so they are stable across runs.
+        """
+        sets = UnionFind(self.inside)
         for eid in self.interior_edges():
             e = self.graph.edges[eid]
-            a, b = find(e.src.point), find(e.dst.point)
-            if a != b:
-                parent[a] = b
-        return len({find(p) for p in self.inside})
+            sets.union(e.src.point, e.dst.point)
+        return {pid: sets.find(pid) for pid in self.inside}
+
+    def component_count(self) -> int:
+        return len(set(self.components().values()))
 
     # boundary tracing ---------------------------------------------------------
 
@@ -276,12 +263,6 @@ class SkeletonDecomposition:
     basins: tuple[tuple[str, tuple[int, ...]], ...]
     semibasins: tuple[tuple[str, tuple[int, ...]], ...]
 
-    def center_of_face(self, index: int) -> str:
-        for center, members in self.basins + self.semibasins:
-            if index in members:
-                return center
-        raise GraphError(f"face {index} belongs to no basin")
-
 
 def skeleton_decomposition(g: FoliationGraph) -> SkeletonDecomposition:
     """Cut along saddle-emitted separatrices and group the faces that merge."""
@@ -295,25 +276,15 @@ def skeleton_decomposition(g: FoliationGraph) -> SkeletonDecomposition:
             skeleton.add(eid)
 
     faces = g.faces()
-    parent = {f.index: f.index for f in faces}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    face_of = g.dart_faces()
+    sets = UnionFind(f.index for f in faces)
     for eid in g.edges:
-        if eid in skeleton:
-            continue
-        a = find(g.face_of_dart((eid, "src")).index)
-        b = find(g.face_of_dart((eid, "tgt")).index)
-        if a != b:
-            parent[a] = b
+        if eid not in skeleton:
+            sets.union(face_of[(eid, "src")], face_of[(eid, "tgt")])
 
     groups: dict[int, list[int]] = {}
     for f in faces:
-        groups.setdefault(find(f.index), []).append(f.index)
+        groups.setdefault(sets.find(f.index), []).append(f.index)
 
     basins, semibasins = [], []
     for members in groups.values():
@@ -359,20 +330,8 @@ class PositiveTree:
             return not self.links
         if len(self.links) != len(self.nodes) - 1:
             return False
-        parent = {n: n for n in self.nodes}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v, _ in self.links:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        sets = UnionFind(self.nodes)
+        return all(sets.union(u, v) for u, v, _ in self.links)
 
     def path(self, start: str, goal: str) -> list[str]:
         """Saddle ids along the unique path from ``start`` to ``goal``."""
@@ -400,26 +359,37 @@ class PositiveTree:
         raise GraphError(f"{start} and {goal} lie in different components")
 
 
+def elliptic_feeders(g: FoliationGraph, hid: str) -> tuple[str, str] | None:
+    """The positive elliptic points whose leaves fill the stable slots
+    ``s0`` and ``s1`` of ``hid`` directly, or None if another point feeds one."""
+    feeders = []
+    for slot in ("s0", "s1"):
+        ref = g.edge_at_slot(hid, slot).src
+        q = g.points[ref.point]
+        if ref.slot is not None or q.kind != ELLIPTIC or q.sign <= 0:
+            return None
+        feeders.append(ref.point)
+    return feeders[0], feeders[1]
+
+
+def positive_links(g: FoliationGraph) -> tuple[tuple[str, str, str], ...]:
+    """``(p, q, saddle)`` for each positive saddle fed by the positive
+    elliptic points ``p`` and ``q``, in saddle id order."""
+    links = []
+    for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
+        feeders = elliptic_feeders(g, p.id) if p.sign > 0 else None
+        if feeders is not None:
+            links.append((*feeders, p.id))
+    return tuple(links)
+
+
 def positive_tree(g: FoliationGraph) -> PositiveTree:
     """The graph of positive elliptic points joined by positive saddles."""
     g.require_valid()
     if g.homoclinic_edges():
         raise GraphError("positive-separatrix graph requires a connection-free instance")
     nodes = tuple(sorted(p.id for p in g.points_of_kind(ELLIPTIC) if p.sign > 0))
-    links = []
-    for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
-        if p.sign <= 0:
-            continue
-        feeders = []
-        for slot in ("s0", "s1"):
-            ref = g.edge_at_slot(p.id, slot).src
-            q = g.points[ref.point]
-            if ref.slot is not None or q.kind != ELLIPTIC or q.sign <= 0:
-                break
-            feeders.append(ref.point)
-        else:
-            links.append((feeders[0], feeders[1], p.id))
-    return PositiveTree(nodes, tuple(links))
+    return PositiveTree(nodes, positive_links(g))
 
 
 def unique_positive_path(g: FoliationGraph, start: str, goal: str) -> list[str]:
@@ -477,22 +447,8 @@ class Polygon:
         }
 
 
-def _face_adjacency(g: FoliationGraph) -> dict[int, set[int]]:
-    by_dart = {}
-    for f in g.faces():
-        for d in f.darts:
-            by_dart[d] = f.index
-    adj: dict[int, set[int]] = {f.index: set() for f in g.faces()}
-    for eid in g.edges:
-        a, b = by_dart[(eid, "src")], by_dart[(eid, "tgt")]
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
-
-
 def _closure_euler(g: FoliationGraph, face_set: frozenset[int]) -> int:
-    faces = [f for f in g.faces() if f.index in face_set]
+    faces = [g.faces()[i] for i in face_set]
     pts = {c.point for f in faces for c in f.corners}
     eds = {d[0] for f in faces for d in f.darts}
     return len(pts) - len(eds) + len(faces)
@@ -500,18 +456,18 @@ def _closure_euler(g: FoliationGraph, face_set: frozenset[int]) -> int:
 
 def trace_polygon(g: FoliationGraph, face_set: frozenset[int]) -> Polygon | None:
     """Build the polygon on this face set, or None if it is not a disc."""
-    faces = {f.index: f for f in g.faces()}
-    if not face_set or not face_set <= set(faces):
+    faces = g.faces()
+    if not face_set or not face_set <= set(range(len(faces))):
         return None
     if len(face_set) == len(faces):
         return None  # the whole sphere
     # connectivity through shared edges
-    adj = _face_adjacency(g)
+    face_of = g.dart_faces()
     seen = {min(face_set)}
     frontier = [min(face_set)]
     while frontier:
-        i = frontier.pop()
-        for j in adj[i]:
+        for d in faces[frontier.pop()].darts:
+            j = face_of[g.theta(d)]
             if j in face_set and j not in seen:
                 seen.add(j)
                 frontier.append(j)
@@ -520,15 +476,8 @@ def trace_polygon(g: FoliationGraph, face_set: frozenset[int]) -> Polygon | None
     if _closure_euler(g, face_set) != 1:
         return None
 
-    face_of: dict[Dart, int] = {}
-    for f in g.faces():
-        for d in f.darts:
-            face_of[d] = f.index
-
     boundary_sides = sorted(
-        d
-        for d in g.darts()
-        if face_of[d] in face_set and face_of[g.theta(d)] not in face_set
+        d for i in face_set for d in faces[i].darts if face_of[g.theta(d)] not in face_set
     )
     if not boundary_sides:
         return None

@@ -15,9 +15,8 @@ Edge ends are addressed as *darts* ``(edge_id, "src"|"tgt")``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -36,6 +35,35 @@ Dart = tuple[str, str]  # (edge id, "src" | "tgt")
 
 class GraphError(ValueError):
     """A structure failed validation where validity was required."""
+
+
+class UnionFind:
+    """Disjoint sets with path halving.
+
+    ``union(a, b)`` hangs the root of ``a`` under the root of ``b``, so the
+    root a set ends with depends only on the order of the unions.
+    """
+
+    def __init__(self, items: Iterable[Hashable] = ()) -> None:
+        self._up = {x: x for x in items}
+
+    def add(self, x: Hashable) -> None:
+        self._up[x] = x
+
+    def find(self, x: Hashable) -> Hashable:
+        up = self._up
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
+
+    def union(self, a: Hashable, b: Hashable) -> bool:
+        """Merge the sets of ``a`` and ``b``; False if they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self._up[ra] = rb
+        return True
 
 
 @dataclass(frozen=True)
@@ -188,6 +216,7 @@ class FoliationGraph:
         }
         # lazily built caches; the graph is never mutated after construction
         self._faces: tuple[Face, ...] | None = None
+        self._dart_face: dict[Dart, int] | None = None
         self._canon: str | None = None
         self._rotation_pos: dict[Dart, tuple[tuple[Dart, ...], int]] | None = None
         self._slot_edge: dict[tuple[str, str | None], Separatrix] | None = None
@@ -237,10 +266,6 @@ class FoliationGraph:
         seq, i = self._position(dart)
         return seq[(i + 1) % len(seq)]
 
-    def sigma_inv(self, dart: Dart) -> Dart:
-        seq, i = self._position(dart)
-        return seq[(i - 1) % len(seq)]
-
     def phi(self, dart: Dart) -> Dart:
         """Face-walk successor: cross the edge, then turn counterclockwise."""
         return self.sigma(self.theta(dart))
@@ -283,11 +308,17 @@ class FoliationGraph:
             faces.append(Face(len(faces), tuple(orbit), tuple(corners)))
         return tuple(faces)
 
+    def dart_faces(self) -> dict[Dart, int]:
+        """Map every dart to the index of the face whose walk holds it."""
+        if self._dart_face is None:
+            self._dart_face = {d: f.index for f in self.faces() for d in f.darts}
+        return self._dart_face
+
     def face_of_dart(self, dart: Dart) -> Face:
-        for f in self.faces():
-            if dart in f.darts:
-                return f
-        raise GraphError(f"dart {dart} not on any face")
+        try:
+            return self.faces()[self.dart_faces()[dart]]
+        except KeyError:
+            raise GraphError(f"dart {dart} not on any face") from None
 
     def face_at_corner(self, enter: Dart) -> Face:
         """The face whose walk arrives at ``enter`` (i.e. contains theta(enter))."""

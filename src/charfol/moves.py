@@ -89,9 +89,13 @@ class _Surgeon:
         del self.rotation[pid]
 
     def insert_after(self, pid: str, ref: Dart, new: Sequence[Dart]) -> None:
+        self.splice(pid, ref, [], new)
+
+    def splice(self, pid: str, ref: Dart, before: Sequence[Dart], after: Sequence[Dart]) -> None:
+        """Put ``before`` just before ``ref`` at ``pid`` and ``after`` just after it."""
         seq = self.rotation[pid]
         i = seq.index(ref)
-        self.rotation[pid] = seq[: i + 1] + list(new) + seq[i + 1 :]
+        self.rotation[pid] = seq[:i] + list(before) + [ref] + list(after) + seq[i + 1 :]
 
     def replace_dart(self, pid: str, old: Dart, new: Dart) -> None:
         seq = self.rotation[pid]
@@ -103,6 +107,26 @@ class _Surgeon:
     def set_end(self, eid: str, which: str, ref: EndRef) -> None:
         e = self.edges[eid]
         self.edges[eid] = replace(e, **{which: ref})
+
+    def reattach(
+        self, leaf: Separatrix, marker: bool | None, source: EndRef, details: dict
+    ) -> list[Dart]:
+        """Give the far end of a dying leaf a new leaf from ``source``.
+
+        The new leaf is a marker when ``marker`` is true and a replacement
+        separatrix when it is false; ``None`` adds nothing.  Returns the new
+        leaf's source dart, if any, for the caller to fan out at ``source``.
+        """
+        if marker is None:
+            return []
+        rid = self.fresh_edge_id("m" if marker else "r")
+        self.edges[rid] = Separatrix(rid, source, leaf.dst, marker=marker)
+        self.replace_dart(leaf.dst.point, (leaf.id, "tgt"), (rid, "tgt"))
+        if marker:
+            details["markers"].append(rid)
+        else:
+            details["replacements"][leaf.id] = rid
+        return [(rid, "src")]
 
     def finish(self, kind: str, details: dict) -> MoveResult:
         # slot-free edges are marker leaves by definition
@@ -139,21 +163,126 @@ def _slot_before(slot: str) -> str:
     return HYPERBOLIC_SLOTS[(i - 1) % 4]
 
 
-def _sink_insertion(g: FoliationGraph, face: Face) -> tuple[EndRef, Dart]:
-    """(end reference, rotation anchor) for attaching a new leaf at a face's sink."""
-    (corner,) = face.sink_corners
+def _insertion(g: FoliationGraph, face: Face, flavor: str) -> tuple[EndRef, Dart]:
+    """(end reference, rotation anchor) for attaching a new leaf at a face's
+    ``"sink"`` or ``"source"`` corner."""
+    (corner,) = face.sink_corners if flavor == "sink" else face.source_corners
     p = g.points[corner.point]
     slot = None if p.kind == ELLIPTIC else "zone"
     return EndRef(corner.point, slot), corner.enter
 
-def _source_insertion(g: FoliationGraph, face: Face) -> tuple[EndRef, Dart]:
-    (corner,) = face.source_corners
-    p = g.points[corner.point]
-    slot = None if p.kind == ELLIPTIC else "zone"
-    return EndRef(corner.point, slot), corner.enter
+
+def _conjugated(g: FoliationGraph, move, **details) -> MoveResult:
+    """Run ``move`` on the time reversal of ``g`` and reverse its result back."""
+    rev = move(g.reverse())
+    return MoveResult(
+        rev.graph.reverse().marker_reduce(),
+        MoveRecord(rev.record.kind, {**rev.record.details, "conjugated": True, **details}),
+    )
+
+
+def _reattachments(
+    g: FoliationGraph,
+    anchor: EndRef,
+    orphans: Sequence[Dart],
+    dying: Sequence[Separatrix],
+    through: Separatrix,
+    whose: str,
+) -> dict[str, bool]:
+    """Which dying leaves need a new leaf from ``anchor`` into their far end.
+
+    The ``dying`` leaves die together with ``through``.  A far end in a
+    named slot needs a replacement separatrix (``False``); a free far end
+    whose point keeps no other germ needs a marker leaf (``True``).  When
+    anything, ``orphans`` included, must be re-attached, the anchor has to
+    emit freely.
+    """
+    dead = {leaf.id for leaf in dying} | {through.id}
+    fates: dict[str, bool] = {}
+    for leaf in dying:
+        if leaf.dst.slot not in (None, "zone"):
+            fates[leaf.id] = False
+        elif all(d[0] in dead for d in g.rotation[leaf.dst.point]):
+            fates[leaf.id] = True
+    if (orphans or fates) and not _free_source_ref(g, anchor):
+        raise MoveError(f"re-attachment needed but the {whose} comes from a saddle")
+    return fates
 
 
 # ------------------------------------------------------------- eliminate_pair
+
+
+def _pair_sign(g: FoliationGraph, elliptic_id: str, saddle_id: str, move: str) -> int:
+    """The common sign of an elliptic point and a hyperbolic point about to cancel."""
+    e_pt = g.points.get(elliptic_id)
+    h_pt = g.points.get(saddle_id)
+    if e_pt is None or h_pt is None:
+        raise MoveError("unknown point id")
+    if e_pt.kind != ELLIPTIC or h_pt.kind != HYPERBOLIC:
+        raise MoveError(f"{move} needs an elliptic and a hyperbolic point")
+    if e_pt.sign != h_pt.sign:
+        raise MoveError("pair must have matching signs")
+    return e_pt.sign
+
+
+@dataclass(frozen=True)
+class _Site:
+    """A positive elliptic point feeding a positive saddle along ``gamma``."""
+
+    gamma: Separatrix  # dies with the pair
+    s_opp: Separatrix  # the opposite stable separatrix; its source is the anchor
+    u_after: Separatrix  # the unstable in the slot after the opposite stable one
+    u_before: Separatrix  # the unstable in the slot before it
+    orphans: tuple[Dart, ...]  # the cancelled point's other germs, in rotation order
+
+    @property
+    def anchor(self) -> EndRef:
+        return self.s_opp.src
+
+
+def _cancellation_site(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> _Site:
+    stable_edges = {slot: g.edge_at_slot(saddle_id, slot) for slot in ("s0", "s1")}
+    feeding = [s for s, e in stable_edges.items() if e.src.point == elliptic_id]
+    if not feeding:
+        raise MoveError(f"{elliptic_id} does not feed a stable slot of {saddle_id}")
+    if len(feeding) == 2:
+        raise MoveError(
+            "both stable separatrices return to the cancelled point (same-sign bigon)"
+        )
+    opp_slot = "s1" if feeding[0] == "s0" else "s0"
+    gamma = stable_edges[feeding[0]]
+    s_opp = stable_edges[opp_slot]
+    if s_opp.src.point == saddle_id:
+        raise MoveError("opposite separatrix loops back to the saddle")
+    seq = g.rotation[elliptic_id]
+    i = seq.index((gamma.id, "src"))
+    return _Site(
+        gamma,
+        s_opp,
+        g.edge_at_slot(saddle_id, _slot_after(opp_slot)),
+        g.edge_at_slot(saddle_id, _slot_before(opp_slot)),
+        tuple(seq[(i + k) % len(seq)] for k in range(1, len(seq))),
+    )
+
+
+def _fan_out(
+    s: _Surgeon, site: _Site, fates: dict[str, bool], details: dict, orphans_before: bool
+) -> None:
+    """Re-attach the orphans and the dying unstables' far ends at the anchor.
+
+    The new germs straddle the surviving dart: the successor-side unstable's
+    leaf comes right before it and the predecessor-side one's right after
+    it.  The orphans sit between the former and the surviving dart when
+    ``orphans_before``, else between the surviving dart and the latter.
+    """
+    w_ref = site.anchor
+    head = s.reattach(site.u_after, fates.get(site.u_after.id), w_ref, details)
+    for eid, end in site.orphans:
+        s.set_end(eid, end, w_ref)
+    tail = s.reattach(site.u_before, fates.get(site.u_before.id), w_ref, details)
+    orphans = list(site.orphans)
+    before, after = (head + orphans, tail) if orphans_before else (head, orphans + tail)
+    s.splice(w_ref.point, (site.s_opp.id, "src"), before, after)
 
 
 def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveResult:
@@ -164,76 +293,17 @@ def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveR
     (the same-sign bigon obstruction), when it is a saddle connection while
     other leaves need re-attachment, or when a leaf would close up.
     """
-    e_pt = g.points.get(elliptic_id)
-    h_pt = g.points.get(saddle_id)
-    if e_pt is None or h_pt is None:
-        raise MoveError("unknown point id")
-    if e_pt.kind != ELLIPTIC or h_pt.kind != HYPERBOLIC:
-        raise MoveError("eliminate_pair needs an elliptic and a hyperbolic point")
-    if e_pt.sign != h_pt.sign:
-        raise MoveError("pair must have matching signs")
-    if e_pt.sign < 0:
-        rev = eliminate_pair(g.reverse(), elliptic_id, saddle_id)
-        return MoveResult(
-            rev.graph.reverse().marker_reduce(),
-            MoveRecord(rev.record.kind, {**rev.record.details, "conjugated": True}),
-        )
-
-    stable_edges = {slot: g.edge_at_slot(saddle_id, slot) for slot in ("s0", "s1")}
-    feeding = [s for s, e in stable_edges.items() if e.src.point == elliptic_id]
-    if not feeding:
-        raise MoveError(f"{elliptic_id} does not feed a stable slot of {saddle_id}")
-    if len(feeding) == 2:
-        raise MoveError(
-            "both stable separatrices return to the cancelled point (same-sign bigon)"
-        )
-    gamma_slot = feeding[0]
-    opp_slot = "s1" if gamma_slot == "s0" else "s0"
-    gamma = stable_edges[gamma_slot]
-    s_opp = stable_edges[opp_slot]
-    if s_opp.src.point == saddle_id:
-        raise MoveError("opposite separatrix loops back to the saddle")
-
-    u_after_slot = _slot_after(opp_slot)
-    u_before_slot = _slot_before(opp_slot)
-    u_after = g.edge_at_slot(saddle_id, u_after_slot)
-    u_before = g.edge_at_slot(saddle_id, u_before_slot)
-
-    orphan_darts = []
-    seq = g.rotation[elliptic_id]
-    i = seq.index((gamma.id, "src"))
-    for k in range(1, len(seq)):
-        orphan_darts.append(seq[(i + k) % len(seq)])
-
-    needs_anchor = bool(orphan_darts)
-    far_slotted = {}
-    for u in (u_after, u_before):
-        if u.dst.slot not in (None, "zone"):
-            far_slotted[u.id] = u.dst
-            needs_anchor = True
-    # sinks that would end up isolated also need a replacement leaf
-    maybe_isolated = []
-    for u in (u_after, u_before):
-        if u.dst.slot in (None, "zone"):
-            others = [
-                d
-                for d in g.rotation[u.dst.point]
-                if d[0] not in (u_after.id, u_before.id, gamma.id)
-            ]
-            if not others:
-                maybe_isolated.append(u)
-                needs_anchor = True
-
-    w_ref = s_opp.src
-    if needs_anchor and not _free_source_ref(g, w_ref):
-        raise MoveError(
-            "re-attachment needed but the surviving separatrix comes from a saddle"
-        )
+    if _pair_sign(g, elliptic_id, saddle_id, "eliminate_pair") < 0:
+        return _conjugated(g, lambda r: eliminate_pair(r, elliptic_id, saddle_id))
+    site = _cancellation_site(g, elliptic_id, saddle_id)
+    s_opp, w_ref = site.s_opp, site.anchor
+    dying = (site.u_after, site.u_before)
+    fates = _reattachments(g, w_ref, site.orphans, dying, site.gamma, "surviving separatrix")
 
     # canonical re-route target: sink of the face flanking the dead connection
     # on its rotation-successor side
-    target_face = g.face_at_corner((gamma.id, "tgt"))
-    kappa_ref, kappa_anchor = _sink_insertion(g, target_face)
+    target_face = g.face_at_corner((site.gamma.id, "tgt"))
+    kappa_ref, kappa_anchor = _insertion(g, target_face, "sink")
     if kappa_ref.point in (elliptic_id, saddle_id):
         raise MoveError("re-route target dies with the pair")
 
@@ -257,43 +327,13 @@ def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveR
     # unstable]; the anchor's pre-existing germs stay between the two
     # unstables, so the blocks straddle the surviving dart rather than form
     # one run.
-    w_slot = w_ref.slot  # None or "zone"
-
-    def replace_unstable(u: Separatrix, fan: list[Dart]) -> None:
-        if u.id in far_slotted:
-            rid = s.fresh_edge_id()
-            s.edges[rid] = Separatrix(rid, EndRef(w_ref.point, w_slot), u.dst)
-            s.replace_dart(u.dst.point, (u.id, "tgt"), (rid, "tgt"))
-            fan.append((rid, "src"))
-            details["replacements"][u.id] = rid
-        elif u in maybe_isolated:
-            rid = s.fresh_edge_id("m")
-            s.edges[rid] = Separatrix(
-                rid, EndRef(w_ref.point, w_slot), u.dst, marker=True
-            )
-            s.replace_dart(u.dst.point, (u.id, "tgt"), (rid, "tgt"))
-            fan.append((rid, "src"))
-            details["markers"].append(rid)
-
-    before_fan: list[Dart] = []
-    after_fan: list[Dart] = []
-    replace_unstable(u_after, before_fan)
-    for dart in orphan_darts:
-        eid, end = dart
-        s.set_end(eid, end, EndRef(w_ref.point, w_slot))
-        before_fan.append(dart)
-    replace_unstable(u_before, after_fan)
-    seq = s.rotation[w_ref.point]
-    i = seq.index((s_opp.id, "src"))
-    s.rotation[w_ref.point] = (
-        seq[:i] + before_fan + [seq[i]] + after_fan + seq[i + 1 :]
-    )
+    _fan_out(s, site, fates, details, orphans_before=True)
 
     # 3. bury the dead
-    for u in (u_after, u_before):
+    for u in dying:
         if u.id in s.edges:
             s.delete_edge(u.id)
-    s.delete_edge(gamma.id)
+    s.delete_edge(site.gamma.id)
     s.delete_point(elliptic_id)
     s.delete_point(saddle_id)
     return s.finish("eliminate_pair", details)
@@ -319,11 +359,8 @@ def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult
     """
     g.require_valid()
     if sign < 0:
-        g_rev = g.reverse()
-        rev = create_pair(g_rev, _reversed_face_index(g, g_rev, face_index), 1)
-        return MoveResult(
-            rev.graph.reverse().marker_reduce(),
-            MoveRecord(rev.record.kind, {**rev.record.details, "conjugated": True, "sign": -1}),
+        return _conjugated(
+            g, lambda r: create_pair(r, _reversed_face_index(g, r, face_index), 1), sign=-1
         )
     try:
         face = g.faces()[face_index]
@@ -338,8 +375,8 @@ def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult
     s.rotation[eps] = []
     s.rotation[chi] = []
 
-    src_ref, src_anchor = _source_insertion(g, face)
-    snk_ref, snk_anchor = _sink_insertion(g, face)
+    src_ref, src_anchor = _insertion(g, face, "source")
+    snk_ref, snk_anchor = _insertion(g, face, "sink")
 
     o_id = s.fresh_edge_id("o")
     s.edges[o_id] = Separatrix(o_id, src_ref, EndRef(chi, "s0"))
@@ -386,11 +423,7 @@ def resolve_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
     if p is None or p.kind != EMBRYO:
         raise MoveError(f"{embryo_id} is not an embryo")
     if p.sign < 0:
-        rev = resolve_embryo(g.reverse(), embryo_id)
-        return MoveResult(
-            rev.graph.reverse().marker_reduce(),
-            MoveRecord(rev.record.kind, {**rev.record.details, "conjugated": True}),
-        )
+        return _conjugated(g, lambda r: resolve_embryo(r, embryo_id))
     _, e_in, b0e, b1e, zone_darts = _embryo_parts(g, embryo_id)
     s = _Surgeon(g)
     eps = s.fresh_point_id()
@@ -424,11 +457,7 @@ def eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
     if p is None or p.kind != EMBRYO:
         raise MoveError(f"{embryo_id} is not an embryo")
     if p.sign < 0:
-        rev = eliminate_embryo(g.reverse(), embryo_id)
-        return MoveResult(
-            rev.graph.reverse().marker_reduce(),
-            MoveRecord(rev.record.kind, {**rev.record.details, "conjugated": True}),
-        )
+        return _conjugated(g, lambda r: eliminate_embryo(r, embryo_id))
     _, e_in, b0e, b1e, zone_darts = _embryo_parts(g, embryo_id)
     for e in (e_in, b0e, b1e):
         if e.src.point == embryo_id and e.dst.point == embryo_id:
@@ -437,31 +466,14 @@ def eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
     w_ref = e_in.src
     # the face at the first parabolic corner supplies the drain for strays
     par_face = g.face_at_corner((b0e.id, "src"))
-    kappa_ref, kappa_anchor = _sink_insertion(g, par_face)
+    kappa_ref, kappa_anchor = _insertion(g, par_face, "sink")
     if kappa_ref.point == embryo_id:
         raise MoveError("parabolic drain dies with the embryo")
 
-    orphan_needed = bool(zone_darts)
-    replacements: dict[str, EndRef] = {}
-    isolated: list[Separatrix] = []
-    for be in (b0e, b1e):
-        if be.dst.slot not in (None, "zone"):
-            replacements[be.id] = be.dst
-            orphan_needed = True
-        else:
-            others = [
-                d
-                for d in g.rotation[be.dst.point]
-                if d[0] not in (b0e.id, b1e.id, e_in.id)
-            ]
-            if not others:
-                isolated.append(be)
-                orphan_needed = True
+    fates = _reattachments(g, w_ref, zone_darts, (b0e, b1e), e_in, "inbound leaf")
     w_others = [d for d in g.rotation[w_ref.point] if d[0] != e_in.id]
-    if orphan_needed and not _free_source_ref(g, w_ref):
-        raise MoveError("re-attachment needed but the inbound leaf comes from a saddle")
     # the source is stranded only when nothing gets re-attached to it
-    stranded = not orphan_needed and not w_others
+    stranded = not zone_darts and not fates and not w_others
     if stranded and g.points[w_ref.point].kind != ELLIPTIC:
         raise MoveError("stranded non-elliptic source")
 
@@ -472,33 +484,10 @@ def eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
         "replacements": {},
         "markers": [],
     }
-    w_slot = w_ref.slot
-    fan: list[Dart] = []
-
-    def replace_far(be: Separatrix, marker: bool) -> None:
-        rid = s.fresh_edge_id("m" if marker else "r")
-        s.edges[rid] = Separatrix(
-            rid, EndRef(w_ref.point, w_slot), be.dst, marker=marker
-        )
-        s.replace_dart(be.dst.point, (be.id, "tgt"), (rid, "tgt"))
-        fan.append((rid, "src"))
-        if marker:
-            details["markers"].append(rid)
-        else:
-            details["replacements"][be.id] = rid
-
-    if b0e.id in replacements:
-        replace_far(b0e, marker=False)
-    elif b0e in isolated:
-        replace_far(b0e, marker=True)
+    fan = s.reattach(b0e, fates.get(b0e.id), w_ref, details)
     for d in zone_darts:
-        s.set_end(d[0], d[1], EndRef(w_ref.point, w_slot))
-        fan.append(d)
-    if b1e.id in replacements:
-        replace_far(b1e, marker=False)
-    elif b1e in isolated:
-        replace_far(b1e, marker=True)
-
+        s.set_end(d[0], d[1], w_ref)
+    fan += zone_darts + s.reattach(b1e, fates.get(b1e.id), w_ref, details)
     if fan:
         s.insert_after(w_ref.point, (e_in.id, "src"), fan)
     if stranded:
@@ -537,76 +526,22 @@ def bypass_hyperbolic(
     unstable is absorbed.  The surplus bookkeeping forces the cancelled far
     end to be a same-sign elliptic point, exactly as for a full cancellation.
     """
-    e_pt = g.points.get(elliptic_id)
-    h_pt = g.points.get(saddle_id)
-    if e_pt is None or h_pt is None:
-        raise MoveError("unknown point id")
-    if e_pt.kind != ELLIPTIC or h_pt.kind != HYPERBOLIC:
-        raise MoveError("bypass needs an elliptic and a hyperbolic point")
-    if e_pt.sign != h_pt.sign:
-        raise MoveError("pair must have matching signs")
-    if e_pt.sign < 0:
-        rev = bypass_hyperbolic(
-            g.reverse(), elliptic_id, saddle_id, keep_unstable=keep_unstable
+    if _pair_sign(g, elliptic_id, saddle_id, "bypass") < 0:
+        return _conjugated(
+            g, lambda r: bypass_hyperbolic(r, elliptic_id, saddle_id, keep_unstable=keep_unstable)
         )
-        return MoveResult(
-            rev.graph.reverse().marker_reduce(),
-            MoveRecord(rev.record.kind, {**rev.record.details, "conjugated": True}),
-        )
-
-    stable_edges = {slot: g.edge_at_slot(saddle_id, slot) for slot in ("s0", "s1")}
-    feeding = [slot for slot, e in stable_edges.items() if e.src.point == elliptic_id]
-    if not feeding:
-        raise MoveError(f"{elliptic_id} does not feed a stable slot of {saddle_id}")
-    if len(feeding) == 2:
-        raise MoveError(
-            "both stable separatrices return to the cancelled point (same-sign bigon)"
-        )
-    gamma_slot = feeding[0]
-    opp_slot = "s1" if gamma_slot == "s0" else "s0"
-    gamma = stable_edges[gamma_slot]
-    s_opp = stable_edges[opp_slot]
-    if s_opp.src.point == saddle_id:
-        raise MoveError("opposite separatrix loops back to the saddle")
-
-    u_after_slot = _slot_after(opp_slot)
-    u_before_slot = _slot_before(opp_slot)
+    site = _cancellation_site(g, elliptic_id, saddle_id)
+    s_opp, w_ref = site.s_opp, site.anchor
     if keep_unstable is None:
-        keep_unstable = u_after_slot
+        keep_unstable = site.u_after.src.slot
     if keep_unstable not in ("u0", "u1"):
         raise MoveError("keep_unstable must be 'u0' or 'u1'")
-    u_keep = g.edge_at_slot(saddle_id, keep_unstable)
-    u_drop = g.edge_at_slot(
-        saddle_id, "u1" if keep_unstable == "u0" else "u0"
-    )
-    if u_keep.dst.point == saddle_id or u_keep is s_opp:
+    u_keep, u_drop = site.u_after, site.u_before
+    if u_keep.src.slot != keep_unstable:
+        u_keep, u_drop = u_drop, u_keep
+    if u_keep.dst.point == saddle_id:
         raise MoveError("retained separatrix loops back to the saddle")
-
-    orphan_darts = []
-    seq = g.rotation[elliptic_id]
-    i = seq.index((gamma.id, "src"))
-    for k in range(1, len(seq)):
-        orphan_darts.append(seq[(i + k) % len(seq)])
-
-    needs_anchor = bool(orphan_darts)
-    drop_slotted = u_drop.dst.slot not in (None, "zone")
-    drop_isolated = False
-    if drop_slotted:
-        needs_anchor = True
-    else:
-        others = [
-            d
-            for d in g.rotation[u_drop.dst.point]
-            if d[0] not in (u_drop.id, gamma.id)
-        ]
-        if not others:
-            drop_isolated = True
-            needs_anchor = True
-    w_ref = s_opp.src
-    if needs_anchor and not _free_source_ref(g, w_ref):
-        raise MoveError(
-            "re-attachment needed but the surviving separatrix comes from a saddle"
-        )
+    fates = _reattachments(g, w_ref, site.orphans, (u_drop,), site.gamma, "surviving separatrix")
 
     s = _Surgeon(g)
     details: dict = {
@@ -616,46 +551,13 @@ def bypass_hyperbolic(
         "replacements": {},
         "markers": [],
     }
-    w_slot = w_ref.slot
-    before_fan: list[Dart] = []
-    after_fan: list[Dart] = []
-
-    def replace_dropped(fan: list[Dart]) -> None:
-        if drop_slotted:
-            rid = s.fresh_edge_id()
-            s.edges[rid] = Separatrix(rid, EndRef(w_ref.point, w_slot), u_drop.dst)
-            s.replace_dart(u_drop.dst.point, (u_drop.id, "tgt"), (rid, "tgt"))
-            fan.append((rid, "src"))
-            details["replacements"][u_drop.id] = rid
-        elif drop_isolated:
-            rid = s.fresh_edge_id("m")
-            s.edges[rid] = Separatrix(
-                rid, EndRef(w_ref.point, w_slot), u_drop.dst, marker=True
-            )
-            s.replace_dart(u_drop.dst.point, (u_drop.id, "tgt"), (rid, "tgt"))
-            fan.append((rid, "src"))
-            details["markers"].append(rid)
-
     # the broken leaf walls off the kept unstable's flank, so the whole fan
     # rides the dropped side: successor side goes before the surviving dart
     # (replacement outermost), predecessor side after it (replacement last)
-    drop_is_after = u_drop is g.edge_at_slot(saddle_id, u_after_slot)
-    if drop_is_after:
-        replace_dropped(before_fan)
-    for dart in orphan_darts:
-        eid, end = dart
-        s.set_end(eid, end, EndRef(w_ref.point, w_slot))
-        (before_fan if drop_is_after else after_fan).append(dart)
-    if not drop_is_after:
-        replace_dropped(after_fan)
-    seq2 = s.rotation[w_ref.point]
-    j = seq2.index((s_opp.id, "src"))
-    s.rotation[w_ref.point] = (
-        seq2[:j] + before_fan + [seq2[j]] + after_fan + seq2[j + 1 :]
-    )
+    _fan_out(s, site, fates, details, orphans_before=u_drop is site.u_after)
 
     s.delete_edge(u_drop.id)
-    s.delete_edge(gamma.id)
+    s.delete_edge(site.gamma.id)
     s.delete_point(elliptic_id)
     s.points[saddle_id] = SingularPoint(saddle_id, CORNER, 0)
     s.set_end(s_opp.id, "dst", EndRef(saddle_id, "in"))
@@ -689,8 +591,8 @@ def resolve_connection(g: FoliationGraph, edge_id: str, side: str = "right") -> 
         raise MoveError("connection is already generic at its target")
     face_bend = g.face_of_dart((edge_id, "tgt" if side == "left" else "src"))
     face_feed = g.face_of_dart((edge_id, "src" if side == "left" else "tgt"))
-    src_ref, src_anchor = _source_insertion(g, face_feed)
-    snk_ref, snk_anchor = _sink_insertion(g, face_bend)
+    src_ref, src_anchor = _insertion(g, face_feed, "source")
+    snk_ref, snk_anchor = _insertion(g, face_bend, "sink")
     if g.points[src_ref.point].kind != ELLIPTIC:
         raise MoveError("replacement separatrix would emanate from a saddle zone")
     if g.points[snk_ref.point].kind != ELLIPTIC:

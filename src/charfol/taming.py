@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .invariants import Region
-from .model import CORNER, ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError
+from .invariants import Region, elliptic_feeders, positive_links
+from .model import CORNER, ELLIPTIC, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
 
 Assignment = Mapping[str, Fraction]
 
@@ -126,20 +126,8 @@ def is_taming(g: FoliationGraph, a: Assignment) -> bool:
 
 
 def _forest_ok(nodes: Iterable, links: Iterable[tuple]) -> bool:
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in links:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    sets = UnionFind(nodes)
+    return all(sets.union(u, v) for u, v in links)
 
 
 @dataclass(frozen=True)
@@ -194,7 +182,7 @@ def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
 
         # refined reading: collapse circles to the component they bound
         comp_of_circle: dict[int, str] = {}
-        comp = _components(g, region)
+        comp = region.components()
         for idx, circle in enumerate(region.boundary_circles()):
             eid = circle.crossed_edges()[0]
             comp_of_circle[idx] = comp[g.edges[eid].src.point]
@@ -205,23 +193,6 @@ def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
             LevelReport(v, tuple(joins), tuple(splits), circle_forest, component_forest)
         )
     return SimplicityReport(tuple(reports))
-
-
-def _components(g: FoliationGraph, region: Region) -> dict[str, str]:
-    parent = {pid: pid for pid in region.inside}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in region.interior_edges():
-        e = g.edges[eid]
-        a, b = find(e.src.point), find(e.dst.point)
-        if a != b:
-            parent[a] = b
-    return {pid: find(pid) for pid in region.inside}
 
 
 # --------------------------------------------------- positive skeleton, clearance
@@ -235,35 +206,6 @@ class PositiveSkeleton:
     links: tuple[tuple[str, str, str, Fraction], ...]  # (p, q, saddle, value)
     complete: bool  # False when some join saddle is not fed by elliptic points
 
-    def is_forest(self) -> bool:
-        return _forest_ok(self.nodes, [(p, q) for p, q, _, _ in self.links])
-
-    def is_tree(self) -> bool:
-        return self.is_forest() and (
-            len(self.links) == len(self.nodes) - 1 if self.nodes else True
-        )
-
-    def connection_level(self, p: str, q: str) -> Fraction | None:
-        """The smallest level by which the basins of p and q have merged."""
-        if p == q:
-            # both separatrices drain the same basin; it exists from its own level on
-            raise GraphError("connection level is defined for distinct nodes")
-        parent = {n: n for n in self.nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v, _, value in sorted(self.links, key=lambda l: (l[3], l[2])):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-            if find(p) == find(q):
-                return value
-        return None
-
 
 def positive_elliptic_graph(g: FoliationGraph, a: Assignment) -> PositiveSkeleton:
     check_assignment(g, a)
@@ -273,15 +215,11 @@ def positive_elliptic_graph(g: FoliationGraph, a: Assignment) -> PositiveSkeleto
     for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
         if saddle_function_sign(g, a, p.id) != 1:
             continue
-        srcs = [
-            g.edge_at_slot(p.id, slot).src.point for slot in ("s0", "s1")
-        ]
-        if any(
-            g.points[s].kind != ELLIPTIC or g.points[s].sign <= 0 for s in srcs
-        ):
+        srcs = elliptic_feeders(g, p.id)
+        if srcs is None:
             complete = False
             continue
-        links.append((srcs[0], srcs[1], p.id, a[p.id]))
+        links.append((*srcs, p.id, a[p.id]))
     return PositiveSkeleton(nodes, tuple(links), complete)
 
 
@@ -292,26 +230,17 @@ def component_merge_level(
     if p == q:
         return a[p]
     values = sorted(set(a.values()))
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind()
     present: set[str] = set()
     for v in values:
         for pid in sorted(g.points):
             if a[pid] == v:
                 present.add(pid)
-                parent[pid] = pid
+                sets.add(pid)
         for e in g.edges.values():
             if e.src.point in present and e.dst.point in present:
-                ru, rv = find(e.src.point), find(e.dst.point)
-                if ru != rv:
-                    parent[ru] = rv
-        if p in present and q in present and find(p) == find(q):
+                sets.union(e.src.point, e.dst.point)
+        if p in present and q in present and sets.find(p) == sets.find(q):
             return v
     return None
 
@@ -342,34 +271,6 @@ def clearance_violations(g: FoliationGraph, a: Assignment) -> list[str]:
 # ------------------------------------------- path-inequality characterization
 
 
-def positive_tree_links(g: FoliationGraph) -> tuple[tuple[str, str, str], ...]:
-    """(source, source, saddle) for each positive saddle fed by two positive
-    elliptic points.  These links form the skeleton tree of a tight
-    connection-free foliation."""
-    links = []
-    for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
-        if p.sign <= 0:
-            continue
-        srcs = []
-        for slot in ("s0", "s1"):
-            ref = g.edge_at_slot(p.id, slot).src
-            q = g.points[ref.point]
-            if ref.slot is not None or q.kind != ELLIPTIC or q.sign <= 0:
-                break
-            srcs.append(ref.point)
-        else:
-            links.append((srcs[0], srcs[1], p.id))
-    return tuple(links)
-
-
-def positive_tree_is_tree(g: FoliationGraph) -> bool:
-    nodes = [p.id for p in g.points_of_kind(ELLIPTIC) if p.sign > 0]
-    links = positive_tree_links(g)
-    if len(links) != len(nodes) - 1:
-        return False
-    return _forest_ok(nodes, [(u, v) for u, v, _ in links])
-
-
 def eq_simplicity_violations(g: FoliationGraph, a: Assignment) -> list[str]:
     """Path-inequality reading of simplicity.
 
@@ -379,9 +280,8 @@ def eq_simplicity_violations(g: FoliationGraph, a: Assignment) -> list[str]:
     taming on tight connection-free instances whose skeleton is a tree.
     """
     check_assignment(g, a)
-    links = positive_tree_links(g)
     adj: dict[str, list[tuple[str, str]]] = {}
-    for u, v, hid in links:
+    for u, v, hid in positive_links(g):
         adj.setdefault(u, []).append((v, hid))
         adj.setdefault(v, []).append((u, hid))
 
@@ -408,25 +308,18 @@ def eq_simplicity_violations(g: FoliationGraph, a: Assignment) -> list[str]:
     for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
         if p.sign >= 0:
             continue
-        srcs = []
-        for slot in ("s0", "s1"):
-            ref = g.edge_at_slot(p.id, slot).src
-            q = g.points[ref.point]
-            if ref.slot is not None or q.kind != ELLIPTIC or q.sign <= 0:
-                out.append(f"negative saddle {p.id} is not fed by elliptic points")
-                break
-            srcs.append(ref.point)
-        else:
-            c = merge_value(srcs[0], srcs[1])
-            if c is None:
-                out.append(
-                    f"feeders {srcs[0]}, {srcs[1]} of {p.id} never merge in the skeleton"
-                )
-            elif not a[p.id] > c:
-                out.append(
-                    f"negative saddle {p.id} at {a[p.id]} does not exceed the "
-                    f"skeleton merge value {c} of {srcs[0]} and {srcs[1]}"
-                )
+        srcs = elliptic_feeders(g, p.id)
+        if srcs is None:
+            out.append(f"negative saddle {p.id} is not fed by elliptic points")
+            continue
+        c = merge_value(*srcs)
+        if c is None:
+            out.append(f"feeders {srcs[0]}, {srcs[1]} of {p.id} never merge in the skeleton")
+        elif not a[p.id] > c:
+            out.append(
+                f"negative saddle {p.id} at {a[p.id]} does not exceed the "
+                f"skeleton merge value {c} of {srcs[0]} and {srcs[1]}"
+            )
     return out
 
 
@@ -448,14 +341,7 @@ def sublevel_component_surplus(
     g: FoliationGraph, a: Assignment, t: Fraction
 ) -> dict[str, tuple[int, int]]:
     """Elliptic-minus-saddle count per component of a sublevel set."""
-    region = sublevel_region(g, a, t)
-    roots = _components(g, region)
-    tally: dict[str, list[int]] = {}
-    for pid in region.inside:
-        p = g.points[pid]
-        d = tally.setdefault(roots[pid], [0, 0])
-        if p.kind == ELLIPTIC:
-            d[0 if p.sign > 0 else 1] += 1
-        elif p.kind == HYPERBOLIC:
-            d[0 if p.sign > 0 else 1] -= 1
-    return {r: (v[0], v[1]) for r, v in tally.items()}
+    members: dict[str, list[str]] = {}
+    for pid, root in sublevel_region(g, a, t).components().items():
+        members.setdefault(root, []).append(pid)
+    return {root: Region(g, pids).surplus() for root, pids in members.items()}

@@ -19,7 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .invariants import Polygon, Region, find_same_sign_polygon, point_surplus
+from .invariants import (
+    Polygon,
+    Region,
+    elliptic_feeders,
+    find_same_sign_polygon,
+    point_surplus,
+)
 from .model import (
     CORNER,
     ELLIPTIC,
@@ -30,6 +36,7 @@ from .model import (
     GraphError,
     Separatrix,
     SingularPoint,
+    UnionFind,
 )
 from .moves import (
     MoveError,
@@ -44,6 +51,7 @@ from .taming import (
     is_taming,
     normalized_assignment,
     simplicity_check,
+    sublevel_region,
 )
 
 
@@ -133,16 +141,13 @@ def classify_allowable(g: FoliationGraph, pid: str) -> AllowabilityVerdict:
         raise DecisionError("elliptic points carry no allowability case")
     nope = AllowabilityVerdict(pid, "NotAllowable", ())
     if p.kind == HYPERBOLIC:
-        s0 = g.edge_at_slot(pid, "s0").src
-        s1 = g.edge_at_slot(pid, "s1").src
-        if not (_plain_elliptic_source(g, s0) and _plain_elliptic_source(g, s1)):
+        feeders = elliptic_feeders(g, pid)
+        if feeders is None:
             return nope
-        if p.sign > 0 and s0.point != s1.point:
-            return AllowabilityVerdict(
-                pid, "PosHypDistinctSources", tuple(sorted((s0.point, s1.point)))
-            )
-        if p.sign < 0 and s0.point == s1.point:
-            return AllowabilityVerdict(pid, "NegHypSameSource", (s0.point,))
+        if p.sign > 0 and feeders[0] != feeders[1]:
+            return AllowabilityVerdict(pid, "PosHypDistinctSources", tuple(sorted(feeders)))
+        if p.sign < 0 and feeders[0] == feeders[1]:
+            return AllowabilityVerdict(pid, "NegHypSameSource", feeders[:1])
         return nope
     if p.kind == EMBRYO:
         if p.sign > 0:
@@ -361,27 +366,28 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
         if embryo is not None:
             # a connection through an embryo is removed by perturbing the
             # embryo itself: nearby foliations have it died or expanded
-            branches = []
-            for mv, word in ((eliminate_embryo, "death"), (resolve_embryo, "expansion")):
-                try:
-                    perturbed = mv(g, embryo).graph
-                except MoveError as ex:
-                    raise DecisionError(
-                        f"embryo {embryo} on connection {eid} admits no {word}: {ex}"
-                    ) from ex
-                branches.append(decide_tightness(perturbed, _depth + 1))
             label = f"perturbations of embryo {embryo} on connection {eid}"
+            perturbations = [
+                (move, (embryo,), f"embryo {embryo} on connection {eid} admits no {word}")
+                for move, word in ((eliminate_embryo, "death"), (resolve_embryo, "expansion"))
+            ]
         else:
-            branches = []
-            for side in ("left", "right"):
-                try:
-                    resolved = resolve_connection(g, eid, side).graph
-                except MoveError as ex:
-                    raise DecisionError(
-                        f"connection {eid} cannot be resolved on side {side}: {ex}"
-                    ) from ex
-                branches.append(decide_tightness(resolved, _depth + 1))
             label = f"resolutions of connection {eid}"
+            perturbations = [
+                (
+                    resolve_connection,
+                    (eid, side),
+                    f"connection {eid} cannot be resolved on side {side}",
+                )
+                for side in ("left", "right")
+            ]
+        branches = []
+        for move, args, failure in perturbations:
+            try:
+                perturbed = move(g, *args).graph
+            except MoveError as ex:
+                raise DecisionError(f"{failure}: {ex}") from ex
+            branches.append(decide_tightness(perturbed, _depth + 1))
         if all(b.tight for b in branches):
             return TightnessCertificate(
                 "tight",
@@ -450,23 +456,14 @@ def collapse_component(
     and embryo eliminations inside it leave one positive elliptic point.
     Returns the rewritten graph and the move records, in order.
     """
-    from .taming import _components, sublevel_region
-
-    region = sublevel_region(g, a, threshold)
-    comp = _components(g, region)
+    comp = sublevel_region(g, a, threshold).components()
     if inside_point not in comp:
         raise DecisionError(f"{inside_point} is not in the sublevel set")
-    members = {pid for pid in region.inside if comp[pid] == comp[inside_point]}
-    dp = 0
-    for pid in members:
-        p = g.points[pid]
-        if p.sign > 0 and p.kind == ELLIPTIC:
-            dp += 1
-        elif p.sign > 0 and p.kind == HYPERBOLIC:
-            dp -= 1
+    members = {pid for pid, root in comp.items() if root == comp[inside_point]}
+    sub = Region(g, frozenset(members))
+    dp, _ = sub.surplus()
     if dp != 1:
         raise DecisionError(f"component has source surplus {dp}, expected 1")
-    sub = Region(g, frozenset(members))
     if len(sub.boundary_circles()) != 1:
         raise DecisionError("component is not a disc")
 
@@ -743,14 +740,7 @@ def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
             if not survives(sigma, n_points):
                 continue
             # connectivity: saddles unioned with their slots' blocks
-            parent = list(range(n_points))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
+            sets = UnionFind(range(n_points))
             block_s = {}
             for ci, cyc in enumerate(s_cycles):
                 for t in cyc:
@@ -762,10 +752,8 @@ def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
             for i in range(n):
                 for t in (2 * i, 2 * i + 1):
                     for b in (block_s[t], block_u[t]):
-                        ra, rb = find(i), find(b)
-                        if ra != rb:
-                            parent[ra] = rb
-            if len({find(x) for x in range(n_points)}) != 1:
+                        sets.union(i, b)
+            if len({sets.find(x) for x in range(n_points)}) != 1:
                 continue
             g = _assemble(signs, s_cycles, u_cycles)
             if g.validate():

@@ -184,6 +184,23 @@ def test_tame_reports_untamable_inputs(tmp_path, capsys):
     assert code == 1 and "no simple taming order" in out
 
 
+def test_tame_answers_values_that_are_not_lyapunov(tmp_path, capsys):
+    # b -> h does not increase: a valid document whose values do not tame
+    text = emit(zoo.example("tight_one_saddle")) + "value a 0\nvalue b 0\nvalue h 2\nvalue z 1\n"
+    path = write_doc(tmp_path, text)
+    code, out, err = run(capsys, "tame", "-i", path)
+    assert (code, err) == (1, "")
+    assert out == "lyapunov: no\ntaming: no\ntames_simply: no\n"
+
+    code, out, _ = run(capsys, "tame", "-i", path, "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "mode": "verify", "lyapunov": False, "taming": False, "tames_simply": False,
+    }
+    code, _, _ = run(capsys, "extend", "-i", path)
+    assert code == 1
+
+
 def test_extend_outputs_records(tmp_path, capsys):
     path = write_doc(tmp_path, emit(zoo.example("tight_one_saddle")))
     code, out, _ = run(capsys, "extend", "-i", path)
