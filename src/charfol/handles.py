@@ -28,10 +28,9 @@ from .model import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, Uni
 from .taming import (
     check_assignment,
     is_taming,
-    level_just_below,
+    region_below,
     saddle_function_sign,
     simplicity_check,
-    sublevel_region,
 )
 
 
@@ -148,32 +147,29 @@ class HandleDecomposition:
 
 def _saddle_event(g: FoliationGraph, a, hid: str) -> Record:
     value = a[hid]
-    t = level_just_below(g, a, value)
-    region = sublevel_region(g, a, t)
+    region = region_below(g, a, value)
     roots = region.components()
     circles = region.boundary_circles()
     s0 = g.edge_at_slot(hid, "s0")
     s1 = g.edge_at_slot(hid, "s1")
-    c0 = circles[region.circle_of_edge(s0.id)]
-    c1 = circles[region.circle_of_edge(s1.id)]
+    i0 = region.circle_of_edge(s0.id)
+    i1 = region.circle_of_edge(s1.id)
     r0 = roots[s0.src.point]
     r1 = roots[s1.src.point]
-    if saddle_function_sign(g, a, hid) > 0:
+    if i0 != i1:  # a join, as saddle_function_sign reads it
         if r0 == r1:
             raise ExtensionError(
                 f"joining saddle {hid} bridges one ball component; the "
                 "extension would need an interior critical point"
             )
-        return HalfHandle1(hid, value, (_circle_tag(c0.key()), _circle_tag(c1.key())), (r0, r1))
-    if c0.key() != c1.key():
-        raise ExtensionError(f"splitting saddle {hid} meets two distinct circles")
-    return HalfHandle2(hid, value, _circle_tag(c0.key()), r0)
+        tags = (_circle_tag(circles[i0].key()), _circle_tag(circles[i1].key()))
+        return HalfHandle1(hid, value, tags, (r0, r1))
+    return HalfHandle2(hid, value, _circle_tag(circles[i0].key()), r0)
 
 
 def _cap_event(g: FoliationGraph, a, zid: str) -> Cap:
     value = a[zid]
-    t = level_just_below(g, a, value)
-    region = sublevel_region(g, a, t)
+    region = region_below(g, a, value)
     circles = region.boundary_circles()
     keys = set()
     for e in g.edges_at_point(zid):
@@ -253,8 +249,7 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
             fresh = _saddle_event(g, a, pid)
             if not isinstance(fresh, HalfHandle1) or fresh != r:
                 problems.append(f"half-handle-1 data for {pid} does not replay")
-            t = level_just_below(g, a, r.value)
-            region = sublevel_region(g, a, t)
+            region = region_below(g, a, r.value)
             comp = region.components()
             reps = []
             for root in r.components:

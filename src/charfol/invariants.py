@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .model import (
@@ -29,7 +30,8 @@ from .model import (
 )
 
 
-def _surplus(points: Iterable[SingularPoint]) -> tuple[int, int]:
+def surplus(points: Iterable[SingularPoint]) -> tuple[int, int]:
+    """(positive, negative) elliptic-over-hyperbolic surplus of some points."""
     dp = dm = 0
     for p in points:
         if p.kind in (ELLIPTIC, HYPERBOLIC):
@@ -47,7 +49,7 @@ def point_surplus(g: FoliationGraph) -> tuple[int, int]:
     Embryos and corner remnants are neutral.  On a valid sphere the two
     numbers add up to 2.
     """
-    return _surplus(g.points.values())
+    return surplus(g.points.values())
 
 
 # --------------------------------------------------------------------- regions
@@ -68,12 +70,14 @@ class BoundaryCircle:
 
     def key(self) -> tuple[tuple, ...]:
         """Canonical rotation, stable across unrelated region changes."""
-        n = len(self.items)
-        if n == 0:
-            return ()
-        return min(
-            tuple(self.items[(i + k) % n] for k in range(n)) for i in range(n)
-        )
+        return self._least_rotation
+
+    @cached_property
+    def _least_rotation(self) -> tuple[tuple, ...]:
+        # computed once per circle; not a field, so equality and hashing
+        # still compare ``items`` alone
+        items = self.items
+        return min((items[i:] + items[:i] for i in range(len(items))), default=())
 
 
 class Region:
@@ -83,6 +87,12 @@ class Region:
     flow with the flow exiting: no edge may point into the region from
     outside, and every face that touches the region must have its source
     corner inside.
+
+    The graph is never mutated after construction, so a region computes its
+    components, boundary circles and edge-to-circle map once, on first use.
+    :meth:`of` hands out one region per (graph, point set), cached on the
+    graph: every query about one sublevel set shares those traces, and the
+    cache goes away with the graph.
     """
 
     def __init__(self, graph: FoliationGraph, inside: Iterable[str]) -> None:
@@ -91,7 +101,18 @@ class Region:
         unknown = self.inside - set(graph.points)
         if unknown:
             raise GraphError(f"region references unknown points {sorted(unknown)}")
-        self._circles: list[BoundaryCircle] | None = None
+        self._components: dict[str, str] | None = None
+        self._circles: tuple[BoundaryCircle, ...] | None = None
+        self._circle_of_edge: dict[str, int] | None = None
+
+    @classmethod
+    def of(cls, graph: FoliationGraph, inside: Iterable[str]) -> Region:
+        """The region of ``inside`` on ``graph``, built once per point set."""
+        key = frozenset(inside)
+        region = graph._regions.get(key)
+        if region is None:
+            region = graph._regions[key] = cls(graph, key)
+        return region
 
     # membership helpers -----------------------------------------------------
 
@@ -131,19 +152,22 @@ class Region:
 
     def surplus(self) -> tuple[int, int]:
         """The point surplus of the points inside."""
-        return _surplus(self.graph.points[pid] for pid in self.inside)
+        return surplus(self.graph.points[pid] for pid in self.inside)
 
     def components(self) -> dict[str, str]:
         """Map each inside point to a root naming its component.
 
         Interior edges join components.  The roots follow from those edges
-        taken in id order alone, so they are stable across runs.
+        taken in id order alone, so they are stable across runs.  Each call
+        returns a fresh copy of the labelling, which the caller may change.
         """
-        sets = UnionFind(self.inside)
-        for eid in self.interior_edges():
-            e = self.graph.edges[eid]
-            sets.union(e.src.point, e.dst.point)
-        return {pid: sets.find(pid) for pid in self.inside}
+        if self._components is None:
+            sets = UnionFind(self.inside)
+            for eid in self.interior_edges():
+                e = self.graph.edges[eid]
+                sets.union(e.src.point, e.dst.point)
+            self._components = {pid: sets.find(pid) for pid in self.inside}
+        return dict(self._components)
 
     def component_count(self) -> int:
         return len(set(self.components().values()))
@@ -190,7 +214,7 @@ class Region:
                     )
         return arcs
 
-    def boundary_circles(self) -> list[BoundaryCircle]:
+    def boundary_circles(self) -> tuple[BoundaryCircle, ...]:
         if self._circles is not None:
             return self._circles
         bad = self.validate()
@@ -217,15 +241,21 @@ class Region:
                 if d not in arcs:
                     raise GraphError("boundary tracing left the arc system")
             circles.append(BoundaryCircle(tuple(items)))
-        self._circles = circles
-        return circles
+        circle_of_edge: dict[str, int] = {}
+        for i, circle in enumerate(circles):
+            for eid in circle.crossed_edges():
+                circle_of_edge.setdefault(eid, i)
+        self._circles = tuple(circles)
+        self._circle_of_edge = circle_of_edge
+        return self._circles
 
     def circle_of_edge(self, eid: str) -> int:
-        """Index of the boundary circle crossing the given cut edge."""
-        for i, c in enumerate(self.boundary_circles()):
-            if eid in c.crossed_edges():
-                return i
-        raise GraphError(f"edge {eid} is not a cut edge of the region")
+        """Index of the first boundary circle crossing the given cut edge."""
+        self.boundary_circles()
+        try:
+            return self._circle_of_edge[eid]
+        except KeyError:
+            raise GraphError(f"edge {eid} is not a cut edge of the region") from None
 
     def euler_characteristic(self) -> int:
         return 2 * self.component_count() - len(self.boundary_circles())

@@ -220,6 +220,8 @@ class FoliationGraph:
         self._canon: str | None = None
         self._rotation_pos: dict[Dart, tuple[tuple[Dart, ...], int]] | None = None
         self._slot_edge: dict[tuple[str, str | None], Separatrix] | None = None
+        # one invariants.Region per point set, filled by Region.of
+        self._regions: dict[frozenset[str], object] = {}
 
     # ----------------------------------------------------------------- darts
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .invariants import Region, elliptic_feeders, positive_links
+from .invariants import Region, elliptic_feeders, positive_links, surplus
 from .model import CORNER, ELLIPTIC, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
 
 Assignment = Mapping[str, Fraction]
@@ -80,16 +80,30 @@ def is_lyapunov(g: FoliationGraph, a: Assignment) -> bool:
     return not lyapunov_violations(g, a)
 
 
-def sublevel_region(g: FoliationGraph, a: Assignment, t: Fraction) -> Region:
-    return Region(g, [pid for pid in g.points if a[pid] <= t])
+def sublevel_region(
+    g: FoliationGraph, a: Assignment, t: Fraction, *, strict: bool = False
+) -> Region:
+    """The region of the points valued at most ``t`` (below ``t`` if ``strict``).
+
+    The region comes from the graph's region cache (:meth:`Region.of`), so
+    every query about one sublevel set of one graph gets the same object and
+    shares its traced boundary circles and components.
+    """
+    if strict:
+        return Region.of(g, [pid for pid in g.points if a[pid] < t])
+    return Region.of(g, [pid for pid in g.points if a[pid] <= t])
 
 
-def level_just_below(g: FoliationGraph, a: Assignment, value: Fraction) -> Fraction:
-    """Midpoint between ``value`` and the next distinct assigned value below."""
-    below = [v for v in a.values() if v < value]
-    if not below:
+def region_below(g: FoliationGraph, a: Assignment, value: Fraction) -> Region:
+    """The sublevel region just below ``value``: the points valued less.
+
+    No assigned value lies strictly between ``value`` and the next one below,
+    so this is the sublevel set at every level in that gap.
+    """
+    region = sublevel_region(g, a, value, strict=True)
+    if not region.inside:
         raise GraphError(f"no assigned value lies below {value}")
-    return (max(below) + value) / 2
+    return region
 
 
 def saddle_function_sign(g: FoliationGraph, a: Assignment, hid: str) -> int:
@@ -97,8 +111,7 @@ def saddle_function_sign(g: FoliationGraph, a: Assignment, hid: str) -> int:
     p = g.points[hid]
     if p.kind != HYPERBOLIC:
         raise GraphError(f"{hid} is not a hyperbolic point")
-    t = level_just_below(g, a, a[hid])
-    region = sublevel_region(g, a, t)
+    region = region_below(g, a, a[hid])
     c0 = region.circle_of_edge(g.edge_at_slot(hid, "s0").id)
     c1 = region.circle_of_edge(g.edge_at_slot(hid, "s1").id)
     return 1 if c0 != c1 else -1
@@ -161,8 +174,7 @@ def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
     )
     reports = []
     for v in saddle_values:
-        t = level_just_below(g, a, v)
-        region = sublevel_region(g, a, t)
+        region = region_below(g, a, v)
         at_level = [
             p.id
             for p in g.points_of_kind(HYPERBOLIC)
@@ -344,4 +356,4 @@ def sublevel_component_surplus(
     members: dict[str, list[str]] = {}
     for pid, root in sublevel_region(g, a, t).components().items():
         members.setdefault(root, []).append(pid)
-    return {root: Region(g, pids).surplus() for root, pids in members.items()}
+    return {root: surplus(g.points[pid] for pid in pids) for root, pids in members.items()}

@@ -460,7 +460,7 @@ def collapse_component(
     if inside_point not in comp:
         raise DecisionError(f"{inside_point} is not in the sublevel set")
     members = {pid for pid, root in comp.items() if root == comp[inside_point]}
-    sub = Region(g, frozenset(members))
+    sub = Region.of(g, members)
     dp, _ = sub.surplus()
     if dp != 1:
         raise DecisionError(f"component has source surplus {dp}, expected 1")

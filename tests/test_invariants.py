@@ -102,6 +102,51 @@ def test_boundary_circle_key_is_rotation_invariant():
         assert rotated.key() == circle.key()
 
 
+def test_boundary_circle_key_is_kept_out_of_equality():
+    g = zoo.example("tight_one_saddle_negative")
+    circle = Region(g, {"p", "h"}).boundary_circles()[0]
+    assert circle.key() is circle.key()
+    fresh = type(circle)(circle.items)
+    assert fresh == circle and hash(fresh) == hash(circle)
+    assert fresh.key() == circle.key()
+
+
+def test_region_of_is_one_object_per_graph_and_point_set():
+    g = zoo.example("tight_one_saddle")
+    region = Region.of(g, {"a", "b"})
+    assert Region.of(g, ["b", "a"]) is region
+    assert Region.of(g, {"a"}) is not region
+    other = zoo.example("tight_one_saddle")
+    twin = Region.of(other, {"a", "b"})
+    assert twin is not region and twin.graph is other
+    assert twin.boundary_circles() is not region.boundary_circles()
+    assert twin.boundary_circles() == region.boundary_circles()
+
+
+def test_region_components_hand_out_copies():
+    g = zoo.example("tight_one_saddle")
+    region = Region.of(g, {"a", "b", "h"})
+    comp = region.components()
+    assert len(set(comp.values())) == 1
+    comp["a"] = "elsewhere"
+    del comp["b"]
+    again = region.components()
+    assert again is not comp
+    assert set(again) == {"a", "b", "h"} and len(set(again.values())) == 1
+
+
+def test_circle_of_edge_rejects_non_cut_edges_after_the_map_is_built():
+    g = zoo.example("tight_one_saddle")
+    region = Region.of(g, {"a", "b", "h"})
+    crossed = {eid for c in region.boundary_circles() for eid in c.crossed_edges()}
+    assert crossed == set(region.cut_edges())
+    for eid in sorted(crossed):
+        assert region.circle_of_edge(eid) == 0
+    for eid in sorted(set(g.edges) - crossed):  # interior edges
+        with pytest.raises(GraphError, match="not a cut edge"):
+            region.circle_of_edge(eid)
+
+
 # ----------------------------------------------------------------- polygons
 
 

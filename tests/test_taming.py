@@ -20,10 +20,12 @@ from charfol.taming import (
     lyapunov_violations,
     normalized_assignment,
     positive_elliptic_graph,
+    region_below,
     regular_thresholds,
     saddle_function_sign,
     simplicity_check,
     sublevel_component_surplus,
+    sublevel_region,
     taming_violations,
 )
 
@@ -203,6 +205,24 @@ def test_sublevel_component_surplus_below_the_saddle():
     # above the saddle the two discs have merged; the sink is still higher
     above = list(sublevel_component_surplus(g, eh2_assignment(), F(3, 4)).values())
     assert above == [(1, 0)]
+
+
+def test_one_sublevel_set_is_one_region_per_graph():
+    g = zoo.example("tight_one_saddle")
+    a = eh2_assignment()
+    region = sublevel_region(g, a, F(1, 4))
+    assert region.inside == {"a", "b"}
+    assert sublevel_region(g, a, F(0)) is region
+    assert sublevel_region(g, a, F(1, 2), strict=True) is region
+    assert region_below(g, a, F(1, 2)) is region
+    assert sublevel_region(g, a, F(1, 2)) is not region
+    assert region_below(zoo.example("tight_one_saddle"), a, F(1, 2)) is not region
+
+
+def test_nothing_lies_below_the_lowest_value():
+    g = zoo.example("tight_one_saddle")
+    with pytest.raises(GraphError, match="no assigned value lies below 0"):
+        region_below(g, eh2_assignment(), F(0))
 
 
 # -------------------------------------------- path-inequality characterization
