@@ -171,10 +171,11 @@ def _cap_event(g: FoliationGraph, a, zid: str) -> Cap:
     value = a[zid]
     region = region_below(g, a, value)
     circles = region.boundary_circles()
-    keys = set()
-    for e in g.edges_at_point(zid):
-        if e.dst.point == zid:
-            keys.add(_circle_tag(circles[region.circle_of_edge(e.id)].key()))
+    keys = {
+        _circle_tag(circles[region.circle_of_edge(eid)].key())
+        for eid, end in g.rotation[zid]
+        if end == "tgt"
+    }
     if len(keys) != 1:
         raise ExtensionError(f"sink {zid} is not enclosed by a single circle")
     return Cap(zid, value, keys.pop())

@@ -551,18 +551,13 @@ def trace_polygon(g: FoliationGraph, face_set: frozenset[int]) -> Polygon | None
     return Polygon(face_set, points_visited, tuple(corners), embedded)
 
 
-def enumerate_polygons(
-    g: FoliationGraph,
-    max_faces: int | None = None,
-    embedded_only: bool = False,
-) -> Iterator[Polygon]:
+def enumerate_polygons(g: FoliationGraph, embedded_only: bool = False) -> Iterator[Polygon]:
     """All polygons of the graph, smallest face sets first."""
     n = len(g.faces())
     if n > 20:
         raise GraphError("polygon enumeration is limited to graphs with <= 20 faces")
-    limit = n if max_faces is None else min(n, max_faces)
     indices = [f.index for f in g.faces()]
-    for size in range(1, limit + 1):
+    for size in range(1, n + 1):
         for combo in itertools.combinations(indices, size):
             poly = trace_polygon(g, frozenset(combo))
             if poly is None:

@@ -454,10 +454,7 @@ class FoliationGraph:
             hops = 0
             cur = pid
             while self.points[cur].kind == CORNER:
-                out_edge = next(
-                    e for e in self.edges.values() if e.src == EndRef(cur, "out")
-                )
-                cur = out_edge.dst.point
+                cur = self.edge_at_slot(cur, "out").dst.point
                 hops += 1
                 if cur == pid:
                     problems.append(f"corner {pid}: lies on a closed broken leaf")
@@ -528,11 +525,6 @@ class FoliationGraph:
             return self._slot_edge[(pid, slot)]
         except KeyError:
             raise GraphError(f"slot {pid}.{slot} is vacant") from None
-
-    def edges_at_point(self, pid: str) -> list[Separatrix]:
-        return [
-            e for e in self.edges.values() if pid in (e.src.point, e.dst.point)
-        ]
 
     def is_homoclinic(self, eid: str) -> bool:
         """True if both endpoints are saddle-type points (a saddle connection)."""
@@ -622,17 +614,28 @@ class FoliationGraph:
         return FoliationGraph(self.points, edges, rotation)
 
     def marker_reduce(self) -> "FoliationGraph":
-        """Greedily delete marker leaves while the graph stays valid."""
+        """Delete marker leaves in id order while another edge is left.
+
+        The graph must be valid, and then so is the result.  A marker leaf
+        has no named slot and no corner end, so deleting it leaves the slot,
+        rotation-pattern and corner-chain rules as they were.  Every germ at
+        a positive elliptic point or in a positive zone goes out and every
+        germ at the negative kinds comes in, so both corners beside the leaf
+        at its source end are source corners and both at its sink end are
+        sink corners.  An end that keeps another germ has two distinct such
+        corners, and a flow box holds only one corner of each flavor, so the
+        leaf's two darts lie on different faces.  An end that keeps no other
+        germ has one corner, which puts both darts on one face.  Hence, in a
+        connected graph with another edge, one end keeps another germ, so
+        the two faces differ, so the other end keeps one too.  The leaf is
+        then no bridge, so connectivity and V - E + F = 2 survive its
+        deletion, and the merged face keeps exactly one source and one sink
+        corner.  Only the single leaf of the trivial sphere stays.
+        """
         g = self
-        changed = True
-        while changed:
-            changed = False
-            for eid in sorted(e for e, s in g.edges.items() if s.marker):
-                candidate = g.without_edge(eid)
-                if candidate.is_valid:
-                    g = candidate
-                    changed = True
-                    break
+        for eid in sorted(e for e, s in self.edges.items() if s.marker):
+            if len(g.edges) > 1:
+                g = g.without_edge(eid)
         return g
 
     # ------------------------------------------------------- canonical form

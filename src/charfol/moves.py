@@ -173,10 +173,14 @@ def _insertion(g: FoliationGraph, face: Face, flavor: str) -> tuple[EndRef, Dart
 
 
 def _conjugated(g: FoliationGraph, move, **details) -> MoveResult:
-    """Run ``move`` on the time reversal of ``g`` and reverse its result back."""
+    """Run ``move`` on the time reversal of ``g`` and reverse its result back.
+
+    Reversal keeps validity, degrees and marker flags, so the reversal of the
+    move's marker-reduced result is marker-reduced already.
+    """
     rev = move(g.reverse())
     return MoveResult(
-        rev.graph.reverse().marker_reduce(),
+        rev.graph.reverse(),
         MoveRecord(rev.record.kind, {**rev.record.details, "conjugated": True, **details}),
     )
 

@@ -241,18 +241,9 @@ def component_merge_level(
     """First assigned value at which p and q share a sublevel component."""
     if p == q:
         return a[p]
-    values = sorted(set(a.values()))
-    sets = UnionFind()
-    present: set[str] = set()
-    for v in values:
-        for pid in sorted(g.points):
-            if a[pid] == v:
-                present.add(pid)
-                sets.add(pid)
-        for e in g.edges.values():
-            if e.src.point in present and e.dst.point in present:
-                sets.union(e.src.point, e.dst.point)
-        if p in present and q in present and sets.find(p) == sets.find(q):
+    for v in sorted(set(a.values())):
+        roots = sublevel_region(g, a, v).components()
+        if p in roots and q in roots and roots[p] == roots[q]:
             return v
     return None
 

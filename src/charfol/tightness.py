@@ -40,6 +40,7 @@ from .model import (
 )
 from .moves import (
     MoveError,
+    _fresh,
     eliminate_embryo,
     eliminate_pair,
     resolve_connection,
@@ -188,46 +189,40 @@ def split_at_negative_saddle(
     """Cut the sphere along the annulus spanned by a splitting saddle.
 
     The pair (source, saddle) spans an annulus; each complementary disc is
-    capped with a fresh positive elliptic point that inherits the cut leaves
-    in boundary-circle order.  Returns the two capped sides, or ``None``
-    when the configuration is not an annulus.
+    capped with a fresh positive elliptic point that emits the cut leaves in
+    the order its boundary circle crosses them.  Returns the two capped
+    sides, or ``None`` when the cut bounds no annulus: the region is not
+    valid, it has other than two boundary circles, the complement components
+    reached from the circles overlap or miss a point, or a capped side is
+    not a valid sphere.
     """
-    region = Region(g, frozenset({source_id, saddle_id}))
+    region = Region(g, {source_id, saddle_id})
     if region.validate():
         return None
     circles = region.boundary_circles()
     if len(circles) != 2:
         return None
 
-    comps: list[tuple[set[str], list[str]]] = []
+    # each circle takes every complement component that its far ends reach;
+    # both regions serve this one cut, so neither goes into the graph's cache
+    roots = Region(g, set(g.points) - region.inside).components()
+    comps: list[tuple[set[str], tuple[str, ...]]] = []
     for circle in circles:
-        crossings = [item[1] for item in circle.items if item[0] == "x"]
-        if not crossings:
-            return None
-        # complement component reachable from this circle's far endpoints
-        comp = {g.edges[eid].dst.point for eid in crossings}
-        frontier = list(comp)
-        while frontier:
-            q = frontier.pop()
-            for e in g.edges_at_point(q):
-                for end in (e.src.point, e.dst.point):
-                    if end not in comp and end not in region.inside:
-                        comp.add(end)
-                        frontier.append(end)
-        comps.append((comp, crossings))
+        crossings = circle.crossed_edges()
+        reached = {roots[g.edges[eid].dst.point] for eid in crossings}
+        comps.append(({q for q, r in roots.items() if r in reached}, crossings))
     if comps[0][0] & comps[1][0]:
         return None
-    if comps[0][0] | comps[1][0] != set(g.points) - region.inside:
+    if comps[0][0] | comps[1][0] != set(roots):
         return None
 
     sides: list[FoliationGraph] = []
+    cap = _fresh(set(g.points), "v")
     for comp, crossings in comps:
-        cap, n = "v0", 0
-        while cap in g.points:
-            n += 1
-            cap = f"v{n}"
-        points = {pid: g.points[pid] for pid in comp}
+        points = {pid: p for pid, p in g.points.items() if pid in comp}
+        rotation = {pid: g.rotation[pid] for pid in points}
         points[cap] = SingularPoint(cap, ELLIPTIC, 1)
+        rotation[cap] = tuple((eid, "src") for eid in crossings)
         edges: dict[str, Separatrix] = {}
         for eid, e in g.edges.items():
             if e.src.point in comp and e.dst.point in comp:
@@ -236,15 +231,10 @@ def split_at_negative_saddle(
             e = g.edges[eid]
             marker = e.dst.slot in (None, "zone")
             edges[eid] = Separatrix(eid, EndRef(cap, None), e.dst, marker=marker)
-        rotation = {pid: g.rotation[pid] for pid in comp}
-        for order in (crossings, list(reversed(crossings))):
-            rotation[cap] = tuple((eid, "src") for eid in order)
-            side = FoliationGraph(points, edges, dict(rotation))
-            if not side.validate():
-                sides.append(side.marker_reduce())
-                break
-        else:
+        side = FoliationGraph(points, edges, rotation)
+        if side.validate():
             return None
+        sides.append(side.marker_reduce())
     return sides[0], sides[1]
 
 

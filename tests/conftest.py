@@ -1,8 +1,12 @@
-"""Shared fixtures: the cached small universe and the example zoo."""
+"""Shared fixtures: the cached small universe, the example zoo and a few
+seeded ``create_pair``-grown spheres."""
+
+import random
 
 import pytest
 
 from charfol import zoo
+from charfol.moves import create_pair
 from charfol.tightness import decide_tightness, universe_cached
 
 ZOO_NAMES = sorted(zoo.ZOO)
@@ -27,3 +31,26 @@ def tight_instances(universe_list):
 @pytest.fixture(params=ZOO_NAMES)
 def zoo_graph(request):
     return zoo.example(request.param)
+
+
+#: (zoo fixture, saddle count) of the seeded create_pair walks below
+WALKS = (
+    ("tight_one_saddle_negative", 14),
+    ("three_basin_chain", 14),
+    ("embryo_negative", 12),
+    ("tight_saddle_connection", 12),
+    ("overtwisted_loop_negative", 8),
+)
+
+
+@pytest.fixture(scope="session")
+def walked_spheres():
+    """(label, graph) for seeded create_pair walks from zoo fixtures."""
+    rng = random.Random(5151)
+    out = []
+    for name, saddles in WALKS:
+        g = zoo.example(name)
+        while len(g.saddle_points()) < saddles:
+            g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+        out.append((f"{name}+{saddles}", g))
+    return out

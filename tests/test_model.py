@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from charfol import CORNER, ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, build
 from charfol import zoo
+from charfol.tightness import decide_tightness
+from test_moves_golden import GOLDEN, transcript
 
 ZOO_NAMES = sorted(zoo.ZOO)
 
@@ -187,3 +189,110 @@ def test_without_edge_and_relabel_validate():
     h = g.without_edge("f1")
     # dropping one unstable separatrix leaves a dangling saddle slot
     assert h.validate() != []
+
+
+# ------------------------------------------------- marker normalisation
+
+
+def reference_marker_reduce(g: FoliationGraph) -> FoliationGraph:
+    """Delete the first marker leaf, in id order, whose removal leaves a
+    valid graph, and start over: the rule checked by full validation."""
+    changed = True
+    while changed:
+        changed = False
+        for eid in sorted(e for e, s in g.edges.items() if s.marker):
+            candidate = g.without_edge(eid)
+            if candidate.is_valid:
+                g = candidate
+                changed = True
+                break
+    return g
+
+
+@pytest.fixture(scope="module")
+def marker_reduce_inputs(walked_spheres):
+    """Every graph handed to marker_reduce by the golden move sweep and by
+    deciding the walked spheres."""
+    seen = []
+    real = FoliationGraph.marker_reduce
+
+    def record(self):
+        seen.append(self)
+        return real(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FoliationGraph, "marker_reduce", record)
+        for kind in sorted(GOLDEN):
+            transcript(kind)
+        for _, g in walked_spheres:
+            decide_tightness(g)
+    return seen
+
+
+def test_marker_reduce_matches_the_validating_reference(marker_reduce_inputs):
+    dropped = kept = 0
+    for g in marker_reduce_inputs:
+        reduced = g.marker_reduce()
+        assert sorted(reduced.edges) == sorted(reference_marker_reduce(g).edges)
+        dropped += len(reduced.edges) < len(g.edges)
+        kept += any(e.marker for e in reduced.edges.values())
+    # both outcomes of the rule occur in the sample
+    assert dropped >= 50 and kept >= 20
+
+
+def _one_saddle_with_marker():
+    # the tight one-saddle sphere with an extra marker leaf a -> z that
+    # splits the face between f0 and f1
+    return build(
+        points=[
+            ("a", "elliptic", 1),
+            ("b", "elliptic", 1),
+            ("h", "hyperbolic", 1),
+            ("z", "elliptic", -1),
+        ],
+        edges=[
+            ("ea", "a", None, "h", "s0"),
+            ("eb", "b", None, "h", "s1"),
+            ("f0", "h", "u0", "z", None),
+            ("f1", "h", "u1", "z", None),
+            ("m0", "a", None, "z", None, True),
+        ],
+        rotation={
+            "a": [("ea", "src"), ("m0", "src")],
+            "b": [("eb", "src")],
+            "h": [("ea", "tgt"), ("f0", "src"), ("eb", "tgt"), ("f1", "src")],
+            "z": [("f0", "tgt"), ("m0", "tgt"), ("f1", "tgt")],
+        },
+    )
+
+
+def test_marker_reduce_drops_a_leaf_between_two_faces():
+    g = _one_saddle_with_marker()
+    assert g.validate() == []
+    faces = g.dart_faces()
+    assert faces[("m0", "src")] != faces[("m0", "tgt")]
+    reduced = g.marker_reduce()
+    assert sorted(reduced.edges) == ["ea", "eb", "f0", "f1"]
+    assert reduced.validate() == []
+    assert reduced.canonical_form() == zoo.example("tight_one_saddle").canonical_form()
+
+
+def test_marker_reduce_keeps_a_leaf_with_one_face_on_both_sides():
+    trivial = build(
+        points=[("p", "elliptic", 1), ("q", "elliptic", -1)],
+        edges=[("m0", "p", None, "q", None, True)],
+        rotation={"p": [("m0", "src")], "q": [("m0", "tgt")]},
+    )
+    assert trivial.validate() == []
+    faces = trivial.dart_faces()
+    assert faces[("m0", "src")] == faces[("m0", "tgt")]
+    assert sorted(trivial.marker_reduce().edges) == ["m0"]
+    # two leaves bound two faces: the first in id order goes, and the second
+    # is then the only leaf, with one face on both sides
+    bigon = build(
+        points=[("p", "elliptic", 1), ("q", "elliptic", -1)],
+        edges=[("m0", "p", None, "q", None, True), ("m1", "p", None, "q", None, True)],
+        rotation={"p": [("m0", "src"), ("m1", "src")], "q": [("m0", "tgt"), ("m1", "tgt")]},
+    )
+    assert bigon.validate() == []
+    assert sorted(bigon.marker_reduce().edges) == ["m1"]

@@ -1,13 +1,14 @@
 """Decision procedure, allowable vertices, enumeration, the oracle."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from charfol import FoliationGraph, GraphError
+from charfol import ELLIPTIC, FoliationGraph, GraphError
 from charfol import tightness, zoo
-from charfol.cli import parse
+from charfol.cli import emit, parse
 from charfol.moves import create_pair
 from charfol.tightness import (
     DecisionError,
@@ -347,3 +348,54 @@ def test_enumerate_foliations_counts():
         1 for _ in enumerate_foliations(1, allow_embryos=True, allow_homoclinics=True)
     )
     assert flagged == 7
+
+
+# ------------------------------------------------------- annulus splitting
+
+
+def _split_sites(universe_list, walked_spheres):
+    """(label, graph, saddle, source) for every NegHypSameSource candidate of
+    the universe and every split that deciding the walked spheres asks for."""
+    sites = []
+    for i, g in enumerate(universe_list):
+        for cand in allowable_candidates(g):
+            if cand.case == "NegHypSameSource":
+                sites.append((f"u{i}", g, cand.point, cand.witnesses[0]))
+    real = tightness.split_at_negative_saddle
+
+    def record(h, saddle_id, source_id):
+        sites.append((label, h, saddle_id, source_id))
+        return real(h, saddle_id, source_id)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tightness, "split_at_negative_saddle", record)
+        for label, g in walked_spheres:
+            decide_tightness(g)
+    return sites
+
+
+# sha256 of the split transcript below, taken before the cut lost its
+# reversed-cap fallback and its private complement search
+SPLIT_GOLDEN = "326ebaee0927d6afff1f4f4497d85e9a50f4f202c094e7788a9c77ad0bb02622"
+
+
+def test_split_at_negative_saddle_is_pinned(universe_list, walked_spheres):
+    sites = _split_sites(universe_list, walked_spheres)
+    lines = []
+    crossings = []
+    for label, g, saddle_id, source_id in sites:
+        lines.append(f"## {label} {saddle_id} {source_id}")
+        sides = tightness.split_at_negative_saddle(g, saddle_id, source_id)
+        if sides is None:
+            lines.append("None")
+            continue
+        for side in sides:
+            assert side.validate() == []
+            (cap,) = set(side.points) - set(g.points)
+            assert (side.points[cap].kind, side.points[cap].sign) == (ELLIPTIC, 1)
+            crossings.append(len(side.rotation[cap]))
+            lines.append(emit(side))
+    # the sample holds caps of many leaves, where a reversed order differs
+    assert len(sites) > 80 and max(crossings) >= 10
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SPLIT_GOLDEN
