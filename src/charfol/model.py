@@ -216,6 +216,7 @@ class FoliationGraph:
         }
         # lazily built caches; the graph is never mutated after construction
         self._faces: tuple[Face, ...] | None = None
+        self._problems: tuple[str, ...] | None = None
         self._dart_face: dict[Dart, int] | None = None
         self._canon: str | None = None
         self._rotation_pos: dict[Dart, tuple[tuple[Dart, ...], int]] | None = None
@@ -329,7 +330,16 @@ class FoliationGraph:
     # ------------------------------------------------------------ validation
 
     def validate(self) -> list[str]:
-        """Return a list of violation messages; empty means valid."""
+        """Return a fresh list of violation messages; empty means valid.
+
+        The checks run once per graph, which is never mutated, so validating
+        a graph again (``require_valid`` after a load) is a lookup.
+        """
+        if self._problems is None:
+            self._problems = tuple(self._check())
+        return list(self._problems)
+
+    def _check(self) -> list[str]:
         problems: list[str] = []
         for pid, p in self.points.items():
             if pid != p.id:

@@ -553,6 +553,24 @@ def _cyclic_orders(items: list) -> list[list]:
     return [[head] + list(p) for p in itertools.permutations(rest)]
 
 
+def _cycles(perm: tuple[int, ...] | list[int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of a permutation of ``range(len(perm))``, each from its
+    least element, in increasing order of that element."""
+    seen = [False] * len(perm)
+    out = []
+    for t0 in range(len(perm)):
+        if seen[t0]:
+            continue
+        cyc = []
+        t = t0
+        while not seen[t]:
+            seen[t] = True
+            cyc.append(t)
+            t = perm[t]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
 def enumerate_reference(plus: int, minus: int) -> list[FoliationGraph]:
     """Slow assembly of the connection-free universe, for cross-checking.
 
@@ -639,116 +657,55 @@ def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
 
     Same universe as :func:`enumerate_reference` but driven by permutations:
     an elliptic point's leaves in rotation order are exactly one cycle of a
-    permutation of the slots, so the source side ranges over permutations of
-    the stable slots and the sink side over permutations of the unstable
-    slots.  Candidates are vetted with a flat dart-array face trace before
-    any graph object is built.  Classes are listed in the order their first
-    representative is found, which does not depend on the canonical form.
+    permutation of the slots.  Slot ``t = 2i + k`` is saddle ``i``'s ``s_k``
+    on the source side and its ``u_k`` on the sink side.
+
+    Only the source rotations are free.  Every leaf joins a saddle to an
+    elliptic point and every saddle corner is a through corner, so a face
+    with one source and one sink corner is a quadrilateral (source, saddle,
+    sink, saddle), and there is one face per source corner.  The face after
+    the source corner from slot ``t`` to slot ``perm[t]`` runs along that
+    stable leaf to its saddle, turns counterclockwise to unstable slot
+    ``perm[t]`` and runs to a sink; to close it must come back along
+    unstable slot ``t ^ 1``, the one just before stable slot ``t``.  So the
+    sink rotation is ``sink[perm[t]] = t ^ 1``.  With ``2n`` faces and ``4n`` leaves,
+    Euler's count on the sphere reads ``#sources + #sinks = n + 2``; a
+    rotation system that passes it may still be disconnected (12 candidates
+    at three saddles), hence the union-find.  Classes are listed in the
+    order their first representative is found, which does not depend on the
+    canonical form.
     """
     total = plus + minus
     if total == 0:
         from .zoo import trivial
 
         return [trivial()]
-    if total > 3:
-        raise DecisionError("enumeration bounded to three saddles")
+    if total > 4:
+        raise DecisionError("enumeration bounded to four saddles")
     n = total
     signs = [1] * plus + [-1] * minus
-    n_edges = 4 * n
-    n_darts = 2 * n_edges
-    # edge 4i+j = saddle i's slot (s0, u0, s1, u1)[j]; edge e has src dart 2e
-    # and tgt dart 2e+1; faces are traced with next = sigma[dart ^ 1]
-    base = [0] * n_darts
-    for i in range(n):
-        ring = [2 * (4 * i) + 1, 2 * (4 * i + 1), 2 * (4 * i + 2) + 1, 2 * (4 * i + 3)]
-        for k in range(4):
-            base[ring[k]] = ring[(k + 1) % 4]
-    # stable slot t <-> edge 4*(t//2) + 2*(t%2); unstable u <-> that + 1
-    s_dart = [2 * (4 * (t >> 1) + 2 * (t & 1)) for t in range(2 * n)]
-    u_dart = [2 * (4 * (t >> 1) + 2 * (t & 1) + 1) + 1 for t in range(2 * n)]
-
-    def tabulate(darts: list[int]) -> list[tuple[tuple, tuple, int]]:
-        out = []
-        for perm in itertools.permutations(range(2 * n)):
-            writes = tuple((darts[t], darts[perm[t]]) for t in range(2 * n))
-            cycles: list[list[int]] = []
-            left = set(range(2 * n))
-            while left:
-                t0 = min(left)
-                cyc = [t0]
-                left.discard(t0)
-                t = perm[t0]
-                while t != t0:
-                    cyc.append(t)
-                    left.discard(t)
-                    t = perm[t]
-                cycles.append(cyc)
-            out.append((writes, tuple(tuple(c) for c in cycles), len(cycles)))
-        return out
-
-    src_tab = tabulate(s_dart)
-    dst_tab = tabulate(u_dart)
-
-    def survives(sigma: list[int], n_points: int) -> bool:
-        seen = bytearray(n_darts)
-        faces = 0
-        for d0 in range(n_darts):
-            if seen[d0]:
-                continue
-            faces += 1
-            src = snk = 0
-            d = d0
-            while True:
-                seen[d] = 1
-                nxt = sigma[d ^ 1]
-                if d & 1:
-                    if not nxt & 1:
-                        src += 1
-                        if src > 1:
-                            return False
-                elif nxt & 1:
-                    snk += 1
-                    if snk > 1:
-                        return False
-                d = nxt
-                if d == d0:
-                    break
-            if src != 1 or snk != 1:
-                return False
-        return n_points - n_edges + faces == 2
-
     seen_forms: dict = {}
-    for s_writes, s_cycles, s_count in src_tab:
-        sigma_s = base[:]
-        for dart, val in s_writes:
-            sigma_s[dart] = val
-        for u_writes, u_cycles, u_count in dst_tab:
-            sigma = sigma_s[:]
-            for dart, val in u_writes:
-                sigma[dart] = val
-            n_points = n + s_count + u_count
-            if not survives(sigma, n_points):
-                continue
-            # connectivity: saddles unioned with their slots' blocks
-            sets = UnionFind(range(n_points))
-            block_s = {}
-            for ci, cyc in enumerate(s_cycles):
+    for perm in itertools.permutations(range(2 * n)):
+        sink = [0] * (2 * n)
+        for t in range(2 * n):
+            sink[perm[t]] = t ^ 1
+        s_cycles = _cycles(perm)
+        u_cycles = _cycles(sink)
+        if len(s_cycles) + len(u_cycles) != n + 2:
+            continue
+        # connectivity: saddles unioned with their slots' elliptic points
+        n_points = n + len(s_cycles) + len(u_cycles)
+        sets = UnionFind(range(n_points))
+        for offset, cycles in ((n, s_cycles), (n + len(s_cycles), u_cycles)):
+            for ci, cyc in enumerate(cycles):
                 for t in cyc:
-                    block_s[t] = n + ci
-            block_u = {}
-            for ci, cyc in enumerate(u_cycles):
-                for t in cyc:
-                    block_u[t] = n + s_count + ci
-            for i in range(n):
-                for t in (2 * i, 2 * i + 1):
-                    for b in (block_s[t], block_u[t]):
-                        sets.union(i, b)
-            if len({sets.find(x) for x in range(n_points)}) != 1:
-                continue
-            g = _assemble(signs, s_cycles, u_cycles)
-            if g.validate():
-                raise DecisionError("enumeration filter accepted an invalid graph")
-            seen_forms.setdefault(g.canonical_form(), g)
+                    sets.union(t >> 1, offset + ci)
+        if len({sets.find(x) for x in range(n_points)}) != 1:
+            continue
+        g = _assemble(signs, s_cycles, u_cycles)
+        if g.validate():
+            raise DecisionError("enumeration filter accepted an invalid graph")
+        seen_forms.setdefault(g.canonical_form(), g)
     return list(seen_forms.values())
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI: document grammar, exit codes, rendering."""
 
+import hashlib
 import json
 import re
 
@@ -247,6 +248,23 @@ def test_enumerate_streams_documents(capsys):
     assert len(payload) == 7
     for data in payload:
         assert FoliationGraph.from_data(data).validate() == []
+
+
+# sha256 of `charfol enumerate --max-saddles 3 --embryos --homoclinics`
+# stdout, text and --json, taken before the sink rotations were derived from
+# the source ones: they pin the representatives and their order
+ENUMERATE3_GOLDEN = {
+    False: "801666ff956ca22d7820f838e9f429580f110bf70037d985195dd9fc1b911adc",
+    True: "33ffb40bf185497a694d2c11c5cef03f40719e597937fa819e69f63e6f103ddc",
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_enumerate_three_saddles_golden(capsys, as_json):
+    argv = ["enumerate", "--max-saddles", "3", "--embryos", "--homoclinics"]
+    code, out, _ = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE3_GOLDEN[as_json]
 
 
 def test_invariants_command(tmp_path, capsys):

@@ -179,6 +179,28 @@ def test_validate_reports_unknown_endpoint():
         g.require_valid()
 
 
+def test_validate_runs_once_and_returns_a_fresh_list(monkeypatch):
+    valid = zoo.example("three_basin_chain")
+    invalid = build(
+        points=[("p", "elliptic", 1)],
+        edges=[("e", "p", None, "ghost", None)],
+        rotation={"p": [("e", "src")]},
+    )
+    runs = []
+    check = FoliationGraph._check
+    monkeypatch.setattr(FoliationGraph, "_check", lambda g: runs.append(g) or check(g))
+    for g in (valid, invalid):
+        first = g.validate()
+        first.append("caller's own note")
+        second = g.validate()
+        assert second is not first and "caller's own note" not in second
+        assert second == g.validate()
+    assert valid.require_valid() is valid
+    with pytest.raises(GraphError, match="unknown point ghost"):
+        invalid.require_valid()
+    assert runs == [valid, invalid]
+
+
 def test_build_rejects_bad_kind():
     with pytest.raises(GraphError):
         build(points=[("p", "parabolic", 1)], edges=[], rotation={"p": []})

@@ -334,12 +334,38 @@ def test_universe_instances_are_valid_and_distinct(universe_list):
 
 
 def test_reference_enumeration_matches_fast_enumeration():
-    # the reference route assembles rotation systems from scratch; the fast
-    # route grows graphs by moves — they must agree class-for-class
+    # the reference route assembles every set partition and cyclic order on
+    # both sides; the fast route ranges over source rotations only and derives
+    # the sink rotations — they must agree class-for-class
     for sig in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
         ref = {g.canonical_form() for g in enumerate_reference(*sig)}
         fast = {g.canonical_form() for g in enumerate_signature(*sig)}
         assert ref == fast, sig
+
+
+def test_universe_faces_are_source_saddle_sink_saddle(universe3):
+    # the lemma behind enumerate_signature: without connections or markers,
+    # every face is a quadrilateral and each source corner opens one face
+    for sig, graphs in sorted(universe3.items()):
+        if sig == (0, 0):
+            continue  # the trivial sphere keeps its marker leaf
+        for g in graphs:
+            faces = g.faces()
+            for f in faces:
+                flavors = [c.flavor for c in f.corners]
+                i = flavors.index("source")
+                assert flavors[i:] + flavors[:i] == ["source", "through", "sink", "through"]
+            source_corners = sum(
+                len(g.rotation[p.id]) for p in g.points_of_kind(ELLIPTIC) if p.sign > 0
+            )
+            assert len(faces) == source_corners == 2 * sum(sig), sig
+
+
+def test_enumerate_signature_bound():
+    with pytest.raises(DecisionError, match="four saddles"):
+        enumerate_signature(3, 2)
+    with pytest.raises(DecisionError, match="three saddles"):
+        enumerate_reference(2, 2)
 
 
 def test_enumerate_foliations_counts():
