@@ -5,7 +5,8 @@ Three layers live here:
 * the point surplus pair (positive/negative elliptic count minus saddle
   count), the basic sphere bookkeeping identity;
 * regions spanned by a set of points, with their outward-transverse
-  boundary circles traced combinatorially through faces and cut edges;
+  boundary circles: cycles of cut edges, each passage from one crossing to
+  the next found by one walk over the darts of a face;
 * polygons: unions of faces whose closure is a disc, with their boundary
   corners classified and signed.  An embedded polygon all of whose signed
   corners agree is the overtwistedness certificate used elsewhere.
@@ -174,83 +175,49 @@ class Region:
 
     # boundary tracing ---------------------------------------------------------
 
-    def _face_runs(self) -> dict[Dart, tuple[Dart, int]]:
-        """Map each cut-edge dart with an *outgoing* arc to (arc end, face index).
-
-        Within a face walk, classify every side and corner as inside or
-        outside; each maximal inside run is one transverse arc connecting
-        the cut side it follows to the cut side it precedes.
-        """
-        g = self.graph
-        arcs: dict[Dart, tuple[Dart, int]] = {}
-        for f in g.faces():
-            n = len(f.darts)
-            # item stream: side darts, with the corner after each side
-            states = []
-            for i, d in enumerate(f.darts):
-                states.append(("side", d, self._edge_state(d[0])))
-                cpt = f.corners[i].point
-                states.append(("corner", d, "in" if cpt in self.inside else "out"))
-            cut_positions = [
-                i for i, st in enumerate(states) if st[0] == "side" and st[2] == "cut"
-            ]
-            if not cut_positions:
-                continue
-            m = len(states)
-            for a_idx, start in enumerate(cut_positions):
-                end = cut_positions[(a_idx + 1) % len(cut_positions)]
-                between = []
-                j = (start + 1) % m
-                while j != end:
-                    between.append(states[j])
-                    j = (j + 1) % m
-                kinds = {st[2] for st in between}
-                if kinds <= {"in"}:
-                    # arc from the cut side at `start` to the cut side at `end`
-                    arcs[states[start][1]] = (states[end][1], f.index)
-                elif not kinds <= {"out"}:
-                    raise GraphError(
-                        f"face {f.index}: mixed run without a cut side (invalid region)"
-                    )
-        return arcs
-
     def boundary_circles(self) -> tuple[BoundaryCircle, ...]:
+        """The boundary circles, each a cycle of crossings of cut edges.
+
+        On a valid region every dart at an inside point is an interior edge
+        or the source end of a cut edge.  So after crossing cut edge ``c`` a
+        circle runs through the face of ``(c, "tgt")``, past inside points
+        only, to the next crossing: the edge of the first cut-edge source
+        dart that ``phi`` reaches from ``sigma((c, "src"))``.  The circles
+        are the cycles of this permutation of the cut edges, each started
+        at its least edge.
+        """
         if self._circles is not None:
             return self._circles
         bad = self.validate()
         if bad:
             raise GraphError("; ".join(bad))
         g = self.graph
-        arcs = self._face_runs()
-        # sanity: every cut dart participates in exactly one arc end
+        face_of = g.dart_faces()
+        cut = self.cut_edges()
+        is_cut = set(cut)
         circles: list[BoundaryCircle] = []
-        used: set[Dart] = set()
-        for start in sorted(arcs):
-            if start in used:
+        circle_of_edge: dict[str, int] = {}
+        for start in cut:
+            if start in circle_of_edge:
                 continue
             items: list[tuple] = []
-            d = start
+            c = start
             while True:
-                used.add(d)
-                end, face_index = arcs[d]
-                items.append(("f", face_index))
-                items.append(("x", end[0]))
-                d = g.theta(end)
-                if d == start:
+                circle_of_edge[c] = len(circles)
+                d = g.sigma((c, "src"))
+                while d[0] not in is_cut:
+                    d = g.phi(d)
+                items += [("f", face_of[(c, "tgt")]), ("x", d[0])]
+                c = d[0]
+                if c == start:
                     break
-                if d not in arcs:
-                    raise GraphError("boundary tracing left the arc system")
             circles.append(BoundaryCircle(tuple(items)))
-        circle_of_edge: dict[str, int] = {}
-        for i, circle in enumerate(circles):
-            for eid in circle.crossed_edges():
-                circle_of_edge.setdefault(eid, i)
         self._circles = tuple(circles)
         self._circle_of_edge = circle_of_edge
         return self._circles
 
     def circle_of_edge(self, eid: str) -> int:
-        """Index of the first boundary circle crossing the given cut edge."""
+        """Index of the one boundary circle that crosses the cut edge, once."""
         self.boundary_circles()
         try:
             return self._circle_of_edge[eid]

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .invariants import (
+    BoundaryCircle,
     Polygon,
     Region,
     elliptic_feeders,
@@ -185,57 +186,61 @@ def find_allowable(g: FoliationGraph) -> str | None:
 
 def split_at_negative_saddle(
     g: FoliationGraph, saddle_id: str, source_id: str
-) -> tuple[FoliationGraph, FoliationGraph] | None:
+) -> tuple[FoliationGraph, FoliationGraph]:
     """Cut the sphere along the annulus spanned by a splitting saddle.
 
-    The pair (source, saddle) spans an annulus; each complementary disc is
-    capped with a fresh positive elliptic point that emits the cut leaves in
-    the order its boundary circle crosses them.  Returns the two capped
-    sides, or ``None`` when the cut bounds no annulus: the region is not
-    valid, it has other than two boundary circles, the complement components
-    reached from the circles overlap or miss a point, or a capped side is
-    not a valid sphere.
+    ``g`` is valid and (source, saddle) a ``NegHypSameSource`` pair.  Each
+    complementary disc is capped with a fresh positive elliptic point that
+    emits the cut leaves in the order its boundary circle crosses them.
+    Returns the two capped sides, which are valid spheres:
+
+    * Nothing enters a positive elliptic point, and the saddle's stable
+      slots hold the two leaves from the source.  So those leaves are the
+      only interior edges and form a closed curve: the region is an annulus
+      with two boundary circles, one on each side of the curve.
+    * No other edge enters the source or the saddle, so every edge between
+      the region and its complement is a cut edge.
+    * Every corner at the source is a source corner.  Every face at the
+      saddle has a leaf from the source as a side, so its source corner is
+      the source: the region is valid.  A face walk into the region at the
+      saddle turns onto such a leaf, so each run of inside corners holds a
+      source corner, and a face, a flow box, has one run.
+    * Capping a side turns that run into one cap corner, a source corner,
+      and keeps the face's sink corner, so every face of a side is a flow
+      box.  A capped side whose cap is a cut vertex would have a face with
+      two cap corners, both source corners.  So each circle reaches exactly
+      one complement component, the curve keeps the two apart, and as ``g``
+      is connected every component is reached.
+    * A crossing keeps its sink end and is a marker exactly when that end is
+      slot-free, so the slot, marker, rotation and corner-chain rules hold
+      as they did on ``g``.  The faces of ``g`` and of the two sides match
+      one to one, so the sides' Euler counts add up to V - (E - 2) + F = 4;
+      neither exceeds 2 for a connected side, so each is 2.
     """
     region = Region(g, {source_id, saddle_id})
-    if region.validate():
-        return None
-    circles = region.boundary_circles()
-    if len(circles) != 2:
-        return None
-
-    # each circle takes every complement component that its far ends reach;
+    circle0, circle1 = region.boundary_circles()
     # both regions serve this one cut, so neither goes into the graph's cache
     roots = Region(g, set(g.points) - region.inside).components()
-    comps: list[tuple[set[str], tuple[str, ...]]] = []
-    for circle in circles:
-        crossings = circle.crossed_edges()
-        reached = {roots[g.edges[eid].dst.point] for eid in crossings}
-        comps.append(({q for q, r in roots.items() if r in reached}, crossings))
-    if comps[0][0] & comps[1][0]:
-        return None
-    if comps[0][0] | comps[1][0] != set(roots):
-        return None
-
-    sides: list[FoliationGraph] = []
     cap = _fresh(set(g.points), "v")
-    for comp, crossings in comps:
-        points = {pid: p for pid, p in g.points.items() if pid in comp}
+
+    def capped(circle: BoundaryCircle) -> FoliationGraph:
+        crossings = circle.crossed_edges()
+        root = roots[g.edges[crossings[0]].dst.point]
+        points = {pid: p for pid, p in g.points.items() if roots.get(pid) == root}
         rotation = {pid: g.rotation[pid] for pid in points}
         points[cap] = SingularPoint(cap, ELLIPTIC, 1)
         rotation[cap] = tuple((eid, "src") for eid in crossings)
         edges: dict[str, Separatrix] = {}
         for eid, e in g.edges.items():
-            if e.src.point in comp and e.dst.point in comp:
+            if e.src.point in points and e.dst.point in points:
                 edges[eid] = e
         for eid in crossings:
             e = g.edges[eid]
             marker = e.dst.slot in (None, "zone")
             edges[eid] = Separatrix(eid, EndRef(cap, None), e.dst, marker=marker)
-        side = FoliationGraph(points, edges, rotation)
-        if side.validate():
-            return None
-        sides.append(side.marker_reduce())
-    return sides[0], sides[1]
+        return FoliationGraph(points, edges, rotation).marker_reduce()
+
+    return capped(circle0), capped(circle1)
 
 
 def _collapse_join(g: FoliationGraph, saddle_id: str, feeder: str) -> FoliationGraph:
@@ -279,8 +284,6 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
                     return [cand.point] + sub
             elif cand.case == "NegHypSameSource":
                 parts = split_at_negative_saddle(h, cand.point, cand.witnesses[0])
-                if parts is None:
-                    continue
                 sub0 = recurse(parts[0])
                 if sub0 is None:
                     continue

@@ -1,5 +1,7 @@
 """Surplus counts, transverse regions, polygons, skeleton, positive tree."""
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,35 @@ def test_circle_of_edge_rejects_non_cut_edges_after_the_map_is_built():
     for eid in sorted(set(g.edges) - crossed):  # interior edges
         with pytest.raises(GraphError, match="not a cut edge"):
             region.circle_of_edge(eid)
+
+
+# sha256 of the region transcript below, taken while boundary circles were
+# still traced by classifying runs of sides and corners face by face
+REGIONS_GOLDEN = "e672705d1ae6adbe13d050ea1c3b925dbb5b9ff87b0b4d5a555aceac3e3248ea"
+
+
+def test_boundary_circles_of_every_universe_region_are_pinned(universe_list):
+    lines = []
+    valid = 0
+    for i, g in enumerate(universe_list):
+        pids = sorted(g.points)
+        for size in range(len(pids) + 1):
+            for inside in itertools.combinations(pids, size):
+                # a fresh region each time: these must not fill the graph's cache
+                region = Region(g, inside)
+                head = f"{i} {','.join(inside)}"
+                if region.validate():
+                    with pytest.raises(GraphError):
+                        region.boundary_circles()
+                    lines.append(f"{head} invalid")
+                    continue
+                valid += 1
+                circles = [c.items for c in region.boundary_circles()]
+                owners = [(e, region.circle_of_edge(e)) for e in region.cut_edges()]
+                lines.append(f"{head} {circles!r} {owners!r}")
+    assert len(lines) > 20000 and valid > 2000
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == REGIONS_GOLDEN
 
 
 # ----------------------------------------------------------------- polygons

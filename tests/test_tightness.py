@@ -412,15 +412,17 @@ def test_split_at_negative_saddle_is_pinned(universe_list, walked_spheres):
     for label, g, saddle_id, source_id in sites:
         lines.append(f"## {label} {saddle_id} {source_id}")
         sides = tightness.split_at_negative_saddle(g, saddle_id, source_id)
-        if sides is None:
-            lines.append("None")
-            continue
+        kept = []
         for side in sides:
             assert side.validate() == []
             (cap,) = set(side.points) - set(g.points)
             assert (side.points[cap].kind, side.points[cap].sign) == (ELLIPTIC, 1)
             crossings.append(len(side.rotation[cap]))
+            kept.append(set(side.points) - {cap})
             lines.append(emit(side))
+        # the sides split the complement of the annulus between them
+        assert not kept[0] & kept[1]
+        assert kept[0] | kept[1] == set(g.points) - {source_id, saddle_id}
     # the sample holds caps of many leaves, where a reversed order differs
     assert len(sites) > 80 and max(crossings) >= 10
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
