@@ -29,6 +29,7 @@ invalid input, 3 internal cross-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -738,7 +739,14 @@ def cmd_render(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call.
+
+    ``parse_args`` only reads the parser and returns a fresh namespace, and
+    it looks up ``sys.stdout``, ``sys.stderr`` and the terminal width when it
+    prints, so one parser serves any number of :func:`main` calls.
+    """
     parser = argparse.ArgumentParser(
         prog="charfol",
         description="characteristic foliations on the 2-sphere: "

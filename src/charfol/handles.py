@@ -26,6 +26,7 @@ from typing import Mapping
 
 from .model import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
 from .taming import (
+    Ranking,
     check_assignment,
     is_taming,
     region_below,
@@ -145,9 +146,9 @@ class HandleDecomposition:
 # ----------------------------------------------------------------- extension
 
 
-def _saddle_event(g: FoliationGraph, a, hid: str) -> Record:
+def _saddle_event(g: FoliationGraph, a, hid: str, ranking: Ranking) -> Record:
     value = a[hid]
-    region = region_below(g, a, value)
+    region = region_below(g, a, value, ranking=ranking)
     roots = region.components()
     circles = region.boundary_circles()
     s0 = g.edge_at_slot(hid, "s0")
@@ -167,9 +168,9 @@ def _saddle_event(g: FoliationGraph, a, hid: str) -> Record:
     return HalfHandle2(hid, value, _circle_tag(circles[i0].key()), r0)
 
 
-def _cap_event(g: FoliationGraph, a, zid: str) -> Cap:
+def _cap_event(g: FoliationGraph, a, zid: str, ranking: Ranking) -> Cap:
     value = a[zid]
-    region = region_below(g, a, value)
+    region = region_below(g, a, value, ranking=ranking)
     circles = region.boundary_circles()
     keys = {
         _circle_tag(circles[region.circle_of_edge(eid)].key())
@@ -185,18 +186,19 @@ def extend_to_ball(g: FoliationGraph, a: Mapping[str, Fraction]) -> HandleDecomp
     """Handle decomposition of the ball induced by a simple taming assignment."""
     g.require_valid()
     check_assignment(g, a)
-    if not is_taming(g, a):
+    ranking = Ranking(g, a)
+    if not is_taming(g, a, ranking=ranking):
         raise ExtensionError("assignment is not taming; no extension exists")
-    if not simplicity_check(g, a).circle_simple:
+    if not simplicity_check(g, a, ranking=ranking).circle_simple:
         raise ExtensionError("assignment is not simple; half-handles would collide")
     records: list[Record] = []
     for p in g.points.values():
         if p.kind == ELLIPTIC and p.sign > 0:
             records.append(ZeroCell(p.id, a[p.id]))
         elif p.kind == ELLIPTIC:
-            records.append(_cap_event(g, a, p.id))
+            records.append(_cap_event(g, a, p.id, ranking))
         elif p.kind == HYPERBOLIC:
-            records.append(_saddle_event(g, a, p.id))
+            records.append(_saddle_event(g, a, p.id, ranking))
         else:
             records.append(EmbryoStep(p.id, a[p.id]))
     records.sort(key=lambda r: (r.value, _RANK[r.kind], r.to_data()["point"]))
@@ -216,6 +218,7 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
         check_assignment(g, a)
     except GraphError as ex:
         return [str(ex)]
+    ranking = Ranking(g, a)
 
     expected = {p.id for p in g.points.values()}
     listed = [r.to_data()["point"] for r in dec.records]
@@ -244,13 +247,13 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
             components += 1
             circles += 1
         elif isinstance(r, HalfHandle1):
-            if not (p.kind == HYPERBOLIC and saddle_function_sign(g, a, pid) > 0):
+            if not (p.kind == HYPERBOLIC and saddle_function_sign(g, a, pid, ranking=ranking) > 0):
                 problems.append(f"half-handle-1 at non-joining point {pid}")
                 continue
-            fresh = _saddle_event(g, a, pid)
+            fresh = _saddle_event(g, a, pid, ranking)
             if not isinstance(fresh, HalfHandle1) or fresh != r:
                 problems.append(f"half-handle-1 data for {pid} does not replay")
-            region = region_below(g, a, r.value)
+            region = region_below(g, a, r.value, ranking=ranking)
             comp = region.components()
             reps = []
             for root in r.components:
@@ -271,10 +274,10 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
                 problems.append(f"half-handle-1 {pid} joins a component to itself")
             circles -= 1
         elif isinstance(r, HalfHandle2):
-            if not (p.kind == HYPERBOLIC and saddle_function_sign(g, a, pid) < 0):
+            if not (p.kind == HYPERBOLIC and saddle_function_sign(g, a, pid, ranking=ranking) < 0):
                 problems.append(f"half-handle-2 at non-splitting point {pid}")
                 continue
-            fresh = _saddle_event(g, a, pid)
+            fresh = _saddle_event(g, a, pid, ranking)
             if not isinstance(fresh, HalfHandle2) or fresh != r:
                 problems.append(f"half-handle-2 data for {pid} does not replay")
             circles += 1
@@ -282,7 +285,7 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
             if not (p.kind == ELLIPTIC and p.sign < 0):
                 problems.append(f"cap at non-sink {pid}")
                 continue
-            if _cap_event(g, a, pid) != r:
+            if _cap_event(g, a, pid, ranking) != r:
                 problems.append(f"cap data for {pid} does not replay")
             circles -= 1
         else:

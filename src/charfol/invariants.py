@@ -133,15 +133,26 @@ class Region:
         return sorted(e for e in self.graph.edges if self._edge_state(e) == "in")
 
     def validate(self) -> list[str]:
-        problems = []
-        for eid in sorted(self.graph.edges):
-            if self._edge_state(eid) == "inward":
-                problems.append(f"edge {eid} points into the region")
-        for f in self.graph.faces():
-            touches = any(c.point in self.inside for c in f.corners)
-            if touches and f.source_point not in self.inside:
+        """Edges pointing in (by id), then faces touching the region whose
+        source corner is outside (by index).
+
+        Only what meets an inside point can fail: an edge pointing in ends at
+        one, and the faces with a corner at a point are the faces of the darts
+        in its rotation, since a face walk leaves each of its corners along
+        the rotation successor of the dart it arrived by.
+        """
+        g = self.graph
+        darts = [d for pid in self.inside for d in g.rotation[pid]]
+        problems = [
+            f"edge {eid} points into the region"
+            for eid in sorted({eid for eid, _ in darts})
+            if self._edge_state(eid) == "inward"
+        ]
+        faces, face_of = g.faces(), g.dart_faces()
+        for i in sorted({face_of[d] for d in darts}):
+            if faces[i].source_point not in self.inside:
                 problems.append(
-                    f"face {f.index} touches the region but its source corner is outside"
+                    f"face {i} touches the region but its source corner is outside"
                 )
         return problems
 
@@ -518,11 +529,17 @@ def trace_polygon(g: FoliationGraph, face_set: frozenset[int]) -> Polygon | None
     return Polygon(face_set, points_visited, tuple(corners), embedded)
 
 
+# the face-subset search below tries 2^F sets; past this many faces it refuses
+MAX_POLYGON_FACES = 20
+
+
 def enumerate_polygons(g: FoliationGraph, embedded_only: bool = False) -> Iterator[Polygon]:
     """All polygons of the graph, smallest face sets first."""
     n = len(g.faces())
-    if n > 20:
-        raise GraphError("polygon enumeration is limited to graphs with <= 20 faces")
+    if n > MAX_POLYGON_FACES:
+        raise GraphError(
+            f"polygon enumeration is limited to graphs with <= {MAX_POLYGON_FACES} faces"
+        )
     indices = [f.index for f in g.faces()]
     for size in range(1, n + 1):
         for combo in itertools.combinations(indices, size):
@@ -536,6 +553,9 @@ def enumerate_polygons(g: FoliationGraph, embedded_only: bool = False) -> Iterat
 
 def find_same_sign_polygon(g: FoliationGraph) -> Polygon | None:
     """An embedded polygon whose signed corners all agree, if one exists.
+
+    Raises :class:`GraphError` on graphs with more than
+    :data:`MAX_POLYGON_FACES` faces.
 
     Such a polygon certifies that no taming assignment can exist: smoothing
     its corners yields a closed leaf bounding the disc.

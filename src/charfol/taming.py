@@ -20,6 +20,7 @@ all functions here reject graphs containing them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -80,49 +81,78 @@ def is_lyapunov(g: FoliationGraph, a: Assignment) -> bool:
     return not lyapunov_violations(g, a)
 
 
+class Ranking:
+    """A graph's points in increasing order of their assigned values.
+
+    Every sublevel set is a prefix of this order, so finding one takes a
+    bisection instead of one comparison per point.  A ranking is a snapshot
+    of the assignment: the routine that holds a (graph, assignment) pair
+    builds one and hands it down, and nothing keeps it beyond that call.
+    """
+
+    def __init__(self, g: FoliationGraph, a: Assignment) -> None:
+        self.order = sorted(g.points, key=a.__getitem__)
+        self.values = [a[pid] for pid in self.order]
+
+
 def sublevel_region(
-    g: FoliationGraph, a: Assignment, t: Fraction, *, strict: bool = False
+    g: FoliationGraph,
+    a: Assignment,
+    t: Fraction,
+    *,
+    strict: bool = False,
+    ranking: Ranking | None = None,
 ) -> Region:
     """The region of the points valued at most ``t`` (below ``t`` if ``strict``).
 
+    ``ranking`` must rank ``a`` on ``g``; without one, this call ranks them.
     The region comes from the graph's region cache (:meth:`Region.of`), so
     every query about one sublevel set of one graph gets the same object and
     shares its traced boundary circles and components.
     """
-    if strict:
-        return Region.of(g, [pid for pid in g.points if a[pid] < t])
-    return Region.of(g, [pid for pid in g.points if a[pid] <= t])
+    if ranking is None:
+        ranking = Ranking(g, a)
+    cut = bisect_left if strict else bisect_right
+    return Region.of(g, ranking.order[: cut(ranking.values, t)])
 
 
-def region_below(g: FoliationGraph, a: Assignment, value: Fraction) -> Region:
+def region_below(
+    g: FoliationGraph, a: Assignment, value: Fraction, *, ranking: Ranking | None = None
+) -> Region:
     """The sublevel region just below ``value``: the points valued less.
 
     No assigned value lies strictly between ``value`` and the next one below,
     so this is the sublevel set at every level in that gap.
     """
-    region = sublevel_region(g, a, value, strict=True)
+    region = sublevel_region(g, a, value, strict=True, ranking=ranking)
     if not region.inside:
         raise GraphError(f"no assigned value lies below {value}")
     return region
 
 
-def saddle_function_sign(g: FoliationGraph, a: Assignment, hid: str) -> int:
+def saddle_function_sign(
+    g: FoliationGraph, a: Assignment, hid: str, *, ranking: Ranking | None = None
+) -> int:
     """+1 if the saddle joins two sublevel circles, -1 if it splits one."""
     p = g.points[hid]
     if p.kind != HYPERBOLIC:
         raise GraphError(f"{hid} is not a hyperbolic point")
-    region = region_below(g, a, a[hid])
+    region = region_below(g, a, a[hid], ranking=ranking)
     c0 = region.circle_of_edge(g.edge_at_slot(hid, "s0").id)
     c1 = region.circle_of_edge(g.edge_at_slot(hid, "s1").id)
     return 1 if c0 != c1 else -1
 
 
-def taming_violations(g: FoliationGraph, a: Assignment) -> list[str]:
+def taming_violations(
+    g: FoliationGraph, a: Assignment, *, ranking: Ranking | None = None
+) -> list[str]:
     out = lyapunov_violations(g, a)
     if out:
         return out
+    if ranking is None:
+        ranking = Ranking(g, a)
     for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
-        fs = saddle_function_sign(g, a, p.id)
+        fs = saddle_function_sign(g, a, p.id, ranking=ranking)
         if fs != p.sign:
             word = "joins" if fs > 0 else "splits"
             out.append(
@@ -131,8 +161,8 @@ def taming_violations(g: FoliationGraph, a: Assignment) -> list[str]:
     return out
 
 
-def is_taming(g: FoliationGraph, a: Assignment) -> bool:
-    return not taming_violations(g, a)
+def is_taming(g: FoliationGraph, a: Assignment, *, ranking: Ranking | None = None) -> bool:
+    return not taming_violations(g, a, ranking=ranking)
 
 
 # ------------------------------------------------------------------ simplicity
@@ -165,23 +195,22 @@ class SimplicityReport:
         return all(l.component_forest for l in self.levels)
 
 
-def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
+def simplicity_check(
+    g: FoliationGraph, a: Assignment, *, ranking: Ranking | None = None
+) -> SimplicityReport:
     check_assignment(g, a)
     if lyapunov_violations(g, a):
         raise GraphError("simplicity is only defined for Lyapunov assignments")
-    saddle_values = sorted(
-        {a[p.id] for p in g.points_of_kind(HYPERBOLIC)}
-    )
+    if ranking is None:
+        ranking = Ranking(g, a)
+    saddles_at: dict[Fraction, list[str]] = {}
+    for p in g.points_of_kind(HYPERBOLIC):
+        saddles_at.setdefault(a[p.id], []).append(p.id)
     reports = []
-    for v in saddle_values:
-        region = region_below(g, a, v)
-        at_level = [
-            p.id
-            for p in g.points_of_kind(HYPERBOLIC)
-            if a[p.id] == v
-        ]
+    for v in sorted(saddles_at):
+        region = region_below(g, a, v, ranking=ranking)
         joins, splits, links = [], [], []
-        for hid in sorted(at_level):
+        for hid in sorted(saddles_at[v]):
             c0 = region.circle_of_edge(g.edge_at_slot(hid, "s0").id)
             c1 = region.circle_of_edge(g.edge_at_slot(hid, "s1").id)
             if c0 != c1:
@@ -224,8 +253,9 @@ def positive_elliptic_graph(g: FoliationGraph, a: Assignment) -> PositiveSkeleto
     nodes = tuple(sorted(p.id for p in g.points_of_kind(ELLIPTIC) if p.sign > 0))
     links = []
     complete = True
+    ranking = Ranking(g, a)
     for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
-        if saddle_function_sign(g, a, p.id) != 1:
+        if saddle_function_sign(g, a, p.id, ranking=ranking) != 1:
             continue
         srcs = elliptic_feeders(g, p.id)
         if srcs is None:
@@ -236,13 +266,15 @@ def positive_elliptic_graph(g: FoliationGraph, a: Assignment) -> PositiveSkeleto
 
 
 def component_merge_level(
-    g: FoliationGraph, a: Assignment, p: str, q: str
+    g: FoliationGraph, a: Assignment, p: str, q: str, *, ranking: Ranking | None = None
 ) -> Fraction | None:
     """First assigned value at which p and q share a sublevel component."""
     if p == q:
         return a[p]
+    if ranking is None:
+        ranking = Ranking(g, a)
     for v in sorted(set(a.values())):
-        roots = sublevel_region(g, a, v).components()
+        roots = sublevel_region(g, a, v, ranking=ranking).components()
         if p in roots and q in roots and roots[p] == roots[q]:
             return v
     return None
@@ -257,12 +289,13 @@ def clearance_violations(g: FoliationGraph, a: Assignment) -> list[str]:
     """
     check_assignment(g, a)
     out = []
+    ranking = Ranking(g, a)
     for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
-        if saddle_function_sign(g, a, p.id) != -1:
+        if saddle_function_sign(g, a, p.id, ranking=ranking) != -1:
             continue
         s0 = g.edge_at_slot(p.id, "s0").src.point
         s1 = g.edge_at_slot(p.id, "s1").src.point
-        merged = component_merge_level(g, a, s0, s1)
+        merged = component_merge_level(g, a, s0, s1, ranking=ranking)
         if merged is None or not a[p.id] > merged:
             out.append(
                 f"splitting saddle {p.id} at {a[p.id]} does not clear the "

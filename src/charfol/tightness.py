@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .invariants import (
+    MAX_POLYGON_FACES,
     BoundaryCircle,
     Polygon,
     Region,
@@ -48,6 +49,7 @@ from .moves import (
     resolve_embryo,
 )
 from .taming import (
+    Ranking,
     check_assignment,
     is_lyapunov,
     is_taming,
@@ -320,9 +322,10 @@ def verify_taming_order(g: FoliationGraph, order: tuple[str, ...]) -> dict | Non
         return None
     if not is_lyapunov(g, a):
         return None
-    if not is_taming(g, a):
+    ranking = Ranking(g, a)
+    if not is_taming(g, a, ranking=ranking):
         return None
-    if not simplicity_check(g, a).circle_simple:
+    if not simplicity_check(g, a, ranking=ranking).circle_simple:
         return None
     return dict(a)
 
@@ -333,10 +336,11 @@ def verify_taming_order(g: FoliationGraph, order: tuple[str, ...]) -> dict | Non
 def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate:
     """Decide whether the foliated sphere bounds a tight structure.
 
-    Routes: surplus mismatch -> overtwisted with a same-sign polygon
-    certificate; saddle connections -> resolve and decide both sides (tight
-    only when every perturbation is); otherwise synthesize a simple taming
-    order and verify it, or exhibit the obstruction.
+    Routes: surplus mismatch -> overtwisted, with a same-sign polygon when
+    the graph is small enough to search; saddle connections -> resolve and
+    decide both sides (tight only when every perturbation is); otherwise
+    synthesize a simple taming order and verify it, or exhibit the
+    obstruction.
     """
     g.require_valid()
     if g.points_of_kind(CORNER):
@@ -399,7 +403,9 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
 
     surplus = point_surplus(g)
     if surplus != (1, 1):
-        poly = find_same_sign_polygon(g)
+        # the surplus alone proves it; the polygon is evidence the search
+        # can only offer up to its face limit
+        poly = find_same_sign_polygon(g) if len(g.faces()) <= MAX_POLYGON_FACES else None
         return TightnessCertificate(
             "overtwisted",
             f"point surplus {surplus} != (1, 1)",

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import random
 import re
+import sys
 
 import pytest
 
-from charfol import FoliationGraph, zoo
+from charfol import FoliationGraph, cli, zoo
 from charfol.cli import FoliationDocument, ParseError, emit, main, parse, render_dot, render_svg
+from charfol.invariants import MAX_POLYGON_FACES, point_surplus
+from charfol.moves import create_pair
 from charfol.tightness import universe_cached
 
 ZOO_NAMES = sorted(zoo.ZOO)
@@ -343,3 +347,80 @@ def test_library_render_matches_cli(tmp_path, capsys):
     assert out == render_dot(g)
     _, out, _ = run(capsys, "render", "-i", path, "--format", "svg")
     assert out == render_svg(g)
+
+
+def test_surplus_mismatch_past_the_polygon_limit_still_decides(tmp_path, capsys):
+    # the surplus proves the verdict; only the optional polygon needs the search
+    rng = random.Random(22)
+    g = zoo.example("overtwisted_loop_positive")
+    while len(g.faces()) <= MAX_POLYGON_FACES:
+        g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+    assert point_surplus(g) != (1, 1)
+    path = write_doc(tmp_path, emit(g))
+    code, out, err = run(capsys, "decide", "-i", path, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "verdict": "overtwisted",
+        "reason": f"point surplus {point_surplus(g)} != (1, 1)",
+    }
+    code, out, err = run(capsys, "invariants", "-i", path)
+    assert (code, out) == (2, "")
+    assert f"<= {MAX_POLYGON_FACES} faces" in err
+
+
+# ---------------------------------------------------------------- one parser
+
+COMMANDS = ("validate", "invariants", "decide", "tame", "extend", "oracle", "enumerate", "render")
+HELP_ARGVS = [("--help",)] + [(name, "--help") for name in COMMANDS]
+
+# sha256 of the texts of HELP_ARGVS joined in order at 80 columns, taken while
+# every main() call built its own parser; the texts are the same on Python
+# 3.10 to 3.12, and 3.13's argparse reformats options
+HELP_GOLDEN = "0c2d5cf25fb57b5b9fa6f4164a6d8e7a28afc576013412a0d3561828ed73222a"
+
+
+def call(capsys, argv):
+    """Exit code, stdout and stderr of one main() call, ``SystemExit`` included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_one_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    doc = write_doc(tmp_path, emit(zoo.example("three_basin_chain")))
+    usage_error = ("decide", "-i", doc, "--format", "svg")
+    argvs = [
+        ("enumerate", "--max-saddles", "1"),
+        ("decide", "-i", doc, "--json"),
+        ("tame", "-i", doc),
+        ("extend", "-i", doc),
+        ("render", "-i", doc),
+        usage_error,
+        *HELP_ARGVS,
+    ]
+    shared, fresh = [], []
+    for _ in range(2):
+        for argv in argvs:
+            shared.append(call(capsys, argv))
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+                fresh.append(call(capsys, argv))
+    assert shared == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    first = dict(zip(argvs, shared))
+    code, _, err = first[usage_error]
+    assert code == 2 and "error: unrecognized arguments: --format svg" in err
+    helps = [first[argv] for argv in HELP_ARGVS]
+    assert all(code == 0 and err == "" for code, _, err in helps)
+    if sys.version_info < (3, 13):
+        text = "".join(out for _, out, _ in helps)
+        assert hashlib.sha256(text.encode()).hexdigest() == HELP_GOLDEN

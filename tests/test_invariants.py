@@ -154,6 +154,23 @@ def test_circle_of_edge_rejects_non_cut_edges_after_the_map_is_built():
 REGIONS_GOLDEN = "e672705d1ae6adbe13d050ea1c3b925dbb5b9ff87b0b4d5a555aceac3e3248ea"
 
 
+def reference_region_problems(region):
+    """Region.validate as a scan of every edge and every face of the graph."""
+    g, inside = region.graph, region.inside
+    problems = [
+        f"edge {eid} points into the region"
+        for eid, e in sorted(g.edges.items())
+        if e.src.point not in inside and e.dst.point in inside
+    ]
+    for f in g.faces():
+        touches = any(c.point in inside for c in f.corners)
+        if touches and f.source_point not in inside:
+            problems.append(
+                f"face {f.index} touches the region but its source corner is outside"
+            )
+    return problems
+
+
 def test_boundary_circles_of_every_universe_region_are_pinned(universe_list):
     lines = []
     valid = 0
@@ -164,7 +181,9 @@ def test_boundary_circles_of_every_universe_region_are_pinned(universe_list):
                 # a fresh region each time: these must not fill the graph's cache
                 region = Region(g, inside)
                 head = f"{i} {','.join(inside)}"
-                if region.validate():
+                problems = region.validate()
+                assert problems == reference_region_problems(region)
+                if problems:
                     with pytest.raises(GraphError):
                         region.boundary_circles()
                     lines.append(f"{head} invalid")

@@ -1,6 +1,7 @@
 """Lyapunov and taming checks, simplicity reports, the path inequality."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from charfol import FoliationGraph, GraphError
 from charfol import zoo
 from charfol.invariants import unique_positive_path
 from charfol.taming import (
+    Ranking,
     clearance_violations,
     component_merge_level,
     eq_simplicity_check,
@@ -223,6 +225,45 @@ def test_nothing_lies_below_the_lowest_value():
     g = zoo.example("tight_one_saddle")
     with pytest.raises(GraphError, match="no assigned value lies below 0"):
         region_below(g, eh2_assignment(), F(0))
+
+
+def reference_sublevel(g, a, t, strict):
+    """The sublevel set by one comparison per point."""
+    return frozenset(pid for pid in g.points if (a[pid] < t if strict else a[pid] <= t))
+
+
+def test_ranked_sublevel_sets_match_the_per_point_comparison(universe_list, walked_spheres):
+    rng = random.Random(8)
+    checked = 0
+    for g in universe_list + [g for _, g in walked_spheres]:
+        saddle_order = sorted(p.id for p in g.saddle_points())
+        # one assignment with distinct saddle values, one with ties everywhere
+        ties = {pid: F(rng.randrange(4), 2) for pid in sorted(g.points)}
+        for a in (normalized_assignment(g, saddle_order), ties):
+            values = sorted(set(a.values()))
+            between = [(u + v) / 2 for u, v in zip(values, values[1:])]
+            ranking = Ranking(g, a)
+            for t in [values[0] - 1, *values, *between, values[-1] + 1]:
+                for strict in (False, True):
+                    want = reference_sublevel(g, a, t, strict)
+                    assert sublevel_region(g, a, t, strict=strict).inside == want
+                    got = sublevel_region(g, a, t, strict=strict, ranking=ranking)
+                    assert got.inside == want
+                    checked += 1
+    assert checked > 4000
+
+
+def test_a_changed_assignment_changes_its_sublevel_sets():
+    g = zoo.example("double_join_cycle")
+    a = {"p0": F(0), "p1": F(0), "h0": F(1, 2), "h1": F(1, 2), "z0": F(1), "z1": F(1)}
+    assert region_below(g, a, F(1, 2)).inside == {"p0", "p1"}
+    assert is_taming(g, a) and saddle_function_sign(g, a, "h1") == 1
+    # h1 now comes after the join at h0, which it can only split
+    a["h1"] = F(3, 4)
+    assert region_below(g, a, F(3, 4)).inside == {"p0", "p1", "h0"}
+    assert sublevel_region(g, a, F(1, 2)).inside == {"p0", "p1", "h0"}
+    assert saddle_function_sign(g, a, "h1") == -1 and not is_taming(g, a)
+    assert [level.value for level in simplicity_check(g, a).levels] == [F(1, 2), F(3, 4)]
 
 
 # -------------------------------------------- path-inequality characterization
