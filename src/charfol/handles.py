@@ -24,14 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .invariants import Region
 from .model import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
 from .taming import (
-    Ranking,
     check_assignment,
     is_taming,
+    levels,
     region_below,
-    saddle_function_sign,
     simplicity_check,
+    stable_circles,
 )
 
 
@@ -146,17 +147,14 @@ class HandleDecomposition:
 # ----------------------------------------------------------------- extension
 
 
-def _saddle_event(g: FoliationGraph, a, hid: str, ranking: Ranking) -> Record:
-    value = a[hid]
-    region = region_below(g, a, value, ranking=ranking)
+def _saddle_event(region: Region, hid: str, value: Fraction) -> Record:
+    """The half-handle of saddle ``hid`` over ``region``, the points below it."""
+    g = region.graph
     roots = region.components()
     circles = region.boundary_circles()
-    s0 = g.edge_at_slot(hid, "s0")
-    s1 = g.edge_at_slot(hid, "s1")
-    i0 = region.circle_of_edge(s0.id)
-    i1 = region.circle_of_edge(s1.id)
-    r0 = roots[s0.src.point]
-    r1 = roots[s1.src.point]
+    i0, i1 = stable_circles(region, hid)
+    r0 = roots[g.edge_at_slot(hid, "s0").src.point]
+    r1 = roots[g.edge_at_slot(hid, "s1").src.point]
     if i0 != i1:  # a join, as saddle_function_sign reads it
         if r0 == r1:
             raise ExtensionError(
@@ -168,13 +166,12 @@ def _saddle_event(g: FoliationGraph, a, hid: str, ranking: Ranking) -> Record:
     return HalfHandle2(hid, value, _circle_tag(circles[i0].key()), r0)
 
 
-def _cap_event(g: FoliationGraph, a, zid: str, ranking: Ranking) -> Cap:
-    value = a[zid]
-    region = region_below(g, a, value, ranking=ranking)
+def _cap_event(region: Region, zid: str, value: Fraction) -> Cap:
+    """The cap that sink ``zid`` puts on the circle of ``region`` around it."""
     circles = region.boundary_circles()
     keys = {
         _circle_tag(circles[region.circle_of_edge(eid)].key())
-        for eid, end in g.rotation[zid]
+        for eid, end in region.graph.rotation[zid]
         if end == "tgt"
     }
     if len(keys) != 1:
@@ -186,21 +183,22 @@ def extend_to_ball(g: FoliationGraph, a: Mapping[str, Fraction]) -> HandleDecomp
     """Handle decomposition of the ball induced by a simple taming assignment."""
     g.require_valid()
     check_assignment(g, a)
-    ranking = Ranking(g, a)
-    if not is_taming(g, a, ranking=ranking):
+    if not is_taming(g, a):
         raise ExtensionError("assignment is not taming; no extension exists")
-    if not simplicity_check(g, a, ranking=ranking).circle_simple:
+    if not simplicity_check(g, a).circle_simple:
         raise ExtensionError("assignment is not simple; half-handles would collide")
     records: list[Record] = []
-    for p in g.points.values():
-        if p.kind == ELLIPTIC and p.sign > 0:
-            records.append(ZeroCell(p.id, a[p.id]))
-        elif p.kind == ELLIPTIC:
-            records.append(_cap_event(g, a, p.id, ranking))
-        elif p.kind == HYPERBOLIC:
-            records.append(_saddle_event(g, a, p.id, ranking))
-        else:
-            records.append(EmbryoStep(p.id, a[p.id]))
+    for value, region, at in levels(g, a):
+        for pid in at:
+            p = g.points[pid]
+            if p.kind == ELLIPTIC and p.sign > 0:
+                records.append(ZeroCell(pid, value))
+            elif p.kind == ELLIPTIC:
+                records.append(_cap_event(region, pid, value))
+            elif p.kind == HYPERBOLIC:
+                records.append(_saddle_event(region, pid, value))
+            else:
+                records.append(EmbryoStep(pid, value))
     records.sort(key=lambda r: (r.value, _RANK[r.kind], r.to_data()["point"]))
     return HandleDecomposition(g, dict(a), tuple(records))
 
@@ -218,7 +216,11 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
         check_assignment(g, a)
     except GraphError as ex:
         return [str(ex)]
-    ranking = Ranking(g, a)
+    below = {value: region for value, region, _ in levels(g, a)}
+
+    def joins(hid: str) -> bool:
+        c0, c1 = stable_circles(below[a[hid]], hid)
+        return c0 != c1
 
     expected = {p.id for p in g.points.values()}
     listed = [r.to_data()["point"] for r in dec.records]
@@ -247,13 +249,13 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
             components += 1
             circles += 1
         elif isinstance(r, HalfHandle1):
-            if not (p.kind == HYPERBOLIC and saddle_function_sign(g, a, pid, ranking=ranking) > 0):
+            if not (p.kind == HYPERBOLIC and joins(pid)):
                 problems.append(f"half-handle-1 at non-joining point {pid}")
                 continue
-            fresh = _saddle_event(g, a, pid, ranking)
-            if not isinstance(fresh, HalfHandle1) or fresh != r:
+            if _saddle_event(below[a[pid]], pid, a[pid]) != r:
                 problems.append(f"half-handle-1 data for {pid} does not replay")
-            region = region_below(g, a, r.value, ranking=ranking)
+            # the record's own value, which a forgery may have moved
+            region = region_below(g, a, r.value)
             comp = region.components()
             reps = []
             for root in r.components:
@@ -274,18 +276,17 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
                 problems.append(f"half-handle-1 {pid} joins a component to itself")
             circles -= 1
         elif isinstance(r, HalfHandle2):
-            if not (p.kind == HYPERBOLIC and saddle_function_sign(g, a, pid, ranking=ranking) < 0):
+            if not (p.kind == HYPERBOLIC and not joins(pid)):
                 problems.append(f"half-handle-2 at non-splitting point {pid}")
                 continue
-            fresh = _saddle_event(g, a, pid, ranking)
-            if not isinstance(fresh, HalfHandle2) or fresh != r:
+            if _saddle_event(below[a[pid]], pid, a[pid]) != r:
                 problems.append(f"half-handle-2 data for {pid} does not replay")
             circles += 1
         elif isinstance(r, Cap):
             if not (p.kind == ELLIPTIC and p.sign < 0):
                 problems.append(f"cap at non-sink {pid}")
                 continue
-            if _cap_event(g, a, pid, ranking) != r:
+            if _cap_event(below[a[pid]], pid, a[pid]) != r:
                 problems.append(f"cap data for {pid} does not replay")
             circles -= 1
         else:

@@ -117,20 +117,27 @@ class Region:
 
     # membership helpers -----------------------------------------------------
 
-    def _edge_state(self, eid: str) -> str:
-        e = self.graph.edges[eid]
-        s, t = e.src.point in self.inside, e.dst.point in self.inside
-        if s and t:
-            return "in"
-        if not s and not t:
-            return "out"
-        return "cut" if s else "inward"
+    @cached_property
+    def _edge_kinds(self) -> dict[str, list[str]]:
+        """The edges at inside points, each list sorted by id: ``"in"`` with
+        both ends inside, ``"cut"`` leaving the region, ``"inward"`` entering.
+
+        An edge with no end inside is none of the three, so only the darts of
+        inside points are read.
+        """
+        g = self.graph
+        kinds: dict[str, list[str]] = {"in": [], "cut": [], "inward": []}
+        for eid in sorted({eid for pid in self.inside for eid, _ in g.rotation[pid]}):
+            e = g.edges[eid]
+            s, t = e.src.point in self.inside, e.dst.point in self.inside
+            kinds["in" if s and t else "cut" if s else "inward"].append(eid)
+        return kinds
 
     def cut_edges(self) -> list[str]:
-        return sorted(e for e in self.graph.edges if self._edge_state(e) == "cut")
+        return list(self._edge_kinds["cut"])
 
     def interior_edges(self) -> list[str]:
-        return sorted(e for e in self.graph.edges if self._edge_state(e) == "in")
+        return list(self._edge_kinds["in"])
 
     def validate(self) -> list[str]:
         """Edges pointing in (by id), then faces touching the region whose
@@ -142,14 +149,9 @@ class Region:
         the rotation successor of the dart it arrived by.
         """
         g = self.graph
-        darts = [d for pid in self.inside for d in g.rotation[pid]]
-        problems = [
-            f"edge {eid} points into the region"
-            for eid in sorted({eid for eid, _ in darts})
-            if self._edge_state(eid) == "inward"
-        ]
+        problems = [f"edge {eid} points into the region" for eid in self._edge_kinds["inward"]]
         faces, face_of = g.faces(), g.dart_faces()
-        for i in sorted({face_of[d] for d in darts}):
+        for i in sorted({face_of[d] for pid in self.inside for d in g.rotation[pid]}):
             if faces[i].source_point not in self.inside:
                 problems.append(
                     f"face {i} touches the region but its source corner is outside"
@@ -373,8 +375,7 @@ def elliptic_feeders(g: FoliationGraph, hid: str) -> tuple[str, str] | None:
     feeders = []
     for slot in ("s0", "s1"):
         ref = g.edge_at_slot(hid, slot).src
-        q = g.points[ref.point]
-        if ref.slot is not None or q.kind != ELLIPTIC or q.sign <= 0:
+        if not g.is_elliptic_source(ref):
             return None
         feeders.append(ref.point)
     return feeders[0], feeders[1]

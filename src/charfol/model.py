@@ -536,6 +536,11 @@ class FoliationGraph:
         except KeyError:
             raise GraphError(f"slot {pid}.{slot} is vacant") from None
 
+    def is_elliptic_source(self, ref: EndRef) -> bool:
+        """True if ``ref`` is a slot-free end at a positive elliptic point."""
+        p = self.points[ref.point]
+        return ref.slot is None and p.kind == ELLIPTIC and p.sign > 0
+
     def is_homoclinic(self, eid: str) -> bool:
         """True if both endpoints are saddle-type points (a saddle connection)."""
         e = self.edges[eid]

@@ -145,14 +145,6 @@ class _Surgeon:
         return MoveResult(g.marker_reduce(), MoveRecord(kind, details))
 
 
-def _free_source_ref(g: FoliationGraph, ref: EndRef) -> bool:
-    """Can extra outgoing leaves be attached at this end's site?"""
-    if ref.slot is None:
-        p = g.points[ref.point]
-        return p.kind == ELLIPTIC and p.sign > 0
-    return ref.slot == "zone"
-
-
 def _slot_after(slot: str) -> str:
     i = HYPERBOLIC_SLOTS.index(slot)
     return HYPERBOLIC_SLOTS[(i + 1) % 4]
@@ -208,7 +200,8 @@ def _reattachments(
             fates[leaf.id] = False
         elif all(d[0] in dead for d in g.rotation[leaf.dst.point]):
             fates[leaf.id] = True
-    if (orphans or fates) and not _free_source_ref(g, anchor):
+    # extra outgoing leaves attach freely at a saddle's zone or a source's end
+    if (orphans or fates) and not (anchor.slot == "zone" or g.is_elliptic_source(anchor)):
         raise MoveError(f"re-attachment needed but the {whose} comes from a saddle")
     return fates
 

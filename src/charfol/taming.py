@@ -20,10 +20,10 @@ all functions here reject graphs containing them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .invariants import Region, elliptic_feeders, positive_links, surplus
 from .model import CORNER, ELLIPTIC, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
@@ -81,88 +81,92 @@ def is_lyapunov(g: FoliationGraph, a: Assignment) -> bool:
     return not lyapunov_violations(g, a)
 
 
-class Ranking:
-    """A graph's points in increasing order of their assigned values.
+def levels(g: FoliationGraph, a: Assignment) -> Iterator[tuple[Fraction, Region, tuple[str, ...]]]:
+    """Each assigned value, lowest first, with the region of the points
+    valued less and the points valued at it, in id order.
 
-    Every sublevel set is a prefix of this order, so finding one takes a
-    bisection instead of one comparison per point.  A ranking is a snapshot
-    of the assignment: the routine that holds a (graph, assignment) pair
-    builds one and hands it down, and nothing keeps it beyond that call.
+    The points are sorted by value once, so the walk reads every critical
+    level of the assignment for the price of one sort; the regions come from
+    the graph's region cache (:meth:`Region.of`).
     """
-
-    def __init__(self, g: FoliationGraph, a: Assignment) -> None:
-        self.order = sorted(g.points, key=a.__getitem__)
-        self.values = [a[pid] for pid in self.order]
+    below: list[str] = []
+    for value, group in groupby(sorted(g.points, key=a.__getitem__), key=a.__getitem__):
+        at = tuple(sorted(group))
+        yield value, Region.of(g, below), at
+        below += at
 
 
 def sublevel_region(
-    g: FoliationGraph,
-    a: Assignment,
-    t: Fraction,
-    *,
-    strict: bool = False,
-    ranking: Ranking | None = None,
+    g: FoliationGraph, a: Assignment, t: Fraction, *, strict: bool = False
 ) -> Region:
     """The region of the points valued at most ``t`` (below ``t`` if ``strict``).
 
-    ``ranking`` must rank ``a`` on ``g``; without one, this call ranks them.
     The region comes from the graph's region cache (:meth:`Region.of`), so
     every query about one sublevel set of one graph gets the same object and
     shares its traced boundary circles and components.
     """
-    if ranking is None:
-        ranking = Ranking(g, a)
-    cut = bisect_left if strict else bisect_right
-    return Region.of(g, ranking.order[: cut(ranking.values, t)])
+    if strict:
+        return Region.of(g, [pid for pid in g.points if a[pid] < t])
+    return Region.of(g, [pid for pid in g.points if a[pid] <= t])
 
 
-def region_below(
-    g: FoliationGraph, a: Assignment, value: Fraction, *, ranking: Ranking | None = None
-) -> Region:
+def region_below(g: FoliationGraph, a: Assignment, value: Fraction) -> Region:
     """The sublevel region just below ``value``: the points valued less.
 
     No assigned value lies strictly between ``value`` and the next one below,
     so this is the sublevel set at every level in that gap.
     """
-    region = sublevel_region(g, a, value, strict=True, ranking=ranking)
+    region = sublevel_region(g, a, value, strict=True)
     if not region.inside:
         raise GraphError(f"no assigned value lies below {value}")
     return region
 
 
-def saddle_function_sign(
-    g: FoliationGraph, a: Assignment, hid: str, *, ranking: Ranking | None = None
-) -> int:
+def stable_circles(region: Region, hid: str) -> tuple[int, int]:
+    """The boundary circles of ``region`` that the stable separatrices ``s0``
+    and ``s1`` of saddle ``hid`` cross: two circles when the saddle joins
+    them, one circle twice when it splits it."""
+    g = region.graph
+    return (
+        region.circle_of_edge(g.edge_at_slot(hid, "s0").id),
+        region.circle_of_edge(g.edge_at_slot(hid, "s1").id),
+    )
+
+
+def saddle_function_sign(g: FoliationGraph, a: Assignment, hid: str) -> int:
     """+1 if the saddle joins two sublevel circles, -1 if it splits one."""
     p = g.points[hid]
     if p.kind != HYPERBOLIC:
         raise GraphError(f"{hid} is not a hyperbolic point")
-    region = region_below(g, a, a[hid], ranking=ranking)
-    c0 = region.circle_of_edge(g.edge_at_slot(hid, "s0").id)
-    c1 = region.circle_of_edge(g.edge_at_slot(hid, "s1").id)
+    c0, c1 = stable_circles(region_below(g, a, a[hid]), hid)
     return 1 if c0 != c1 else -1
 
 
-def taming_violations(
-    g: FoliationGraph, a: Assignment, *, ranking: Ranking | None = None
-) -> list[str]:
+def _saddle_signs(g: FoliationGraph, a: Assignment) -> dict[str, int]:
+    """:func:`saddle_function_sign` of every hyperbolic point, in one walk."""
+    signs = {}
+    for _, region, at in levels(g, a):
+        for hid in at:
+            if g.points[hid].kind == HYPERBOLIC:
+                c0, c1 = stable_circles(region, hid)
+                signs[hid] = 1 if c0 != c1 else -1
+    return signs
+
+
+def taming_violations(g: FoliationGraph, a: Assignment) -> list[str]:
     out = lyapunov_violations(g, a)
     if out:
         return out
-    if ranking is None:
-        ranking = Ranking(g, a)
-    for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
-        fs = saddle_function_sign(g, a, p.id, ranking=ranking)
-        if fs != p.sign:
+    for hid, fs in sorted(_saddle_signs(g, a).items()):
+        sign = g.points[hid].sign
+        if fs != sign:
             word = "joins" if fs > 0 else "splits"
-            out.append(
-                f"saddle {p.id}: level structure {word} circles but its sign is {p.sign:+d}"
-            )
+            out.append(f"saddle {hid}: level structure {word} circles but its sign is {sign:+d}")
     return out
 
 
-def is_taming(g: FoliationGraph, a: Assignment, *, ranking: Ranking | None = None) -> bool:
-    return not taming_violations(g, a, ranking=ranking)
+def is_taming(g: FoliationGraph, a: Assignment) -> bool:
+    return not taming_violations(g, a)
 
 
 # ------------------------------------------------------------------ simplicity
@@ -195,24 +199,18 @@ class SimplicityReport:
         return all(l.component_forest for l in self.levels)
 
 
-def simplicity_check(
-    g: FoliationGraph, a: Assignment, *, ranking: Ranking | None = None
-) -> SimplicityReport:
+def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
     check_assignment(g, a)
     if lyapunov_violations(g, a):
         raise GraphError("simplicity is only defined for Lyapunov assignments")
-    if ranking is None:
-        ranking = Ranking(g, a)
-    saddles_at: dict[Fraction, list[str]] = {}
-    for p in g.points_of_kind(HYPERBOLIC):
-        saddles_at.setdefault(a[p.id], []).append(p.id)
     reports = []
-    for v in sorted(saddles_at):
-        region = region_below(g, a, v, ranking=ranking)
+    for v, region, at in levels(g, a):
+        saddles = [hid for hid in at if g.points[hid].kind == HYPERBOLIC]
+        if not saddles:
+            continue
         joins, splits, links = [], [], []
-        for hid in sorted(saddles_at[v]):
-            c0 = region.circle_of_edge(g.edge_at_slot(hid, "s0").id)
-            c1 = region.circle_of_edge(g.edge_at_slot(hid, "s1").id)
+        for hid in saddles:
+            c0, c1 = stable_circles(region, hid)
             if c0 != c1:
                 joins.append(hid)
                 links.append((c0, c1))
@@ -253,28 +251,23 @@ def positive_elliptic_graph(g: FoliationGraph, a: Assignment) -> PositiveSkeleto
     nodes = tuple(sorted(p.id for p in g.points_of_kind(ELLIPTIC) if p.sign > 0))
     links = []
     complete = True
-    ranking = Ranking(g, a)
-    for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
-        if saddle_function_sign(g, a, p.id, ranking=ranking) != 1:
+    for hid, fs in sorted(_saddle_signs(g, a).items()):
+        if fs != 1:
             continue
-        srcs = elliptic_feeders(g, p.id)
+        srcs = elliptic_feeders(g, hid)
         if srcs is None:
             complete = False
             continue
-        links.append((*srcs, p.id, a[p.id]))
+        links.append((*srcs, hid, a[hid]))
     return PositiveSkeleton(nodes, tuple(links), complete)
 
 
-def component_merge_level(
-    g: FoliationGraph, a: Assignment, p: str, q: str, *, ranking: Ranking | None = None
-) -> Fraction | None:
+def component_merge_level(g: FoliationGraph, a: Assignment, p: str, q: str) -> Fraction | None:
     """First assigned value at which p and q share a sublevel component."""
     if p == q:
         return a[p]
-    if ranking is None:
-        ranking = Ranking(g, a)
-    for v in sorted(set(a.values())):
-        roots = sublevel_region(g, a, v, ranking=ranking).components()
+    for v, below, at in levels(g, a):
+        roots = Region.of(g, below.inside.union(at)).components()
         if p in roots and q in roots and roots[p] == roots[q]:
             return v
     return None
@@ -289,16 +282,15 @@ def clearance_violations(g: FoliationGraph, a: Assignment) -> list[str]:
     """
     check_assignment(g, a)
     out = []
-    ranking = Ranking(g, a)
-    for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
-        if saddle_function_sign(g, a, p.id, ranking=ranking) != -1:
+    for hid, fs in sorted(_saddle_signs(g, a).items()):
+        if fs != -1:
             continue
-        s0 = g.edge_at_slot(p.id, "s0").src.point
-        s1 = g.edge_at_slot(p.id, "s1").src.point
-        merged = component_merge_level(g, a, s0, s1, ranking=ranking)
-        if merged is None or not a[p.id] > merged:
+        s0 = g.edge_at_slot(hid, "s0").src.point
+        s1 = g.edge_at_slot(hid, "s1").src.point
+        merged = component_merge_level(g, a, s0, s1)
+        if merged is None or not a[hid] > merged:
             out.append(
-                f"splitting saddle {p.id} at {a[p.id]} does not clear the "
+                f"splitting saddle {hid} at {a[hid]} does not clear the "
                 f"merge level {merged} of {s0} and {s1}"
             )
     return out

@@ -49,7 +49,6 @@ from .moves import (
     resolve_embryo,
 )
 from .taming import (
-    Ranking,
     check_assignment,
     is_lyapunov,
     is_taming,
@@ -102,13 +101,6 @@ class TightnessCertificate:
 # ------------------------------------------------------------ bottom collapse
 
 
-def _plain_elliptic_source(g: FoliationGraph, ref: EndRef) -> bool:
-    if ref.slot is not None:
-        return False
-    p = g.points[ref.point]
-    return p.kind == ELLIPTIC and p.sign > 0
-
-
 @dataclass(frozen=True)
 class AllowabilityVerdict:
     """Which of the four bottom-event patterns a point matches, if any."""
@@ -156,12 +148,12 @@ def classify_allowable(g: FoliationGraph, pid: str) -> AllowabilityVerdict:
     if p.kind == EMBRYO:
         if p.sign > 0:
             src = g.edge_at_slot(pid, "in").src
-            if _plain_elliptic_source(g, src):
+            if g.is_elliptic_source(src):
                 return AllowabilityVerdict(pid, "PosEmbryoEllipticSource", (src.point,))
             return nope
         refs = [e.src for e in g.edges.values() if e.dst.point == pid]
         feeds = {r.point for r in refs}
-        if len(feeds) == 1 and refs and all(_plain_elliptic_source(g, r) for r in refs):
+        if len(feeds) == 1 and refs and all(g.is_elliptic_source(r) for r in refs):
             return AllowabilityVerdict(
                 pid, "NegEmbryoAllFromOneElliptic", (refs[0].point,)
             )
@@ -322,10 +314,9 @@ def verify_taming_order(g: FoliationGraph, order: tuple[str, ...]) -> dict | Non
         return None
     if not is_lyapunov(g, a):
         return None
-    ranking = Ranking(g, a)
-    if not is_taming(g, a, ranking=ranking):
+    if not is_taming(g, a):
         return None
-    if not simplicity_check(g, a, ranking=ranking).circle_simple:
+    if not simplicity_check(g, a).circle_simple:
         return None
     return dict(a)
 

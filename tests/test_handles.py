@@ -9,7 +9,10 @@ from charfol import zoo
 from charfol.handles import (
     Cap,
     ExtensionError,
+    HalfHandle1,
+    HalfHandle2,
     HandleDecomposition,
+    ZeroCell,
     extend_to_ball,
     verify_decomposition,
 )
@@ -113,6 +116,54 @@ def test_verify_detects_forged_components():
     forged = HandleDecomposition(dec.graph, dec.assignment, tuple(records))
     problems = verify_decomposition(forged)
     assert problems != []
+
+
+def _join_as_split(join):
+    return HalfHandle2(join.saddle, join.value, join.circles[0], join.components[0])
+
+
+def _split_as_join(split):
+    return HalfHandle1(
+        split.saddle, split.value, (split.circle,) * 2, (split.component,) * 2
+    )
+
+
+@pytest.mark.parametrize(
+    "name, index, forge, problems",
+    [
+        (
+            "tight_one_saddle", 2, _join_as_split,
+            [
+                "half-handle-2 at non-splitting point h",
+                "replay ends with 2 ball components",
+                "replay ends with 1 open circles",
+            ],
+        ),
+        (
+            "tight_one_saddle_negative", 1, _split_as_join,
+            ["half-handle-1 at non-joining point h", "state went negative at z"],
+        ),
+        (
+            "tight_one_saddle", 3, lambda cap: dataclasses.replace(cap, circle="x:e0"),
+            ["cap data for z does not replay"],
+        ),
+        (
+            "trivial", 1, lambda cap: ZeroCell(cap.point, cap.value),
+            [
+                "zero-cell at non-source q",
+                "replay ends with 2 ball components",
+                "replay ends with 2 open circles",
+            ],
+        ),
+    ],
+    ids=["join-as-split", "split-as-join", "cap-circle", "zero-cell-on-sink"],
+)
+def test_verify_names_each_forged_record(name, index, forge, problems):
+    dec = decomposition_of(name)
+    records = list(dec.records)
+    records[index] = forge(records[index])
+    forged = HandleDecomposition(dec.graph, dec.assignment, tuple(records))
+    assert verify_decomposition(forged) == problems
 
 
 # ------------------------------------------------------------------- duality

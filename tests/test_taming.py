@@ -12,13 +12,13 @@ from charfol import FoliationGraph, GraphError
 from charfol import zoo
 from charfol.invariants import unique_positive_path
 from charfol.taming import (
-    Ranking,
     clearance_violations,
     component_merge_level,
     eq_simplicity_check,
     eq_simplicity_violations,
     is_lyapunov,
     is_taming,
+    levels,
     lyapunov_violations,
     normalized_assignment,
     positive_elliptic_graph,
@@ -232,7 +232,9 @@ def reference_sublevel(g, a, t, strict):
     return frozenset(pid for pid in g.points if (a[pid] < t if strict else a[pid] <= t))
 
 
-def test_ranked_sublevel_sets_match_the_per_point_comparison(universe_list, walked_spheres):
+def test_sublevel_sets_and_the_level_walk_match_the_per_point_comparison(
+    universe_list, walked_spheres
+):
     rng = random.Random(8)
     checked = 0
     for g in universe_list + [g for _, g in walked_spheres]:
@@ -242,14 +244,17 @@ def test_ranked_sublevel_sets_match_the_per_point_comparison(universe_list, walk
         for a in (normalized_assignment(g, saddle_order), ties):
             values = sorted(set(a.values()))
             between = [(u + v) / 2 for u, v in zip(values, values[1:])]
-            ranking = Ranking(g, a)
             for t in [values[0] - 1, *values, *between, values[-1] + 1]:
                 for strict in (False, True):
                     want = reference_sublevel(g, a, t, strict)
                     assert sublevel_region(g, a, t, strict=strict).inside == want
-                    got = sublevel_region(g, a, t, strict=strict, ranking=ranking)
-                    assert got.inside == want
                     checked += 1
+            walked = list(levels(g, a))
+            assert [v for v, _, _ in walked] == values
+            for v, region, at in walked:
+                assert region is sublevel_region(g, a, v, strict=True)
+                assert region.inside == reference_sublevel(g, a, v, True)
+                assert at == tuple(sorted(pid for pid in g.points if a[pid] == v))
     assert checked > 4000
 
 
