@@ -206,8 +206,10 @@ class Region:
             raise GraphError("; ".join(bad))
         g = self.graph
         face_of = g.dart_faces()
+        darts, index, sigma, _, _ = g.dart_table()
         cut = self.cut_edges()
-        is_cut = set(cut)
+        # the src dart 2k of each cut edge k
+        cut_src = {index[(c, "src")] for c in cut}
         circles: list[BoundaryCircle] = []
         circle_of_edge: dict[str, int] = {}
         for start in cut:
@@ -217,11 +219,11 @@ class Region:
             c = start
             while True:
                 circle_of_edge[c] = len(circles)
-                d = g.sigma((c, "src"))
-                while d[0] not in is_cut:
-                    d = g.phi(d)
-                items += [("f", face_of[(c, "tgt")]), ("x", d[0])]
-                c = d[0]
+                d = sigma[index[(c, "src")]]
+                while d not in cut_src:
+                    d = sigma[d ^ 1]
+                items += [("f", face_of[(c, "tgt")]), ("x", darts[d][0])]
+                c = darts[d][0]
                 if c == start:
                     break
             circles.append(BoundaryCircle(tuple(items)))

@@ -15,8 +15,8 @@ Edge ends are addressed as *darts* ``(edge_id, "src"|"tgt")``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -143,7 +143,7 @@ def end_direction(point: SingularPoint, slot: str | None) -> str:
 
 
 #: slot kinds as the canonical form sees them: the arbitrary 0/1 labels on
-#: stable/unstable/boundary slots are erased; unknown slots share code 7
+#: stable/unstable/boundary slots are erased
 _SLOT_CLASS = {
     None: 0, "s0": 1, "s1": 1, "u0": 2, "u1": 2, "b0": 3, "b1": 3, "zone": 4, "in": 5, "out": 6,
 }
@@ -172,13 +172,10 @@ class Face:
     darts: tuple[Dart, ...]
     corners: tuple[Corner, ...]
 
-    @property
-    def source_corners(self) -> tuple[Corner, ...]:
-        return tuple(c for c in self.corners if c.flavor == "source")
-
-    @property
-    def sink_corners(self) -> tuple[Corner, ...]:
-        return tuple(c for c in self.corners if c.flavor == "sink")
+    # the source and the sink corners among ``corners``, in walk order, filled
+    # in by the face walk; equality compares only the three fields above
+    source_corners: tuple[Corner, ...] = field(repr=False, compare=False)
+    sink_corners: tuple[Corner, ...] = field(repr=False, compare=False)
 
     @property
     def source_point(self) -> str:
@@ -189,6 +186,21 @@ class Face:
     def sink_point(self) -> str:
         (c,) = self.sink_corners
         return c.point
+
+
+class DartTable(NamedTuple):
+    """The darts of a graph as integers.
+
+    Dart ``2k`` is the src end of the k-th edge (in ``edges`` order) and
+    ``2k + 1`` its tgt end, so ``theta`` is ``d ^ 1`` and the face-walk
+    successor ``phi`` is ``sigma[d ^ 1]``.
+    """
+
+    darts: list[Dart]  # the tuple dart of each integer
+    index: dict[Dart, int]
+    sigma: list[int]  # rotation successor
+    out: list[bool]  # the flow leaves the point along this end
+    point: list[str]
 
 
 class FoliationGraph:
@@ -219,7 +231,7 @@ class FoliationGraph:
         self._problems: tuple[str, ...] | None = None
         self._dart_face: dict[Dart, int] | None = None
         self._canon: str | None = None
-        self._rotation_pos: dict[Dart, tuple[tuple[Dart, ...], int]] | None = None
+        self._table: DartTable | None = None
         self._slot_edge: dict[tuple[str, str | None], Separatrix] | None = None
         # one invariants.Region per point set, filled by Region.of
         self._regions: dict[frozenset[str], object] = {}
@@ -254,24 +266,43 @@ class FoliationGraph:
         eid, end = dart
         return (eid, "tgt" if end == "src" else "src")
 
-    def _position(self, dart: Dart) -> tuple[tuple[Dart, ...], int]:
-        """The rotation tuple holding ``dart`` and its index there."""
-        if self._rotation_pos is None:
-            pos: dict[Dart, tuple[tuple[Dart, ...], int]] = {}
+    def dart_table(self) -> DartTable:
+        """The integer dart table, built on first use.
+
+        Raises :class:`GraphError` unless every dart of every edge appears in
+        exactly one rotation tuple, exactly once: only then is the rotation
+        system a permutation of the darts, and the face walk well defined.
+        """
+        if self._table is None:
+            darts = self.darts()
+            index = {d: i for i, d in enumerate(darts)}
+            sigma = [-1] * len(darts)
             for seq in self.rotation.values():
-                for i, d in enumerate(seq):
-                    pos.setdefault(d, (seq, i))
-            self._rotation_pos = pos
-        return self._rotation_pos[dart]
+                ids = [index.get(d, -1) for d in seq]
+                for i, succ in zip(ids, ids[1:] + ids[:1]):
+                    if i < 0 or sigma[i] >= 0:
+                        raise GraphError("rotation system is not a permutation of darts")
+                    sigma[i] = succ
+            if -1 in sigma:
+                raise GraphError("rotation system is not a permutation of darts")
+            out: list[bool] = []
+            point: list[str] = []
+            for e in self.edges.values():
+                for ref in (e.src, e.dst):
+                    out.append(end_direction(self.points[ref.point], ref.slot) == "out")
+                    point.append(ref.point)
+            self._table = DartTable(darts, index, sigma, out, point)
+        return self._table
 
     def sigma(self, dart: Dart) -> Dart:
         """Rotation successor: next dart counterclockwise at the same point."""
-        seq, i = self._position(dart)
-        return seq[(i + 1) % len(seq)]
+        t = self.dart_table()
+        return t.darts[t.sigma[t.index[dart]]]
 
     def phi(self, dart: Dart) -> Dart:
         """Face-walk successor: cross the edge, then turn counterclockwise."""
-        return self.sigma(self.theta(dart))
+        t = self.dart_table()
+        return t.darts[t.sigma[t.index[dart] ^ 1]]
 
     # ----------------------------------------------------------------- faces
 
@@ -281,34 +312,43 @@ class FoliationGraph:
         return self._faces
 
     def _trace_faces(self) -> tuple[Face, ...]:
-        seen: set[Dart] = set()
+        darts, _, sigma, out, point = self.dart_table()
+        seen = [False] * len(darts)
         faces: list[Face] = []
-        for start in sorted(self.darts()):
-            if start in seen:
+        for start in sorted(range(len(darts)), key=darts.__getitem__):
+            if seen[start]:
                 continue
-            orbit: list[Dart] = []
+            # phi is a permutation (the table checks sigma), so the walk
+            # meets no seen dart before it closes at start
+            orbit: list[int] = []
             d = start
-            while True:
+            while not seen[d]:
+                seen[d] = True
                 orbit.append(d)
-                seen.add(d)
-                d = self.phi(d)
-                if d == start:
-                    break
-                if d in seen:
-                    raise GraphError("rotation system is not a permutation of darts")
-            corners = []
-            for d in orbit:
-                enter = self.theta(d)
-                leave = self.phi(d)
-                dirs = {self.dart_direction(enter), self.dart_direction(leave)}
-                if dirs == {"out"}:
-                    flavor = "source"
-                elif dirs == {"in"}:
-                    flavor = "sink"
+                d = sigma[d ^ 1]
+            corners: list[Corner] = []
+            sources: list[Corner] = []
+            sinks: list[Corner] = []
+            for d, leave in zip(orbit, orbit[1:] + orbit[:1]):
+                enter = d ^ 1
+                if out[enter] and out[leave]:
+                    c = Corner(point[enter], darts[enter], darts[leave], "source")
+                    sources.append(c)
+                elif out[enter] or out[leave]:
+                    c = Corner(point[enter], darts[enter], darts[leave], "through")
                 else:
-                    flavor = "through"
-                corners.append(Corner(self.dart_point(enter), enter, leave, flavor))
-            faces.append(Face(len(faces), tuple(orbit), tuple(corners)))
+                    c = Corner(point[enter], darts[enter], darts[leave], "sink")
+                    sinks.append(c)
+                corners.append(c)
+            faces.append(
+                Face(
+                    len(faces),
+                    tuple(darts[d] for d in orbit),
+                    tuple(corners),
+                    tuple(sources),
+                    tuple(sinks),
+                )
+            )
         return tuple(faces)
 
     def dart_faces(self) -> dict[Dart, int]:
@@ -474,14 +514,16 @@ class FoliationGraph:
         if problems:
             return problems
 
-        # connectivity
+        # connectivity; the rotation checks above make the rotation system a
+        # permutation of the darts, so the dart table builds
         if self.points:
+            _, index, _, _, point = self.dart_table()
             seen = {next(iter(sorted(self.points)))}
             frontier = list(seen)
             while frontier:
                 pid = frontier.pop()
                 for d in self.rotation[pid]:
-                    q = self.dart_point(self.theta(d))
+                    q = point[index[d] ^ 1]
                     if q not in seen:
                         seen.add(q)
                         frontier.append(q)
@@ -662,7 +704,9 @@ class FoliationGraph:
         signs, marker flags, flow directions, slot kinds (the arbitrary 0/1
         labels on stable/unstable/boundary slots are erased) and the
         counterclockwise rotation order.  Defined for connected graphs, which
-        every valid graph is.
+        every valid graph is; raises :class:`GraphError` where the dart table
+        does (a rotation system that is not a permutation of the darts, or a
+        slot its point does not have).
 
         Each dart gets a small integer label (point kind and sign, slot kind,
         src/tgt end, marker flag).  A breadth-first walk from a start dart,
@@ -682,27 +726,20 @@ class FoliationGraph:
         return self._canon
 
     def _canonical_code(self) -> str:
-        darts = self.darts()
-        if not darts:
+        table = self.dart_table()
+        n = len(table.darts)
+        if not n:
             return "empty"
-        n = len(darts)
-        # dart 2k is the src end of the k-th edge, 2k + 1 its tgt end: theta is d ^ 1
-        index = {d: i for i, d in enumerate(darts)}
+        sigma = table.sigma
         label = [0] * n
         for k, e in enumerate(self.edges.values()):
             for end, ref in ((0, e.src), (1, e.dst)):
                 p = self.points[ref.point]
                 label[2 * k + end] = (
-                    ((_KIND_CODE[p.kind] * 3 + p.sign + 1) * 8 + _SLOT_CLASS.get(ref.slot, 7)) * 2
+                    ((_KIND_CODE[p.kind] * 3 + p.sign + 1) * 8 + _SLOT_CLASS[ref.slot]) * 2
                     + end
                 ) * 2 + e.marker
-        sigma = [0] * n
-        degree = [0] * n
-        for seq in self.rotation.values():
-            for j, d in enumerate(seq):
-                i = index[d]
-                sigma[i] = index[seq[(j + 1) % len(seq)]]
-                degree[i] = len(seq)
+        degree = [len(self.rotation[p]) for p in table.point]
 
         local = [(label[d], degree[d], label[d ^ 1], label[sigma[d]]) for d in range(n)]
         least = min(local)

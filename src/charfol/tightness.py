@@ -652,6 +652,17 @@ def enumerate_reference(plus: int, minus: int) -> list[FoliationGraph]:
     return list(seen.values())
 
 
+#: the largest saddle count that :func:`enumerate_signature` builds
+MAX_ENUMERATION_SADDLES = 4
+
+
+def _require_enumerable(saddles: int) -> None:
+    if not 0 <= saddles <= MAX_ENUMERATION_SADDLES:
+        raise DecisionError(
+            f"enumeration bounded to 0..{MAX_ENUMERATION_SADDLES} saddles, got {saddles}"
+        )
+
+
 def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
     """All valid connection-free foliations with the given saddle counts.
 
@@ -680,8 +691,7 @@ def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
         from .zoo import trivial
 
         return [trivial()]
-    if total > 4:
-        raise DecisionError("enumeration bounded to four saddles")
+    _require_enumerable(total)
     n = total
     signs = [1] * plus + [-1] * minus
     seen_forms: dict = {}
@@ -754,7 +764,12 @@ def _assemble(
 
 
 def universe(max_saddles: int) -> dict[tuple[int, int], list[FoliationGraph]]:
-    """Enumerated universes for every saddle signature up to a total count."""
+    """Enumerated universes for every saddle signature up to a total count.
+
+    Raises :class:`DecisionError` before any work unless the count is in
+    ``0..MAX_ENUMERATION_SADDLES``.
+    """
+    _require_enumerable(max_saddles)
     out = {}
     for total in range(0, max_saddles + 1):
         for plus in range(0, total + 1):
@@ -772,7 +787,9 @@ def enumerate_foliations(
     The connection-free saddle universe is assembled exhaustively; embryo
     and homoclinic instances cannot be reached by assembly from elliptic
     feeds, so they come from the curated patterns in :mod:`charfol.zoo`
-    when the corresponding flag is set.
+    when the corresponding flag is set.  A bound outside
+    ``0..MAX_ENUMERATION_SADDLES`` raises :class:`DecisionError` at the first
+    item, before the universe is built.
     """
     from . import zoo
 

@@ -254,6 +254,12 @@ def test_enumerate_streams_documents(capsys):
         assert FoliationGraph.from_data(data).validate() == []
 
 
+@pytest.mark.parametrize("bound", ["5", "-1"])
+def test_enumerate_rejects_a_bound_outside_the_enumerated_range(capsys, bound):
+    code, out, err = run(capsys, "enumerate", "--max-saddles", bound)
+    assert (code, out, err) == (2, "", f"error: enumeration bounded to 0..4 saddles, got {bound}\n")
+
+
 # sha256 of `charfol enumerate --max-saddles 3 --embryos --homoclinics`
 # stdout, text and --json, taken before the sink rotations were derived from
 # the source ones: they pin the representatives and their order

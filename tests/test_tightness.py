@@ -362,10 +362,22 @@ def test_universe_faces_are_source_saddle_sink_saddle(universe3):
 
 
 def test_enumerate_signature_bound():
-    with pytest.raises(DecisionError, match="four saddles"):
+    with pytest.raises(DecisionError, match=r"^enumeration bounded to 0\.\.4 saddles, got 5$"):
         enumerate_signature(3, 2)
     with pytest.raises(DecisionError, match="three saddles"):
         enumerate_reference(2, 2)
+
+
+@pytest.mark.parametrize("bound", [5, -1])
+def test_enumeration_bound_is_checked_before_any_work(monkeypatch, bound):
+    built = []
+    monkeypatch.setattr(tightness, "enumerate_signature", lambda p, m: built.append((p, m)))
+    message = rf"^enumeration bounded to 0\.\.4 saddles, got {bound}$"
+    with pytest.raises(DecisionError, match=message):
+        tightness.universe(bound)
+    with pytest.raises(DecisionError, match=message):
+        next(enumerate_foliations(bound, allow_embryos=True, allow_homoclinics=True))
+    assert built == [] and bound not in tightness._UNIVERSE_CACHE
 
 
 def test_enumerate_foliations_counts():
