@@ -155,7 +155,7 @@ def _saddle_event(region: Region, hid: str, value: Fraction) -> Record:
     i0, i1 = stable_circles(region, hid)
     r0 = roots[g.edge_at_slot(hid, "s0").src.point]
     r1 = roots[g.edge_at_slot(hid, "s1").src.point]
-    if i0 != i1:  # a join, as saddle_function_sign reads it
+    if i0 != i1:  # a join, as saddle_signs reads it
         if r0 == r1:
             raise ExtensionError(
                 f"joining saddle {hid} bridges one ball component; the "

@@ -242,19 +242,6 @@ class Region:
     def euler_characteristic(self) -> int:
         return 2 * self.component_count() - len(self.boundary_circles())
 
-    def analysis(self) -> dict:
-        dp, dm = self.surplus()
-        circles = self.boundary_circles()
-        return {
-            "points": sorted(self.inside),
-            "surplus": [dp, dm],
-            "components": self.component_count(),
-            "boundary_circles": len(circles),
-            "cut_edges": self.cut_edges(),
-            "euler_characteristic": self.euler_characteristic(),
-            "euler_consistent": dp + dm == self.euler_characteristic(),
-        }
-
 
 # ------------------------------------------------------- skeleton and basins
 
@@ -345,31 +332,6 @@ class PositiveTree:
         sets = UnionFind(self.nodes)
         return all(sets.union(u, v) for u, v, _ in self.links)
 
-    def path(self, start: str, goal: str) -> list[str]:
-        """Saddle ids along the unique path from ``start`` to ``goal``."""
-        if not self.is_tree():
-            raise GraphError("positive-separatrix graph is not a tree")
-        if start not in self.nodes or goal not in self.nodes:
-            raise GraphError("path endpoints must be positive elliptic points")
-        if start == goal:
-            return []
-        adj: dict[str, list[tuple[str, str]]] = {}
-        for u, v, hid in self.links:
-            adj.setdefault(u, []).append((v, hid))
-            adj.setdefault(v, []).append((u, hid))
-        stack: list[tuple[str, list[str]]] = [(start, [])]
-        seen = {start}
-        while stack:
-            node, trail = stack.pop()
-            for nxt, hid in adj.get(node, ()):
-                if nxt in seen:
-                    continue
-                if nxt == goal:
-                    return trail + [hid]
-                seen.add(nxt)
-                stack.append((nxt, trail + [hid]))
-        raise GraphError(f"{start} and {goal} lie in different components")
-
 
 def elliptic_feeders(g: FoliationGraph, hid: str) -> tuple[str, str] | None:
     """The positive elliptic points whose leaves fill the stable slots
@@ -401,11 +363,6 @@ def positive_tree(g: FoliationGraph) -> PositiveTree:
         raise GraphError("positive-separatrix graph requires a connection-free instance")
     nodes = tuple(sorted(p.id for p in g.points_of_kind(ELLIPTIC) if p.sign > 0))
     return PositiveTree(nodes, positive_links(g))
-
-
-def unique_positive_path(g: FoliationGraph, start: str, goal: str) -> list[str]:
-    """Positive saddles along the only skeleton path between two sources."""
-    return positive_tree(g).path(start, goal)
 
 
 # -------------------------------------------------------------------- polygons

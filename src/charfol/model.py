@@ -182,11 +182,6 @@ class Face:
         (c,) = self.source_corners
         return c.point
 
-    @property
-    def sink_point(self) -> str:
-        (c,) = self.sink_corners
-        return c.point
-
 
 class DartTable(NamedTuple):
     """The darts of a graph as integers.
@@ -224,7 +219,7 @@ class FoliationGraph:
         self.points: dict[str, SingularPoint] = dict(points)
         self.edges: dict[str, Separatrix] = dict(edges)
         self.rotation: dict[str, tuple[Dart, ...]] = {
-            pid: tuple((eid, end) for eid, end in seq) for pid, seq in rotation.items()
+            pid: tuple(seq) for pid, seq in rotation.items()
         }
         # lazily built caches; the graph is never mutated after construction
         self._faces: tuple[Face, ...] | None = None

@@ -134,9 +134,7 @@ class _Surgeon:
         for eid, e in list(self.edges.items()):
             if not e.marker and e.src.slot in free and e.dst.slot in free:
                 self.edges[eid] = replace(e, marker=True)
-        g = FoliationGraph(self.points, self.edges, {
-            pid: tuple(seq) for pid, seq in self.rotation.items()
-        })
+        g = FoliationGraph(self.points, self.edges, self.rotation)
         problems = g.validate()
         if problems:
             raise MoveError(

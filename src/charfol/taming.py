@@ -15,7 +15,8 @@ refined component-level reading are computed; the refined one is what the
 ball-extension construction consumes.
 
 Corner remnants (left behind by the bypass move) have no critical level;
-all functions here reject graphs containing them.
+the checks here reject graphs containing them through
+:func:`reject_corners`, which the decision procedures call too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .model import CORNER, ELLIPTIC, HYPERBOLIC, FoliationGraph, GraphError, Uni
 Assignment = Mapping[str, Fraction]
 
 
-def _reject_corners(g: FoliationGraph) -> None:
+def reject_corners(g: FoliationGraph) -> None:
+    """Raise :class:`GraphError` if the graph has corner remnants."""
     corners = [p.id for p in g.points.values() if p.kind == CORNER]
     if corners:
         raise GraphError(
@@ -41,7 +43,7 @@ def _reject_corners(g: FoliationGraph) -> None:
 
 
 def check_assignment(g: FoliationGraph, a: Assignment) -> None:
-    _reject_corners(g)
+    reject_corners(g)
     missing = sorted(set(g.points) - set(a))
     if missing:
         raise GraphError(f"assignment misses points {missing}")
@@ -51,7 +53,7 @@ def normalized_assignment(
     g: FoliationGraph, saddle_order: Sequence[str]
 ) -> dict[str, Fraction]:
     """Pin elliptic points to 0/1 and spread saddles by their order position."""
-    _reject_corners(g)
+    reject_corners(g)
     saddles = {p.id for p in g.saddle_points()}
     if set(saddle_order) != saddles or len(saddle_order) != len(saddles):
         raise GraphError("saddle order must list every saddle-type point once")
@@ -133,17 +135,10 @@ def stable_circles(region: Region, hid: str) -> tuple[int, int]:
     )
 
 
-def saddle_function_sign(g: FoliationGraph, a: Assignment, hid: str) -> int:
-    """+1 if the saddle joins two sublevel circles, -1 if it splits one."""
-    p = g.points[hid]
-    if p.kind != HYPERBOLIC:
-        raise GraphError(f"{hid} is not a hyperbolic point")
-    c0, c1 = stable_circles(region_below(g, a, a[hid]), hid)
-    return 1 if c0 != c1 else -1
-
-
-def _saddle_signs(g: FoliationGraph, a: Assignment) -> dict[str, int]:
-    """:func:`saddle_function_sign` of every hyperbolic point, in one walk."""
+def saddle_signs(g: FoliationGraph, a: Assignment) -> dict[str, int]:
+    """Each hyperbolic point's sign as the assignment reads it, in one walk:
+    +1 if the saddle joins two sublevel circles, -1 if it splits one."""
+    check_assignment(g, a)
     signs = {}
     for _, region, at in levels(g, a):
         for hid in at:
@@ -157,7 +152,7 @@ def taming_violations(g: FoliationGraph, a: Assignment) -> list[str]:
     out = lyapunov_violations(g, a)
     if out:
         return out
-    for hid, fs in sorted(_saddle_signs(g, a).items()):
+    for hid, fs in sorted(saddle_signs(g, a).items()):
         sign = g.points[hid].sign
         if fs != sign:
             word = "joins" if fs > 0 else "splits"
@@ -232,68 +227,6 @@ def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
             LevelReport(v, tuple(joins), tuple(splits), circle_forest, component_forest)
         )
     return SimplicityReport(tuple(reports))
-
-
-# --------------------------------------------------- positive skeleton, clearance
-
-
-@dataclass(frozen=True)
-class PositiveSkeleton:
-    """Positive elliptic points linked by the saddles that join their basins."""
-
-    nodes: tuple[str, ...]
-    links: tuple[tuple[str, str, str, Fraction], ...]  # (p, q, saddle, value)
-    complete: bool  # False when some join saddle is not fed by elliptic points
-
-
-def positive_elliptic_graph(g: FoliationGraph, a: Assignment) -> PositiveSkeleton:
-    check_assignment(g, a)
-    nodes = tuple(sorted(p.id for p in g.points_of_kind(ELLIPTIC) if p.sign > 0))
-    links = []
-    complete = True
-    for hid, fs in sorted(_saddle_signs(g, a).items()):
-        if fs != 1:
-            continue
-        srcs = elliptic_feeders(g, hid)
-        if srcs is None:
-            complete = False
-            continue
-        links.append((*srcs, hid, a[hid]))
-    return PositiveSkeleton(nodes, tuple(links), complete)
-
-
-def component_merge_level(g: FoliationGraph, a: Assignment, p: str, q: str) -> Fraction | None:
-    """First assigned value at which p and q share a sublevel component."""
-    if p == q:
-        return a[p]
-    for v, below, at in levels(g, a):
-        roots = Region.of(g, below.inside.union(at)).components()
-        if p in roots and q in roots and roots[p] == roots[q]:
-            return v
-    return None
-
-
-def clearance_violations(g: FoliationGraph, a: Assignment) -> list[str]:
-    """Every splitting saddle must sit strictly above the merge of its feeders.
-
-    A diagnostic inequality satisfied by every taming assignment; exposed
-    separately because it is the working invariant behind the synthesis
-    recursion.
-    """
-    check_assignment(g, a)
-    out = []
-    for hid, fs in sorted(_saddle_signs(g, a).items()):
-        if fs != -1:
-            continue
-        s0 = g.edge_at_slot(hid, "s0").src.point
-        s1 = g.edge_at_slot(hid, "s1").src.point
-        merged = component_merge_level(g, a, s0, s1)
-        if merged is None or not a[hid] > merged:
-            out.append(
-                f"splitting saddle {hid} at {a[hid]} does not clear the "
-                f"merge level {merged} of {s0} and {s1}"
-            )
-    return out
 
 
 # ------------------------------------------- path-inequality characterization

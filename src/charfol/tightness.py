@@ -29,7 +29,6 @@ from .invariants import (
     point_surplus,
 )
 from .model import (
-    CORNER,
     ELLIPTIC,
     EMBRYO,
     HYPERBOLIC,
@@ -53,8 +52,8 @@ from .taming import (
     is_lyapunov,
     is_taming,
     normalized_assignment,
+    reject_corners,
     simplicity_check,
-    sublevel_region,
 )
 
 
@@ -251,8 +250,10 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
     of point kinds and signs); the canonical form is computed only when a
     graph fails or its bucket already holds a failure, so a search that
     succeeds without backtracking never computes one.  The returned order
-    is always re-verified on the input graph by the caller.
+    is always re-verified on the input graph by the caller.  Corner
+    remnants raise :class:`GraphError`: no order tames them.
     """
+    reject_corners(g)
     failures: dict[tuple, set[str]] = {}
 
     def recurse(h: FoliationGraph) -> list[str] | None:
@@ -334,8 +335,7 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
     obstruction.
     """
     g.require_valid()
-    if g.points_of_kind(CORNER):
-        raise DecisionError("corner points have no well-defined taming sign")
+    reject_corners(g)
     if _depth > len(g.edges) + 1:
         raise DecisionError("connection resolution did not terminate")
 
@@ -433,67 +433,6 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
     )
 
 
-# ----------------------------------------------------------------- collapse
-
-
-def collapse_component(
-    g: FoliationGraph, a, threshold, inside_point: str
-) -> tuple[FoliationGraph, list]:
-    """Shrink a disc sublevel component to its single surviving source.
-
-    The component of ``inside_point`` in the sublevel set at ``threshold``
-    must be a disc with one source in excess of its saddles; repeated pair
-    and embryo eliminations inside it leave one positive elliptic point.
-    Returns the rewritten graph and the move records, in order.
-    """
-    comp = sublevel_region(g, a, threshold).components()
-    if inside_point not in comp:
-        raise DecisionError(f"{inside_point} is not in the sublevel set")
-    members = {pid for pid, root in comp.items() if root == comp[inside_point]}
-    sub = Region.of(g, members)
-    dp, _ = sub.surplus()
-    if dp != 1:
-        raise DecisionError(f"component has source surplus {dp}, expected 1")
-    if len(sub.boundary_circles()) != 1:
-        raise DecisionError("component is not a disc")
-
-    current = g
-    alive = set(members)
-    records = []
-    while True:
-        busy = [
-            pid
-            for pid in sorted(alive)
-            if current.points[pid].kind in (HYPERBOLIC, EMBRYO)
-        ]
-        if not busy:
-            break
-        progressed = False
-        for pid in busy:
-            v = classify_allowable(current, pid)
-            if not v.allowable or not set(v.witnesses) <= alive:
-                continue
-            try:
-                if v.case == "PosHypDistinctSources":
-                    res = eliminate_pair(current, v.witnesses[0], pid)
-                    gone = {v.witnesses[0], pid}
-                elif v.case in ("PosEmbryoEllipticSource", "NegEmbryoAllFromOneElliptic"):
-                    res = eliminate_embryo(current, pid)
-                    gone = {pid}
-                else:
-                    continue  # a splitting saddle cannot occur inside a disc
-            except MoveError:
-                continue
-            current = res.graph
-            records.append(res.record)
-            alive -= gone
-            progressed = True
-            break
-        if not progressed:
-            raise DecisionError("component cannot be collapsed further")
-    return current, records
-
-
 # -------------------------------------------------------------------- oracle
 
 
@@ -506,8 +445,7 @@ def oracle_tightness(g: FoliationGraph, bound: int = 12) -> dict:
     most ``bound`` singular points (the search is factorial).
     """
     g.require_valid()
-    if g.points_of_kind(CORNER):
-        raise DecisionError("corner points have no well-defined taming sign")
+    reject_corners(g)
     if g.homoclinic_edges():
         raise DecisionError("oracle requires a connection-free graph")
     if len(g.points) > bound:

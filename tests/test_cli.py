@@ -11,7 +11,7 @@ import pytest
 from charfol import FoliationGraph, cli, zoo
 from charfol.cli import FoliationDocument, ParseError, emit, main, parse, render_dot, render_svg
 from charfol.invariants import MAX_POLYGON_FACES, point_surplus
-from charfol.moves import create_pair
+from charfol.moves import bypass_hyperbolic, create_pair
 from charfol.tightness import universe_cached
 
 ZOO_NAMES = sorted(zoo.ZOO)
@@ -237,6 +237,25 @@ def test_oracle_command(tmp_path, capsys):
     conn = write_doc(tmp_path, emit(zoo.example("tight_saddle_connection")), "h.fol")
     code, _, err = run(capsys, "oracle", "-i", conn)
     assert code == 2 and "connection-free" in err
+
+
+@pytest.mark.parametrize(
+    "values", ["", "value b 0\nvalue h 1/2\nvalue z 1\n"], ids=["bare", "valued"]
+)
+@pytest.mark.parametrize(
+    "argv", [("decide",), ("oracle",), ("tame",), ("tame", "--json"), ("extend",)],
+    ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+)
+def test_corner_remnants_are_refused_by_every_command_alike(tmp_path, capsys, argv, values):
+    # the bypass leaves a valid sphere whose saddle is now a corner remnant
+    g = bypass_hyperbolic(zoo.example("tight_one_saddle"), "a", "h").graph
+    path = write_doc(tmp_path, emit(g) + values)
+    assert run(capsys, *argv, "-i", path) == (
+        2,
+        "",
+        "error: corner remnants ['h'] have no critical level; "
+        "resolve them before taming analysis\n",
+    )
 
 
 def test_enumerate_streams_documents(capsys):

@@ -16,7 +16,6 @@ from charfol.invariants import (
     positive_tree,
     skeleton_decomposition,
     trace_polygon,
-    unique_positive_path,
 )
 
 ZOO_NAMES = sorted(zoo.ZOO)
@@ -64,9 +63,8 @@ def test_region_below_a_negative_saddle_is_an_annulus():
     assert region.component_count() == 1
     assert len(region.boundary_circles()) == 2
     assert region.euler_characteristic() == 0
-    report = region.analysis()
-    assert report["euler_consistent"]
-    assert report["cut_edges"] == ["k0", "k1"]
+    assert sum(region.surplus()) == region.euler_characteristic()
+    assert region.cut_edges() == ["k0", "k1"]
 
 
 def test_region_single_source_is_a_disc():
@@ -287,7 +285,6 @@ def test_positive_tree_of_one_saddle_sphere():
     assert pt.nodes == ("a", "b")
     assert pt.links == (("a", "b", "h"),)
     assert pt.is_tree()
-    assert pt.path("a", "b") == ["h"]
 
 
 def test_positive_tree_of_chain_and_path_query():
@@ -296,9 +293,6 @@ def test_positive_tree_of_chain_and_path_query():
     assert pt.nodes == ("p0", "p1", "p2")
     assert pt.links == (("p0", "p1", "h0"), ("p1", "p2", "h1"))
     assert pt.is_tree()
-    assert unique_positive_path(g, "p0", "p2") == ["h0", "h1"]
-    assert unique_positive_path(g, "p2", "p0") == ["h1", "h0"]
-    assert unique_positive_path(g, "p1", "p1") == []
 
 
 def test_positive_tree_rejects_parallel_links():
@@ -306,8 +300,6 @@ def test_positive_tree_rejects_parallel_links():
     assert len(pt.links) == 2
     assert {frozenset(l[:2]) for l in pt.links} == {frozenset(("p0", "p1"))}
     assert not pt.is_tree()
-    with pytest.raises(GraphError):
-        pt.path("p0", "p1")
 
 
 def test_positive_tree_rejects_self_loop():
@@ -319,9 +311,3 @@ def test_positive_tree_rejects_self_loop():
 def test_positive_tree_rejects_homoclinic_input():
     with pytest.raises(GraphError):
         positive_tree(zoo.example("tight_saddle_connection"))
-
-
-def test_unique_path_rejects_unknown_endpoints():
-    g = zoo.example("three_basin_chain")
-    with pytest.raises(GraphError):
-        unique_positive_path(g, "p0", "z")

@@ -49,10 +49,11 @@ def test_face_corners_one_source_one_sink():
     g = zoo.example("tight_one_saddle")
     for f in g.faces():
         assert f.source_point in g.points
-        assert f.sink_point in g.points
+        (sink,) = f.sink_corners
+        assert sink.point in g.points
     # both faces of the one-saddle sphere run source -> saddle -> sink
     assert {f.source_point for f in g.faces()} == {"a", "b"}
-    assert {f.sink_point for f in g.faces()} == {"z"}
+    assert {c.point for f in g.faces() for c in f.sink_corners} == {"z"}
 
 
 def test_points_of_kind_and_slots():

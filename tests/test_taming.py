@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from charfol import FoliationGraph, GraphError
 from charfol import zoo
-from charfol.invariants import unique_positive_path
+from charfol.invariants import positive_links
 from charfol.taming import (
-    clearance_violations,
-    component_merge_level,
     eq_simplicity_check,
     eq_simplicity_violations,
     is_lyapunov,
@@ -21,10 +19,9 @@ from charfol.taming import (
     levels,
     lyapunov_violations,
     normalized_assignment,
-    positive_elliptic_graph,
     region_below,
     regular_thresholds,
-    saddle_function_sign,
+    saddle_signs,
     simplicity_check,
     sublevel_component_surplus,
     sublevel_region,
@@ -49,7 +46,7 @@ def test_one_saddle_assignment_is_taming_and_simple():
     assert is_taming(g, a)
     rep = simplicity_check(g, a)
     assert rep.circle_simple and rep.component_simple
-    assert saddle_function_sign(g, a, "h") == 1
+    assert saddle_signs(g, a)["h"] == 1
 
 
 def test_saddle_below_its_sources_is_not_lyapunov():
@@ -64,9 +61,8 @@ def test_saddle_below_its_sources_is_not_lyapunov():
 def test_negative_saddle_wants_a_split():
     g = zoo.example("tight_one_saddle_negative")
     a = {"p": F(0), "h": F(1, 2), "y": F(1), "z": F(1)}
-    assert saddle_function_sign(g, a, "h") == -1
+    assert saddle_signs(g, a)["h"] == -1
     assert is_taming(g, a)
-    assert clearance_violations(g, a) == []
 
 
 def test_function_sign_mismatch_is_a_taming_violation():
@@ -74,7 +70,7 @@ def test_function_sign_mismatch_is_a_taming_violation():
     g = zoo.example("overtwisted_loop_positive")
     a = {"p": F(0), "h": F(1, 2), "y": F(1), "z": F(1)}
     assert is_lyapunov(g, a)
-    assert saddle_function_sign(g, a, "h") == -1
+    assert saddle_signs(g, a)["h"] == -1
     assert taming_violations(g, a) != []
     assert not is_taming(g, a)
 
@@ -95,6 +91,8 @@ def test_assignment_must_cover_every_point():
     del a["z"]
     with pytest.raises(GraphError):
         is_taming(g, a)
+    with pytest.raises(GraphError, match=r"assignment misses points \['z'\]"):
+        saddle_signs(g, a)
 
 
 # --------------------------------------------------------------- simplicity
@@ -163,36 +161,14 @@ def test_taming_is_invariant_under_monotone_reparametrization(data):
     assert rep0.component_simple == rep1.component_simple
 
 
-# --------------------------------------------------- merge levels, clearance
+# ------------------------------------------------------------- sublevel sets
 
 
-def test_component_merge_level_on_the_chain():
-    g = zoo.example("three_basin_chain")
-    a = normalized_assignment(g, ["h0", "h1"])
-    assert component_merge_level(g, a, "p0", "p1") == F(1, 3)
-    assert component_merge_level(g, a, "p1", "p2") == F(2, 3)
-    assert component_merge_level(g, a, "p0", "p2") == F(2, 3)
-    assert component_merge_level(g, a, "p0", "p0") == F(0)
-
-
-def test_positive_elliptic_graph_mirrors_the_tree():
-    g = zoo.example("three_basin_chain")
-    a = normalized_assignment(g, ["h0", "h1"])
-    sk = positive_elliptic_graph(g, a)
-    assert sk.nodes == ("p0", "p1", "p2")
-    assert [(p, q, s) for p, q, s, _ in sk.links] == [
-        ("p0", "p1", "h0"),
-        ("p1", "p2", "h1"),
-    ]
-    assert [v for *_, v in sk.links] == [F(1, 3), F(2, 3)]
-
-
-def test_clearance_flags_a_premature_split():
+def test_a_lone_source_may_split_at_the_very_bottom():
     g = zoo.example("tight_one_saddle_negative")
     # the split is forced to sit at the very bottom, below any merge
     a = {"p": F(0), "h": F(1, 100), "y": F(1), "z": F(1)}
     assert is_taming(g, a)  # a lone source component may split immediately
-    assert clearance_violations(g, a) == []
 
 
 def test_regular_thresholds_are_midpoints():
@@ -262,12 +238,12 @@ def test_a_changed_assignment_changes_its_sublevel_sets():
     g = zoo.example("double_join_cycle")
     a = {"p0": F(0), "p1": F(0), "h0": F(1, 2), "h1": F(1, 2), "z0": F(1), "z1": F(1)}
     assert region_below(g, a, F(1, 2)).inside == {"p0", "p1"}
-    assert is_taming(g, a) and saddle_function_sign(g, a, "h1") == 1
+    assert is_taming(g, a) and saddle_signs(g, a)["h1"] == 1
     # h1 now comes after the join at h0, which it can only split
     a["h1"] = F(3, 4)
     assert region_below(g, a, F(3, 4)).inside == {"p0", "p1", "h0"}
     assert sublevel_region(g, a, F(1, 2)).inside == {"p0", "p1", "h0"}
-    assert saddle_function_sign(g, a, "h1") == -1 and not is_taming(g, a)
+    assert saddle_signs(g, a)["h1"] == -1 and not is_taming(g, a)
     assert [level.value for level in simplicity_check(g, a).levels] == [F(1, 2), F(3, 4)]
 
 
@@ -319,8 +295,9 @@ def max_rule_graph():
 
 def test_path_inequality_uses_the_latest_join():
     g = max_rule_graph()
-    # h2 splits the pair (p1, p2); their unique path carries both joins
-    assert unique_positive_path(g, "p1", "p2") == ["h0", "h1"]
+    # h2 splits the pair (p1, p2); their unique path p1 - p0 - p2 carries
+    # both joins
+    assert positive_links(g) == (("p0", "p1", "h0"), ("p0", "p2", "h1"))
 
     good = normalized_assignment(g, ["h0", "h1", "h2"])  # split after both joins
     assert is_taming(g, good)

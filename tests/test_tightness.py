@@ -15,7 +15,6 @@ from charfol.tightness import (
     InternalCheckError,
     allowable_candidates,
     classify_allowable,
-    collapse_component,
     decide_tightness,
     enumerate_foliations,
     enumerate_reference,
@@ -242,42 +241,6 @@ def test_verify_taming_order_round_trip():
     cyc = zoo.example("double_join_cycle")
     assert verify_taming_order(cyc, ("h0", "h1")) is None
     assert verify_taming_order(cyc, ("h1", "h0")) is None
-
-
-# ----------------------------------------------------------- bottom collapse
-
-
-def test_collapse_component_shrinks_a_disc():
-    g = zoo.example("tight_one_saddle")
-    a = {"a": F(0), "b": F(0), "h": F(1, 2), "z": F(1)}
-    collapsed, records = collapse_component(g, a, F(3, 4), "a")
-    assert sorted(collapsed.points) == ["b", "z"]
-    assert [r.kind for r in records] == ["eliminate_pair"]
-    assert records[0].details["eliminated"] == ["a", "h"]
-
-
-def test_collapse_component_identity_below_the_saddle():
-    g = zoo.example("tight_one_saddle")
-    a = {"a": F(0), "b": F(0), "h": F(1, 2), "z": F(1)}
-    collapsed, records = collapse_component(g, a, F(1, 4), "a")
-    assert records == []
-    assert collapsed.canonical_form() == g.canonical_form()
-
-
-def test_collapse_component_rejections():
-    g = zoo.example("tight_one_saddle")
-    a = {"a": F(0), "b": F(0), "h": F(1, 2), "z": F(1)}
-    with pytest.raises(DecisionError, match="not in the sublevel set"):
-        collapse_component(g, a, F(3, 4), "z")
-    # below a split the component is an annulus, not a disc
-    neg = zoo.example("tight_one_saddle_negative")
-    b = {"p": F(0), "h": F(1, 2), "y": F(1), "z": F(1)}
-    with pytest.raises(DecisionError, match="not a disc"):
-        collapse_component(neg, b, F(3, 4), "p")
-    # a source feeding its saddle twice leaves no source in excess
-    loop = zoo.example("overtwisted_loop_positive")
-    with pytest.raises(DecisionError, match="source surplus 0"):
-        collapse_component(loop, b, F(3, 4), "p")
 
 
 # -------------------------------------------------------------------- oracle
