@@ -19,7 +19,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from charfol.model import HYPERBOLIC
 from charfol.taming import (
-    is_taming,
     normalized_assignment,
     regular_thresholds,
     simplicity_check,
@@ -44,10 +43,10 @@ def main() -> int:
             for perm in itertools.permutations(saddles):
                 row[0] += 1
                 a = normalized_assignment(g, list(perm))
-                if not is_taming(g, a):
+                report = simplicity_check(g, a)
+                if not report.taming:
                     continue
                 row[1] += 1
-                report = simplicity_check(g, a)
                 row[2] += report.circle_simple and report.component_simple
                 for t in regular_thresholds(g, a):
                     for dp, _ in sublevel_component_surplus(g, a, t).values():

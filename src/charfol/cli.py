@@ -55,7 +55,7 @@ from .model import (
     Separatrix,
     SingularPoint,
 )
-from .taming import check_assignment, is_lyapunov, is_taming, simplicity_check
+from .taming import simplicity_check
 from .tightness import (
     InternalCheckError,
     decide_tightness,
@@ -612,17 +612,13 @@ def cmd_tame(args: argparse.Namespace) -> int:
     g = doc.graph
     values = _assignment_from(doc)
     if values is not None:
-        check_assignment(g, values)
-        lyapunov = is_lyapunov(g, values)
-        # simplicity is defined for Lyapunov assignments only
-        report = simplicity_check(g, values) if lyapunov else None
-        payload = {"mode": "verify", "lyapunov": lyapunov, "taming": is_taming(g, values)}
-        if report is not None:
+        report = simplicity_check(g, values)
+        lyapunov = not report.lyapunov_violations
+        payload = {"mode": "verify", "lyapunov": lyapunov, "taming": report.taming}
+        if lyapunov:  # simplicity is read for Lyapunov assignments only
             payload["circle_simple"] = report.circle_simple
             payload["component_simple"] = report.component_simple
-        payload["tames_simply"] = (
-            lyapunov and payload["taming"] and payload.get("circle_simple", False)
-        )
+        payload["tames_simply"] = report.taming and report.circle_simple
         if args.json:
             _write_text(args.output, _emit_json(payload))
         else:

@@ -28,7 +28,6 @@ from .invariants import Region
 from .model import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
 from .taming import (
     check_assignment,
-    is_taming,
     levels,
     region_below,
     simplicity_check,
@@ -155,7 +154,7 @@ def _saddle_event(region: Region, hid: str, value: Fraction) -> Record:
     i0, i1 = stable_circles(region, hid)
     r0 = roots[g.edge_at_slot(hid, "s0").src.point]
     r1 = roots[g.edge_at_slot(hid, "s1").src.point]
-    if i0 != i1:  # a join, as saddle_signs reads it
+    if i0 != i1:  # a join, as simplicity_check reads it
         if r0 == r1:
             raise ExtensionError(
                 f"joining saddle {hid} bridges one ball component; the "
@@ -182,10 +181,10 @@ def _cap_event(region: Region, zid: str, value: Fraction) -> Cap:
 def extend_to_ball(g: FoliationGraph, a: Mapping[str, Fraction]) -> HandleDecomposition:
     """Handle decomposition of the ball induced by a simple taming assignment."""
     g.require_valid()
-    check_assignment(g, a)
-    if not is_taming(g, a):
+    report = simplicity_check(g, a)
+    if not report.taming:
         raise ExtensionError("assignment is not taming; no extension exists")
-    if not simplicity_check(g, a).circle_simple:
+    if not report.circle_simple:
         raise ExtensionError("assignment is not simple; half-handles would collide")
     records: list[Record] = []
     for value, region, at in levels(g, a):

@@ -12,7 +12,8 @@ Lyapunov condition.
 *Simplicity* is a per-level condition on ties: the joins performed at one
 critical level must form a forest.  Both the circle-level reading and the
 refined component-level reading are computed; the refined one is what the
-ball-extension construction consumes.
+ball-extension construction consumes.  :func:`simplicity_check` reads all
+three conditions in one edge scan and one walk of the levels.
 
 Corner remnants (left behind by the bypass move) have no critical level;
 the checks here reject graphs containing them through
@@ -21,7 +22,8 @@ the checks here reject graphs containing them through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -135,33 +137,8 @@ def stable_circles(region: Region, hid: str) -> tuple[int, int]:
     )
 
 
-def saddle_signs(g: FoliationGraph, a: Assignment) -> dict[str, int]:
-    """Each hyperbolic point's sign as the assignment reads it, in one walk:
-    +1 if the saddle joins two sublevel circles, -1 if it splits one."""
-    check_assignment(g, a)
-    signs = {}
-    for _, region, at in levels(g, a):
-        for hid in at:
-            if g.points[hid].kind == HYPERBOLIC:
-                c0, c1 = stable_circles(region, hid)
-                signs[hid] = 1 if c0 != c1 else -1
-    return signs
-
-
-def taming_violations(g: FoliationGraph, a: Assignment) -> list[str]:
-    out = lyapunov_violations(g, a)
-    if out:
-        return out
-    for hid, fs in sorted(saddle_signs(g, a).items()):
-        sign = g.points[hid].sign
-        if fs != sign:
-            word = "joins" if fs > 0 else "splits"
-            out.append(f"saddle {hid}: level structure {word} circles but its sign is {sign:+d}")
-    return out
-
-
 def is_taming(g: FoliationGraph, a: Assignment) -> bool:
-    return not taming_violations(g, a)
+    return simplicity_check(g, a).taming
 
 
 # ------------------------------------------------------------------ simplicity
@@ -174,59 +151,77 @@ def _forest_ok(nodes: Iterable, links: Iterable[tuple]) -> bool:
 
 @dataclass(frozen=True)
 class LevelReport:
+    """The saddles at one critical level and the region just below it.  The
+    forest readings of the joins are computed on first use."""
+
     value: Fraction
     joins: tuple[str, ...]
     splits: tuple[str, ...]
-    circle_forest: bool
-    component_forest: bool
+    region: Region = field(repr=False, compare=False)
+
+    def _links(self) -> list[tuple[int, int]]:
+        return [stable_circles(self.region, hid) for hid in self.joins]
+
+    @cached_property
+    def circle_forest(self) -> bool:
+        return _forest_ok(range(len(self.region.boundary_circles())), self._links())
+
+    @cached_property
+    def component_forest(self) -> bool:
+        # refined reading: collapse circles to the component they bound
+        g = self.region.graph
+        comp = self.region.components()
+        comp_of_circle = [
+            comp[g.edges[circle.crossed_edges()[0]].src.point]
+            for circle in self.region.boundary_circles()
+        ]
+        comp_links = [(comp_of_circle[u], comp_of_circle[v]) for u, v in self._links()]
+        return _forest_ok(set(comp_of_circle), comp_links)
 
 
 @dataclass(frozen=True)
 class SimplicityReport:
+    """One reading of an assignment.  A non-Lyapunov assignment has no
+    levels and is neither taming nor simple."""
+
+    lyapunov_violations: tuple[str, ...]
     levels: tuple[LevelReport, ...]
+    mismatched: tuple[str, ...]  # saddles whose join or split disagrees with their sign
+
+    @property
+    def taming(self) -> bool:
+        return not self.lyapunov_violations and not self.mismatched
 
     @property
     def circle_simple(self) -> bool:
-        return all(l.circle_forest for l in self.levels)
+        return not self.lyapunov_violations and all(l.circle_forest for l in self.levels)
 
     @property
     def component_simple(self) -> bool:
-        return all(l.component_forest for l in self.levels)
+        return not self.lyapunov_violations and all(l.component_forest for l in self.levels)
 
 
 def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
-    check_assignment(g, a)
-    if lyapunov_violations(g, a):
-        raise GraphError("simplicity is only defined for Lyapunov assignments")
-    reports = []
+    """Read the assignment in one Lyapunov scan and one walk of its levels:
+    each saddle's join or split, and the saddles whose reading disagrees
+    with their sign."""
+    violations = tuple(lyapunov_violations(g, a))
+    if violations:
+        return SimplicityReport(violations, (), ())
+    reports, mismatched = [], []
     for v, region, at in levels(g, a):
-        saddles = [hid for hid in at if g.points[hid].kind == HYPERBOLIC]
-        if not saddles:
-            continue
-        joins, splits, links = [], [], []
-        for hid in saddles:
+        joins, splits = [], []
+        for hid in at:
+            if g.points[hid].kind != HYPERBOLIC:
+                continue
             c0, c1 = stable_circles(region, hid)
-            if c0 != c1:
-                joins.append(hid)
-                links.append((c0, c1))
-            else:
-                splits.append(hid)
-        ncircles = len(region.boundary_circles())
-        circle_forest = _forest_ok(range(ncircles), links)
-
-        # refined reading: collapse circles to the component they bound
-        comp_of_circle: dict[int, str] = {}
-        comp = region.components()
-        for idx, circle in enumerate(region.boundary_circles()):
-            eid = circle.crossed_edges()[0]
-            comp_of_circle[idx] = comp[g.edges[eid].src.point]
-        comp_links = [(comp_of_circle[u], comp_of_circle[v]) for u, v in links]
-        component_forest = _forest_ok(set(comp_of_circle.values()), comp_links)
-
-        reports.append(
-            LevelReport(v, tuple(joins), tuple(splits), circle_forest, component_forest)
-        )
-    return SimplicityReport(tuple(reports))
+            joined = c0 != c1
+            (joins if joined else splits).append(hid)
+            if joined != (g.points[hid].sign > 0):
+                mismatched.append(hid)
+        if joins or splits:
+            reports.append(LevelReport(v, tuple(joins), tuple(splits), region))
+    return SimplicityReport((), tuple(reports), tuple(sorted(mismatched)))
 
 
 # ------------------------------------------- path-inequality characterization

@@ -47,14 +47,7 @@ from .moves import (
     resolve_connection,
     resolve_embryo,
 )
-from .taming import (
-    check_assignment,
-    is_lyapunov,
-    is_taming,
-    normalized_assignment,
-    reject_corners,
-    simplicity_check,
-)
+from .taming import normalized_assignment, reject_corners, simplicity_check
 
 
 class DecisionError(GraphError):
@@ -310,16 +303,10 @@ def verify_taming_order(g: FoliationGraph, order: tuple[str, ...]) -> dict | Non
     """Normalized assignment for the order if it tames simply, else None."""
     try:
         a = normalized_assignment(g, list(order))
-        check_assignment(g, a)
     except GraphError:
         return None
-    if not is_lyapunov(g, a):
-        return None
-    if not is_taming(g, a):
-        return None
-    if not simplicity_check(g, a).circle_simple:
-        return None
-    return dict(a)
+    report = simplicity_check(g, a)
+    return a if report.taming and report.circle_simple else None
 
 
 # ------------------------------------------------------------------- decide
@@ -435,22 +422,26 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
 
 # -------------------------------------------------------------------- oracle
 
+#: the most singular points :func:`oracle_tightness` accepts
+MAX_ORACLE_POINTS = 12
 
-def oracle_tightness(g: FoliationGraph, bound: int = 12) -> dict:
+
+def oracle_tightness(g: FoliationGraph) -> dict:
     """Exhaustive search over strict orderings of saddle and embryo values.
 
     Independent of the synthesis route: tries every permutation and keeps
     the first whose normalized assignment is Lyapunov, taming and simple.
     Precondition: no saddle connections (resolve first), no corners, and at
-    most ``bound`` singular points (the search is factorial).
+    most :data:`MAX_ORACLE_POINTS` singular points (the search is factorial).
     """
     g.require_valid()
     reject_corners(g)
     if g.homoclinic_edges():
         raise DecisionError("oracle requires a connection-free graph")
-    if len(g.points) > bound:
+    if len(g.points) > MAX_ORACLE_POINTS:
         raise DecisionError(
-            f"instance has {len(g.points)} singular points, oracle bound is {bound}"
+            f"instance has {len(g.points)} singular points, "
+            f"oracle bound is {MAX_ORACLE_POINTS}"
         )
     ids = sorted(
         p.id for p in g.points.values() if p.kind in (HYPERBOLIC, EMBRYO)

@@ -206,6 +206,43 @@ def test_tame_answers_values_that_are_not_lyapunov(tmp_path, capsys):
     assert code == 1
 
 
+LYAPUNOV_NOT_TAMING = emit(zoo.example("overtwisted_loop_positive")) + (
+    "value p 0\nvalue h 1/2\nvalue y 1\nvalue z 1\n"
+)
+TAMING_NOT_SIMPLE = emit(zoo.example("double_join_cycle")) + (
+    "value p0 0\nvalue p1 0\nvalue h0 1/2\nvalue h1 1/2\nvalue z0 1\nvalue z1 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, verdict, reason",
+    [
+        # a positive saddle fed twice by one source splits at its level
+        (LYAPUNOV_NOT_TAMING, (True, False, True, True), "not taming; no extension exists"),
+        # both joins of the double join at one level close a cycle
+        (TAMING_NOT_SIMPLE, (True, True, False, False), "not simple; half-handles would collide"),
+    ],
+    ids=["lyapunov-not-taming", "taming-not-simple"],
+)
+def test_tame_and_extend_on_values_that_do_not_tame_simply(tmp_path, capsys, text, verdict, reason):
+    # outputs pinned from the commit that read Lyapunov, taming and
+    # simplicity in three separate passes
+    path = write_doc(tmp_path, text)
+    keys = ("lyapunov", "taming", "circle_simple", "component_simple")
+    code, out, err = run(capsys, "tame", "-i", path)
+    assert (code, err) == (1, "")
+    yes_no = {True: "yes", False: "no"}
+    assert out == "".join(f"{k}: {yes_no[v]}\n" for k, v in zip(keys, verdict)) + "tames_simply: no\n"
+
+    code, out, err = run(capsys, "tame", "-i", path, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"mode": "verify", **dict(zip(keys, verdict)), "tames_simply": False}
+
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "extend", "-i", path, *flags)
+        assert (code, out, err) == (1, f"not extendable: assignment is {reason}\n", "")
+
+
 def test_extend_outputs_records(tmp_path, capsys):
     path = write_doc(tmp_path, emit(zoo.example("tight_one_saddle")))
     code, out, _ = run(capsys, "extend", "-i", path)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from charfol import ELLIPTIC, FoliationGraph, GraphError
-from charfol import tightness, zoo
+from charfol import handles, taming, tightness, zoo
 from charfol.cli import emit, parse
 from charfol.moves import create_pair
 from charfol.tightness import (
@@ -243,6 +243,32 @@ def test_verify_taming_order_round_trip():
     assert verify_taming_order(cyc, ("h1", "h0")) is None
 
 
+def test_one_scan_and_one_walk_read_an_assignment(monkeypatch):
+    # one simplicity report answers Lyapunov, taming and simple; extending
+    # walks the levels once more for its records (3 scans and 2 walks, then
+    # 2 scans and 3 walks, when each question read the assignment again)
+    g = zoo.example("three_basin_chain")
+    calls = {"scan": 0, "walk": 0}
+    scan, walk = taming.lyapunov_violations, taming.levels
+
+    def counted_scan(*args):
+        calls["scan"] += 1
+        return scan(*args)
+
+    def counted_walk(*args):
+        calls["walk"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(taming, "lyapunov_violations", counted_scan)
+    monkeypatch.setattr(taming, "levels", counted_walk)
+    monkeypatch.setattr(handles, "levels", counted_walk)
+    a = verify_taming_order(g, ("h0", "h1"))
+    assert a is not None and calls == {"scan": 1, "walk": 1}
+    calls.update(scan=0, walk=0)
+    handles.extend_to_ball(g, a)
+    assert calls == {"scan": 1, "walk": 2}
+
+
 # -------------------------------------------------------------------- oracle
 
 
@@ -269,8 +295,9 @@ def test_oracle_reports_its_search():
 def test_oracle_preconditions():
     with pytest.raises(DecisionError, match="connection-free"):
         oracle_tightness(zoo.example("tight_saddle_connection"))
-    with pytest.raises(DecisionError, match="oracle bound"):
-        oracle_tightness(zoo.example("tight_one_saddle"), bound=2)
+    big = _walk(parse(UNTAMEABLE).graph, random.Random(11), lambda h: len(h.points) > 12)
+    with pytest.raises(DecisionError, match="oracle bound is 12"):
+        oracle_tightness(big)
 
 
 # --------------------------------------------------------------- enumeration
