@@ -7,7 +7,6 @@ and constructive extension of tame spheres to ball handle decompositions.
 """
 
 from .model import (
-    CORNER,
     ELLIPTIC,
     EMBRYO,
     HYPERBOLIC,
@@ -21,7 +20,6 @@ from .model import (
 )
 
 __all__ = [
-    "CORNER",
     "ELLIPTIC",
     "EMBRYO",
     "HYPERBOLIC",

@@ -12,14 +12,14 @@ One instance per document, line oriented, ``#`` starts a comment::
     value h 1/2
 
 ``point`` lines name the singular points (kinds ``elliptic``,
-``hyperbolic``, ``embryo`` with sign ``+``/``-``; the degenerate remnant
-kind ``corner`` takes sign ``0``).  ``sep`` lines are directed edges; an
-endpoint is a point id, optionally ``:slot``-qualified; the trailing words
-``marker`` and ``homoclinic`` flag a free leaf and assert a saddle-saddle
-connection.  ``rot`` lines give the full counterclockwise order of edge
-ends (``<edge-id>.src`` or ``<edge-id>.tgt``) around a point.  ``value``
-lines attach a rational level to a point.  A ``transcript`` line may carry
-one canonical-JSON payload (certificates travel with their instance).
+``hyperbolic``, ``embryo`` with sign ``+``/``-``).  ``sep`` lines are
+directed edges; an endpoint is a point id, optionally ``:slot``-qualified;
+the trailing words ``marker`` and ``homoclinic`` flag a free leaf and
+assert a saddle-saddle connection.  ``rot`` lines give the full
+counterclockwise order of edge ends (``<edge-id>.src`` or
+``<edge-id>.tgt``) around a point.  ``value`` lines attach a rational level
+to a point.  A ``transcript`` line may carry one canonical-JSON payload
+(certificates travel with their instance).
 
 Exit codes: 0 success (``decide``: Tight), 1 negative verdict
 (``decide``: Overtwisted; ``tame``/``extend``/``oracle``: no taming), 2
@@ -32,6 +32,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +46,6 @@ from .invariants import (
     skeleton_decomposition,
 )
 from .model import (
-    CORNER,
     ELLIPTIC,
     EMBRYO,
     HYPERBOLIC,
@@ -90,12 +90,17 @@ def _column(raw: str, token: str) -> int:
     return i + 1 if i >= 0 else 1
 
 
+#: an optionally signed run of ASCII digits, then optionally ``/`` and another
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+
+
 def _parse_fraction(token: str, lineno: int, raw: str) -> Fraction:
-    num, slash, den = token.partition("/")
+    m = _RATIONAL.fullmatch(token)
     try:
-        n = int(num)
-        d = int(den) if slash else 1
-    except ValueError:
+        if m is None:
+            raise ValueError(token)
+        n, d = int(m[1]), int(m[2] or 1)
+    except ValueError:  # not a rational, or more digits than int() converts
         raise ParseError(
             f"malformed rational {token!r}", lineno, _column(raw, token)
         ) from None
@@ -113,7 +118,7 @@ def _parse_endpoint(token: str, lineno: int, raw: str) -> EndRef:
     return EndRef(pid, slot if colon else None)
 
 
-_SIGNS = {"+": 1, "-": -1, "0": 0}
+_SIGNS = {"+": 1, "-": -1}
 
 
 def parse(text: str) -> FoliationDocument:
@@ -145,7 +150,7 @@ def parse(text: str) -> FoliationDocument:
             _, pid, kind, sign_tok = tokens
             if sign_tok not in _SIGNS:
                 raise ParseError(
-                    f"sign must be + or - (or 0 for corners), got {sign_tok!r}",
+                    f"sign must be + or -, got {sign_tok!r}",
                     lineno,
                     _column(raw, sign_tok),
                 )
@@ -252,7 +257,7 @@ def _endpoint(ref: EndRef) -> str:
     return ref.point if ref.slot is None else f"{ref.point}:{ref.slot}"
 
 
-_SIGN_TOKENS = {1: "+", -1: "-", 0: "0"}
+_SIGN_TOKENS = {1: "+", -1: "-"}
 
 
 def emit(doc: FoliationDocument | FoliationGraph) -> str:
@@ -289,7 +294,7 @@ def emit(doc: FoliationDocument | FoliationGraph) -> str:
 # ---------------------------------------------------------------- rendering
 
 
-_DOT_SHAPES = {ELLIPTIC: "circle", HYPERBOLIC: "diamond", EMBRYO: "doublecircle", CORNER: "square"}
+_DOT_SHAPES = {ELLIPTIC: "circle", HYPERBOLIC: "diamond", EMBRYO: "doublecircle"}
 
 
 def render_dot(g: FoliationGraph) -> str:
@@ -308,8 +313,8 @@ def render_dot(g: FoliationGraph) -> str:
                 clustered.add(center)
     for pid in sorted(g.points):
         p = g.points[pid]
-        style = "solid" if p.sign >= 0 else "dashed"
-        fill = {1: "white", -1: "gray88", 0: "gray70"}[p.sign]
+        style = "solid" if p.sign > 0 else "dashed"
+        fill = {1: "white", -1: "gray88"}[p.sign]
         out.append(
             f'  "{pid}" [shape={_DOT_SHAPES[p.kind]}, style="{style},filled", '
             f'fillcolor={fill}, label="{pid} {_SIGN_TOKENS[p.sign]}"];'
@@ -450,7 +455,7 @@ def render_svg(g: FoliationGraph) -> str:
     for pid in sorted(g.points):
         p = g.points[pid]
         x, y = pos[pid]
-        fill = {1: "#ffffff", -1: "#cfd8dc", 0: "#9e9e9e"}[p.sign]
+        fill = {1: "#ffffff", -1: "#cfd8dc"}[p.sign]
         parts.append(
             f'  <circle id="point-{pid}" class="point kind-{p.kind}" '
             f'cx="{x}" cy="{y}" r="9" fill="{fill}" stroke="#111111"/>'

@@ -254,7 +254,11 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
             if _saddle_event(below[a[pid]], pid, a[pid]) != r:
                 problems.append(f"half-handle-1 data for {pid} does not replay")
             # the record's own value, which a forgery may have moved
-            region = region_below(g, a, r.value)
+            try:
+                region = region_below(g, a, r.value)
+            except GraphError as ex:
+                problems.append(f"half-handle-1 {pid}: {ex}")
+                return problems
             comp = region.components()
             reps = []
             for root in r.components:

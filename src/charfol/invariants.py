@@ -47,8 +47,7 @@ def surplus(points: Iterable[SingularPoint]) -> tuple[int, int]:
 def point_surplus(g: FoliationGraph) -> tuple[int, int]:
     """(positive, negative) elliptic-over-hyperbolic surplus.
 
-    Embryos and corner remnants are neutral.  On a valid sphere the two
-    numbers add up to 2.
+    Embryos are neutral.  On a valid sphere the two numbers add up to 2.
     """
     return surplus(g.points.values())
 

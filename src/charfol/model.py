@@ -21,9 +21,8 @@ from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
 EMBRYO = "embryo"
-CORNER = "corner"
 
-KINDS = (ELLIPTIC, HYPERBOLIC, EMBRYO, CORNER)
+KINDS = (ELLIPTIC, HYPERBOLIC, EMBRYO)
 #: point kinds that carry separatrix slots and a critical level of their own
 SADDLE_KINDS = (HYPERBOLIC, EMBRYO)
 
@@ -70,15 +69,12 @@ class UnionFind:
 class SingularPoint:
     id: str
     kind: str
-    sign: int  # +1 / -1; 0 for corner remnants
+    sign: int  # +1 / -1
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise GraphError(f"unknown point kind {self.kind!r}")
-        if self.kind == CORNER:
-            if self.sign != 0:
-                raise GraphError("corner points carry sign 0")
-        elif self.sign not in (-1, 1):
+        if self.sign not in (-1, 1):
             raise GraphError(f"point {self.id}: sign must be +1 or -1")
 
 
@@ -133,12 +129,6 @@ def end_direction(point: SingularPoint, slot: str | None) -> str:
             if slot in ("b0", "b1", "zone"):
                 return "in"
         raise GraphError(f"embryo point {point.id} has no slot {slot!r}")
-    if kind == CORNER:
-        if slot == "in":
-            return "in"
-        if slot == "out":
-            return "out"
-        raise GraphError(f"corner point {point.id} has no slot {slot!r}")
     raise GraphError(f"unknown kind {kind!r}")
 
 
@@ -420,8 +410,6 @@ class FoliationGraph:
                 needed = set(HYPERBOLIC_SLOTS)
             elif p.kind == EMBRYO:
                 needed = {"in" if p.sign > 0 else "out", "b0", "b1"}
-            elif p.kind == CORNER:
-                needed = {"in", "out"}
             else:
                 needed = set()
             for slot in needed:
@@ -483,29 +471,9 @@ class FoliationGraph:
                     problems.append(
                         f"embryo {pid}: rotation must read {anchor},b0,zone...,b1"
                     )
-            elif p.kind == CORNER:
-                if len(seq) != 2:
-                    problems.append(f"corner {pid}: degree {len(seq)} != 2")
             else:
                 if any(s is not None for s in slots):
                     problems.append(f"elliptic {pid}: ends must be slot-free")
-        if problems:
-            return problems
-
-        # no closed broken leaves: chains through corner points must not cycle
-        for pid, p in self.points.items():
-            if p.kind != CORNER:
-                continue
-            hops = 0
-            cur = pid
-            while self.points[cur].kind == CORNER:
-                cur = self.edge_at_slot(cur, "out").dst.point
-                hops += 1
-                if cur == pid:
-                    problems.append(f"corner {pid}: lies on a closed broken leaf")
-                    break
-                if hops > len(self.points):
-                    break
         if problems:
             return problems
 
@@ -623,8 +591,7 @@ class FoliationGraph:
         slot_map: dict[tuple[str, str | None], str | None] = {}
         points: dict[str, SingularPoint] = {}
         for pid, p in self.points.items():
-            sign = -p.sign if p.kind != CORNER else 0
-            points[pid] = SingularPoint(pid, p.kind, sign)
+            points[pid] = SingularPoint(pid, p.kind, -p.sign)
             if p.kind == HYPERBOLIC:
                 seq = self.rotation[pid]
                 # old unstable slots become stable; start the pattern at one
@@ -641,9 +608,6 @@ class FoliationGraph:
                 slot_map[(pid, "b0")] = "b0"
                 slot_map[(pid, "b1")] = "b1"
                 slot_map[(pid, "zone")] = "zone"
-            elif p.kind == CORNER:
-                slot_map[(pid, "in")] = "out"
-                slot_map[(pid, "out")] = "in"
 
         def flip(ref: EndRef) -> EndRef:
             return EndRef(ref.point, slot_map.get((ref.point, ref.slot), ref.slot))
@@ -669,12 +633,11 @@ class FoliationGraph:
         """Delete marker leaves in id order while another edge is left.
 
         The graph must be valid, and then so is the result.  A marker leaf
-        has no named slot and no corner end, so deleting it leaves the slot,
-        rotation-pattern and corner-chain rules as they were.  Every germ at
-        a positive elliptic point or in a positive zone goes out and every
-        germ at the negative kinds comes in, so both corners beside the leaf
-        at its source end are source corners and both at its sink end are
-        sink corners.  An end that keeps another germ has two distinct such
+        has no named slot, so deleting it leaves the slot and rotation-pattern
+        rules as they were.  Every germ at a positive elliptic point or in a
+        positive zone goes out and every germ at the negative kinds comes in,
+        so both corners beside the leaf at its source end are source corners
+        and both at its sink end are sink corners.  An end that keeps another germ has two distinct such
         corners, and a flow box holds only one corner of each flavor, so the
         leaf's two darts lie on different faces.  An end that keeps no other
         germ has one corner, which puts both darts on one face.  Hence, in a

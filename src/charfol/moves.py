@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .model import (
-    CORNER,
     ELLIPTIC,
     EMBRYO,
     HYPERBOLIC,
@@ -207,14 +206,14 @@ def _reattachments(
 # ------------------------------------------------------------- eliminate_pair
 
 
-def _pair_sign(g: FoliationGraph, elliptic_id: str, saddle_id: str, move: str) -> int:
+def _pair_sign(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> int:
     """The common sign of an elliptic point and a hyperbolic point about to cancel."""
     e_pt = g.points.get(elliptic_id)
     h_pt = g.points.get(saddle_id)
     if e_pt is None or h_pt is None:
         raise MoveError("unknown point id")
     if e_pt.kind != ELLIPTIC or h_pt.kind != HYPERBOLIC:
-        raise MoveError(f"{move} needs an elliptic and a hyperbolic point")
+        raise MoveError("eliminate_pair needs an elliptic and a hyperbolic point")
     if e_pt.sign != h_pt.sign:
         raise MoveError("pair must have matching signs")
     return e_pt.sign
@@ -260,24 +259,19 @@ def _cancellation_site(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> _
     )
 
 
-def _fan_out(
-    s: _Surgeon, site: _Site, fates: dict[str, bool], details: dict, orphans_before: bool
-) -> None:
+def _fan_out(s: _Surgeon, site: _Site, fates: dict[str, bool], details: dict) -> None:
     """Re-attach the orphans and the dying unstables' far ends at the anchor.
 
     The new germs straddle the surviving dart: the successor-side unstable's
     leaf comes right before it and the predecessor-side one's right after
-    it.  The orphans sit between the former and the surviving dart when
-    ``orphans_before``, else between the surviving dart and the latter.
+    it.  The orphans sit between the former and the surviving dart.
     """
     w_ref = site.anchor
     head = s.reattach(site.u_after, fates.get(site.u_after.id), w_ref, details)
     for eid, end in site.orphans:
         s.set_end(eid, end, w_ref)
     tail = s.reattach(site.u_before, fates.get(site.u_before.id), w_ref, details)
-    orphans = list(site.orphans)
-    before, after = (head + orphans, tail) if orphans_before else (head, orphans + tail)
-    s.splice(w_ref.point, (site.s_opp.id, "src"), before, after)
+    s.splice(w_ref.point, (site.s_opp.id, "src"), head + list(site.orphans), tail)
 
 
 def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveResult:
@@ -288,7 +282,7 @@ def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveR
     (the same-sign bigon obstruction), when it is a saddle connection while
     other leaves need re-attachment, or when a leaf would close up.
     """
-    if _pair_sign(g, elliptic_id, saddle_id, "eliminate_pair") < 0:
+    if _pair_sign(g, elliptic_id, saddle_id) < 0:
         return _conjugated(g, lambda r: eliminate_pair(r, elliptic_id, saddle_id))
     site = _cancellation_site(g, elliptic_id, saddle_id)
     s_opp, w_ref = site.s_opp, site.anchor
@@ -322,7 +316,7 @@ def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveR
     # unstable]; the anchor's pre-existing germs stay between the two
     # unstables, so the blocks straddle the surviving dart rather than form
     # one run.
-    _fan_out(s, site, fates, details, orphans_before=True)
+    _fan_out(s, site, fates, details)
 
     # 3. bury the dead
     for u in dying:
@@ -501,64 +495,6 @@ def eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
     s.delete_edge(e_in.id)
     s.delete_point(embryo_id)
     return s.finish("eliminate_embryo", details)
-
-
-# ------------------------------------------------------------------- bypass
-
-
-def bypass_hyperbolic(
-    g: FoliationGraph,
-    elliptic_id: str,
-    saddle_id: str,
-    keep_unstable: str | None = None,
-) -> MoveResult:
-    """Cancel an elliptic/saddle pair leaving a corner remnant behind.
-
-    Like :func:`eliminate_pair`, but instead of vanishing outright, the
-    saddle degenerates to a corner point sitting on the surviving broken
-    leaf: the opposite stable separatrix enters it, one unstable separatrix
-    (``keep_unstable``, default the successor slot) exits it, and the other
-    unstable is absorbed.  The surplus bookkeeping forces the cancelled far
-    end to be a same-sign elliptic point, exactly as for a full cancellation.
-    """
-    if _pair_sign(g, elliptic_id, saddle_id, "bypass") < 0:
-        return _conjugated(
-            g, lambda r: bypass_hyperbolic(r, elliptic_id, saddle_id, keep_unstable=keep_unstable)
-        )
-    site = _cancellation_site(g, elliptic_id, saddle_id)
-    s_opp, w_ref = site.s_opp, site.anchor
-    if keep_unstable is None:
-        keep_unstable = site.u_after.src.slot
-    if keep_unstable not in ("u0", "u1"):
-        raise MoveError("keep_unstable must be 'u0' or 'u1'")
-    u_keep, u_drop = site.u_after, site.u_before
-    if u_keep.src.slot != keep_unstable:
-        u_keep, u_drop = u_drop, u_keep
-    if u_keep.dst.point == saddle_id:
-        raise MoveError("retained separatrix loops back to the saddle")
-    fates = _reattachments(g, w_ref, site.orphans, (u_drop,), site.gamma, "surviving separatrix")
-
-    s = _Surgeon(g)
-    details: dict = {
-        "cancelled": [elliptic_id],
-        "corner": saddle_id,
-        "anchor": w_ref.point,
-        "replacements": {},
-        "markers": [],
-    }
-    # the broken leaf walls off the kept unstable's flank, so the whole fan
-    # rides the dropped side: successor side goes before the surviving dart
-    # (replacement outermost), predecessor side after it (replacement last)
-    _fan_out(s, site, fates, details, orphans_before=u_drop is site.u_after)
-
-    s.delete_edge(u_drop.id)
-    s.delete_edge(site.gamma.id)
-    s.delete_point(elliptic_id)
-    s.points[saddle_id] = SingularPoint(saddle_id, CORNER, 0)
-    s.set_end(s_opp.id, "dst", EndRef(saddle_id, "in"))
-    s.set_end(u_keep.id, "src", EndRef(saddle_id, "out"))
-    s.rotation[saddle_id] = [(s_opp.id, "tgt"), (u_keep.id, "src")]
-    return s.finish("bypass_hyperbolic", details)
 
 
 # -------------------------------------------------------- resolve connections

@@ -14,10 +14,6 @@ critical level must form a forest.  Both the circle-level reading and the
 refined component-level reading are computed; the refined one is what the
 ball-extension construction consumes.  :func:`simplicity_check` reads all
 three conditions in one edge scan and one walk of the levels.
-
-Corner remnants (left behind by the bypass move) have no critical level;
-the checks here reject graphs containing them through
-:func:`reject_corners`, which the decision procedures call too.
 """
 
 from __future__ import annotations
@@ -29,23 +25,12 @@ from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .invariants import Region, elliptic_feeders, positive_links, surplus
-from .model import CORNER, ELLIPTIC, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
+from .model import ELLIPTIC, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
 
 Assignment = Mapping[str, Fraction]
 
 
-def reject_corners(g: FoliationGraph) -> None:
-    """Raise :class:`GraphError` if the graph has corner remnants."""
-    corners = [p.id for p in g.points.values() if p.kind == CORNER]
-    if corners:
-        raise GraphError(
-            f"corner remnants {sorted(corners)} have no critical level; "
-            "resolve them before taming analysis"
-        )
-
-
 def check_assignment(g: FoliationGraph, a: Assignment) -> None:
-    reject_corners(g)
     missing = sorted(set(g.points) - set(a))
     if missing:
         raise GraphError(f"assignment misses points {missing}")
@@ -55,7 +40,6 @@ def normalized_assignment(
     g: FoliationGraph, saddle_order: Sequence[str]
 ) -> dict[str, Fraction]:
     """Pin elliptic points to 0/1 and spread saddles by their order position."""
-    reject_corners(g)
     saddles = {p.id for p in g.saddle_points()}
     if set(saddle_order) != saddles or len(saddle_order) != len(saddles):
         raise GraphError("saddle order must list every saddle-type point once")

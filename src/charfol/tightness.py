@@ -47,7 +47,7 @@ from .moves import (
     resolve_connection,
     resolve_embryo,
 )
-from .taming import normalized_assignment, reject_corners, simplicity_check
+from .taming import normalized_assignment, simplicity_check
 
 
 class DecisionError(GraphError):
@@ -98,16 +98,10 @@ class AllowabilityVerdict:
     """Which of the four bottom-event patterns a point matches, if any."""
 
     point: str
-    case: str  # one of the _CASES below
+    # "PosHypDistinctSources", "NegHypSameSource", "PosEmbryoEllipticSource",
+    # "NegEmbryoAllFromOneElliptic" or "NotAllowable"
+    case: str
     witnesses: tuple[str, ...]  # feeding positive elliptic points
-
-    CASES = (
-        "PosHypDistinctSources",
-        "NegHypSameSource",
-        "PosEmbryoEllipticSource",
-        "NegEmbryoAllFromOneElliptic",
-        "NotAllowable",
-    )
 
     @property
     def allowable(self) -> bool:
@@ -198,10 +192,10 @@ def split_at_negative_saddle(
       one complement component, the curve keeps the two apart, and as ``g``
       is connected every component is reached.
     * A crossing keeps its sink end and is a marker exactly when that end is
-      slot-free, so the slot, marker, rotation and corner-chain rules hold
-      as they did on ``g``.  The faces of ``g`` and of the two sides match
-      one to one, so the sides' Euler counts add up to V - (E - 2) + F = 4;
-      neither exceeds 2 for a connected side, so each is 2.
+      slot-free, so the slot, marker and rotation rules hold as they did
+      on ``g``.  The faces of ``g`` and of the two sides match one to one,
+      so the sides' Euler counts add up to V - (E - 2) + F = 4; neither
+      exceeds 2 for a connected side, so each is 2.
     """
     region = Region(g, {source_id, saddle_id})
     circle0, circle1 = region.boundary_circles()
@@ -229,10 +223,6 @@ def split_at_negative_saddle(
     return capped(circle0), capped(circle1)
 
 
-def _collapse_join(g: FoliationGraph, saddle_id: str, feeder: str) -> FoliationGraph:
-    return eliminate_pair(g, feeder, saddle_id).graph
-
-
 def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
     """Search for a saddle order whose normalized assignment tames simply.
 
@@ -243,10 +233,8 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
     of point kinds and signs); the canonical form is computed only when a
     graph fails or its bucket already holds a failure, so a search that
     succeeds without backtracking never computes one.  The returned order
-    is always re-verified on the input graph by the caller.  Corner
-    remnants raise :class:`GraphError`: no order tames them.
+    is always re-verified on the input graph by the caller.
     """
-    reject_corners(g)
     failures: dict[tuple, set[str]] = {}
 
     def recurse(h: FoliationGraph) -> list[str] | None:
@@ -261,10 +249,10 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
             if cand.case == "PosHypDistinctSources":
                 e_a, e_b = cand.witnesses
                 try:
-                    collapsed = _collapse_join(h, cand.point, e_a)
+                    collapsed = eliminate_pair(h, e_a, cand.point).graph
                 except MoveError:
                     try:
-                        collapsed = _collapse_join(h, cand.point, e_b)
+                        collapsed = eliminate_pair(h, e_b, cand.point).graph
                     except MoveError:
                         continue
                 sub = recurse(collapsed)
@@ -322,7 +310,6 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
     obstruction.
     """
     g.require_valid()
-    reject_corners(g)
     if _depth > len(g.edges) + 1:
         raise DecisionError("connection resolution did not terminate")
 
@@ -431,11 +418,10 @@ def oracle_tightness(g: FoliationGraph) -> dict:
 
     Independent of the synthesis route: tries every permutation and keeps
     the first whose normalized assignment is Lyapunov, taming and simple.
-    Precondition: no saddle connections (resolve first), no corners, and at
-    most :data:`MAX_ORACLE_POINTS` singular points (the search is factorial).
+    Precondition: no saddle connections (resolve first) and at most
+    :data:`MAX_ORACLE_POINTS` singular points (the search is factorial).
     """
     g.require_valid()
-    reject_corners(g)
     if g.homoclinic_edges():
         raise DecisionError("oracle requires a connection-free graph")
     if len(g.points) > MAX_ORACLE_POINTS:

@@ -5,13 +5,14 @@ import json
 import random
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
 from charfol import FoliationGraph, cli, zoo
 from charfol.cli import FoliationDocument, ParseError, emit, main, parse, render_dot, render_svg
 from charfol.invariants import MAX_POLYGON_FACES, point_surplus
-from charfol.moves import bypass_hyperbolic, create_pair
+from charfol.moves import create_pair
 from charfol.tightness import universe_cached
 
 ZOO_NAMES = sorted(zoo.ZOO)
@@ -89,10 +90,29 @@ SYNTAX_ERRORS = [
     ("foliation v1\nwibble p\n", "unknown key", 2),
     ("foliation v1\npoint p elliptic +\nvalue p 1/0\n", "zero denominator", 3),
     ("foliation v1\npoint p elliptic +\nvalue p one\n", "malformed rational", 3),
+    ("foliation v1\npoint p elliptic +\nvalue p 1_0/3\n", "malformed rational", 3),
+    ("foliation v1\npoint p elliptic +\nvalue p \u0661/\u0662\n", "malformed rational", 3),
+    ("foliation v1\npoint h corner 0\n", "sign must be + or -, got '0'", 2),
+    ("foliation v1\npoint h corner +\n", "unknown point kind 'corner'", 2),
     ("foliation v1\npoint p elliptic +\nvalue q 1/2\n", "unknown point", 3),
     ("foliation v1\npoint p elliptic +\nrot p m0.src\n", "rot line needs", 3),
     ("foliation v1\ntranscript {not json}\n", "bad transcript", 2),
 ]
+
+
+def test_value_lines_take_signed_ascii_rationals():
+    doc = parse("foliation v1\npoint p elliptic +\npoint q elliptic -\nvalue p -2/4\nvalue q +3/-1\n")
+    assert doc.values == {"p": Fraction(-1, 2), "q": Fraction(-3)}
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() converts any number of digits here",
+)
+def test_a_value_past_the_int_digit_limit_is_malformed():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError, match="line 3, column 9: malformed rational"):
+        parse(f"foliation v1\npoint p elliptic +\nvalue p {digits}\n")
 
 
 @pytest.mark.parametrize("text,needle,line", SYNTAX_ERRORS)
@@ -276,22 +296,43 @@ def test_oracle_command(tmp_path, capsys):
     assert code == 2 and "connection-free" in err
 
 
+# a sphere with a degenerate two-slot point, which no kind of the model allows
+CORNER_DOCUMENT = (
+    "foliation v1\n"
+    "point b elliptic +\n"
+    "point h corner 0\n"
+    "point z elliptic -\n"
+    "sep eb b h:in\n"
+    "sep f1 h:out z\n"
+    "rot b: eb.src\n"
+    "rot h: eb.tgt f1.src\n"
+    "rot z: f1.tgt\n"
+)
+
+
 @pytest.mark.parametrize(
     "values", ["", "value b 0\nvalue h 1/2\nvalue z 1\n"], ids=["bare", "valued"]
 )
 @pytest.mark.parametrize(
-    "argv", [("decide",), ("oracle",), ("tame",), ("tame", "--json"), ("extend",)],
+    "argv",
+    [
+        ("decide",),
+        ("oracle",),
+        ("tame",),
+        ("tame", "--json"),
+        ("extend",),
+        ("validate",),
+        ("invariants",),
+        ("render",),
+    ],
     ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
 )
 def test_corner_remnants_are_refused_by_every_command_alike(tmp_path, capsys, argv, values):
-    # the bypass leaves a valid sphere whose saddle is now a corner remnant
-    g = bypass_hyperbolic(zoo.example("tight_one_saddle"), "a", "h").graph
-    path = write_doc(tmp_path, emit(g) + values)
+    path = write_doc(tmp_path, CORNER_DOCUMENT + values)
     assert run(capsys, *argv, "-i", path) == (
         2,
         "",
-        "error: corner remnants ['h'] have no critical level; "
-        "resolve them before taming analysis\n",
+        "syntax error: line 3, column 16: sign must be + or -, got '0'\n",
     )
 
 

@@ -155,8 +155,15 @@ def _split_as_join(split):
                 "replay ends with 2 open circles",
             ],
         ),
+        (
+            "tight_one_saddle", 2, lambda join: dataclasses.replace(join, value=F(0)),
+            [
+                "half-handle-1 data for h does not replay",
+                "half-handle-1 h: no assigned value lies below 0",
+            ],
+        ),
     ],
-    ids=["join-as-split", "split-as-join", "cap-circle", "zero-cell-on-sink"],
+    ids=["join-as-split", "split-as-join", "cap-circle", "zero-cell-on-sink", "join-at-bottom"],
 )
 def test_verify_names_each_forged_record(name, index, forge, problems):
     dec = decomposition_of(name)

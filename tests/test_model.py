@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charfol import CORNER, ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, build
+from charfol import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, build
 from charfol import zoo
 from charfol.tightness import decide_tightness
 from test_moves_golden import GOLDEN, transcript
@@ -61,7 +61,6 @@ def test_points_of_kind_and_slots():
     assert [p.id for p in g.points_of_kind(ELLIPTIC)] == ["a", "b", "z"]
     assert [p.id for p in g.points_of_kind(HYPERBOLIC)] == ["h"]
     assert g.points_of_kind(EMBRYO) == []
-    assert g.points_of_kind(CORNER) == []
     assert g.edge_at_slot("h", "s0").id == "ea"
     assert g.edge_at_slot("h", "u1").id == "f1"
     with pytest.raises(GraphError):

@@ -2,18 +2,15 @@
 
 import pytest
 
-from charfol import CORNER, GraphError
 from charfol import zoo
 from charfol.moves import (
     MoveError,
-    bypass_hyperbolic,
     create_pair,
     eliminate_embryo,
     eliminate_pair,
     resolve_connection,
     resolve_embryo,
 )
-from charfol.taming import normalized_assignment
 from charfol.tightness import decide_tightness
 
 
@@ -125,21 +122,6 @@ def test_negative_embryo_moves_mirror_the_positive_ones():
     assert decide_tightness(res.graph).tight
     gone = eliminate_embryo(zoo.example("embryo_negative"), "B")
     assert gone.graph.is_isomorphic(zoo.trivial())
-
-
-# -------------------------------------------------------------------- bypass
-
-
-def test_bypass_leaves_a_corner_that_taming_refuses():
-    g = zoo.example("tight_one_saddle")
-    res = bypass_hyperbolic(g, "a", "h")
-    assert res.graph.validate() == []
-    corners = res.graph.points_of_kind(CORNER)
-    assert [p.id for p in corners] == ["h"]
-    with pytest.raises(GraphError, match="corner"):
-        normalized_assignment(res.graph, [])
-    with pytest.raises(GraphError, match="corner"):
-        decide_tightness(res.graph)
 
 
 # -------------------------------------------------------- saddle connections

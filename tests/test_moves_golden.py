@@ -16,7 +16,6 @@ from charfol import ELLIPTIC, EMBRYO, HYPERBOLIC, zoo
 from charfol.cli import emit
 from charfol.moves import (
     MoveError,
-    bypass_hyperbolic,
     create_pair,
     eliminate_embryo,
     eliminate_pair,
@@ -38,17 +37,10 @@ def _ids(g, kind):
 
 def _sites(move_kind, g):
     """(label, thunk) for every site of one move kind on one graph."""
-    if move_kind in ("eliminate_pair", "bypass_hyperbolic"):
-        keeps = (None,) if move_kind == "eliminate_pair" else ("u0", "u1")
+    if move_kind == "eliminate_pair":
         for e in _ids(g, ELLIPTIC):
             for h in _ids(g, HYPERBOLIC):
-                for keep in keeps:
-                    if keep is None:
-                        yield f"{e} {h}", lambda e=e, h=h: eliminate_pair(g, e, h)
-                    else:
-                        yield f"{e} {h} {keep}", lambda e=e, h=h, k=keep: bypass_hyperbolic(
-                            g, e, h, keep_unstable=k
-                        )
+                yield f"{e} {h}", lambda e=e, h=h: eliminate_pair(g, e, h)
     elif move_kind in ("eliminate_embryo", "resolve_embryo"):
         move = eliminate_embryo if move_kind == "eliminate_embryo" else resolve_embryo
         for b in _ids(g, EMBRYO):
@@ -82,7 +74,6 @@ def transcript(move_kind: str) -> str:
 
 GOLDEN = {
     "eliminate_pair": "4579928614eee622da16a867f2a1c5442fcfd0b0045a428b9ca146ca40a413da",
-    "bypass_hyperbolic": "cc44eaf87e7602a6ce03e2d4ac083ba9709dd1204bddabfb7578c6ca2a6a5cc0",
     "eliminate_embryo": "17724974d1a797663db3772aa26e92d6a63ec09a6a16c837bdcdea936d4184d7",
     "resolve_embryo": "3ab530875d78ffbf0c505347b164df926d99fa39a6d8f5970d4113c59b1c6213",
     "create_pair": "6f1ae2a9d7c6f6900ba5abd5a3927a0331fd0a43383767850d959091afcf16ae",

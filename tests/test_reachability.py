@@ -30,7 +30,6 @@ ENTRY_POINTS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfben
 TEST_REFERENCES = {
     "model.FoliationGraph.relabel": "the isomorphism tests relabel a graph and compare canonical forms",
     "model.FoliationGraph.from_data": "round-trips to_data, which the --json outputs print",
-    "moves.bypass_hyperbolic": "makes the corner remnants that taming and decide must refuse",
     "invariants.Region.component_count": "the Euler identity of a region is checked with it",
     "invariants.Region.euler_characteristic": "the Euler identity of a region is checked with it",
     "tightness.find_allowable": "acceptance check C4 reads the first allowable event",
