@@ -259,17 +259,7 @@ class FoliationGraph:
         system a permutation of the darts, and the face walk well defined.
         """
         if self._table is None:
-            darts = self.darts()
-            index = {d: i for i, d in enumerate(darts)}
-            sigma = [-1] * len(darts)
-            for seq in self.rotation.values():
-                ids = [index.get(d, -1) for d in seq]
-                for i, succ in zip(ids, ids[1:] + ids[:1]):
-                    if i < 0 or sigma[i] >= 0:
-                        raise GraphError("rotation system is not a permutation of darts")
-                    sigma[i] = succ
-            if -1 in sigma:
-                raise GraphError("rotation system is not a permutation of darts")
+            darts, index, sigma = self._rotation_permutation()
             out: list[bool] = []
             point: list[str] = []
             for e in self.edges.values():
@@ -278,6 +268,21 @@ class FoliationGraph:
                     point.append(ref.point)
             self._table = DartTable(darts, index, sigma, out, point)
         return self._table
+
+    def _rotation_permutation(self) -> tuple[list[Dart], dict[Dart, int], list[int]]:
+        """``(darts, index, sigma)`` of the dart table; raises as it does."""
+        darts = self.darts()
+        index = {d: i for i, d in enumerate(darts)}
+        sigma = [-1] * len(darts)
+        for seq in self.rotation.values():
+            ids = [index.get(d, -1) for d in seq]
+            for i, succ in zip(ids, ids[1:] + ids[:1]):
+                if i < 0 or sigma[i] >= 0:
+                    raise GraphError("rotation system is not a permutation of darts")
+                sigma[i] = succ
+        if -1 in sigma:
+            raise GraphError("rotation system is not a permutation of darts")
+        return darts, index, sigma
 
     def sigma(self, dart: Dart) -> Dart:
         """Rotation successor: next dart counterclockwise at the same point."""
@@ -358,111 +363,126 @@ class FoliationGraph:
         """Return a fresh list of violation messages; empty means valid.
 
         The checks run once per graph, which is never mutated, so validating
-        a graph again (``require_valid`` after a load) is a lookup.
+        a graph again (``require_valid`` after a load) is a lookup.  The face
+        rule counts source corners on the dart table; the faces are built
+        only to name a face that breaks it.
         """
         if self._problems is None:
             self._problems = tuple(self._check())
         return list(self._problems)
 
     def _check(self) -> list[str]:
+        points, edges, rotation = self.points, self.edges, self.rotation
         problems: list[str] = []
-        for pid, p in self.points.items():
+        for pid, p in points.items():
             if pid != p.id:
                 problems.append(f"point key {pid} != id {p.id}")
-        for eid, e in self.edges.items():
+        for eid, e in edges.items():
             if eid != e.id:
                 problems.append(f"edge key {eid} != id {e.id}")
             for ref in (e.src, e.dst):
-                if ref.point not in self.points:
+                if ref.point not in points:
                     problems.append(f"edge {eid}: unknown point {ref.point}")
         if problems:
             return problems
 
-        # end directions and slot discipline
-        for eid, e in self.edges.items():
+        # end directions and slot discipline; the point, slot and direction
+        # of every end are read once, in dart order (see DartTable)
+        free = (None, "zone")
+        point: list[str] = []
+        slot: list[str | None] = []
+        out: list[bool] = []
+        for eid, e in edges.items():
+            src, dst = e.src, e.dst
+            point += (src.point, dst.point)
+            slot += (src.slot, dst.slot)
             try:
-                d_src = end_direction(self.points[e.src.point], e.src.slot)
-                d_dst = end_direction(self.points[e.dst.point], e.dst.slot)
+                d_src = end_direction(points[src.point], src.slot)
+                d_dst = end_direction(points[dst.point], dst.slot)
             except GraphError as exc:
                 problems.append(f"edge {eid}: {exc}")
                 continue
+            out += (d_src == "out", d_dst == "out")
             if d_src != "out":
                 problems.append(f"edge {eid}: src end sits in an absorbing slot")
             if d_dst != "in":
                 problems.append(f"edge {eid}: dst end sits in an emitting slot")
-            free = {None, "zone"}
-            if e.marker and not (e.src.slot in free and e.dst.slot in free):
+            if e.marker and not (src.slot in free and dst.slot in free):
                 problems.append(f"edge {eid}: marker leaves may not occupy named slots")
-            if not e.marker and e.src.slot in free and e.dst.slot in free:
+            if not e.marker and src.slot in free and dst.slot in free:
                 problems.append(f"edge {eid}: slot-free edge must be a marker leaf")
 
         # named slots occupied exactly once, with the full complement present
         occupancy: dict[tuple[str, str], int] = {}
-        for e in self.edges.values():
-            for ref in (e.src, e.dst):
-                if ref.slot not in (None, "zone"):
-                    occupancy[(ref.point, ref.slot)] = occupancy.get((ref.point, ref.slot), 0) + 1
-        for (pid, slot), n in occupancy.items():
+        for key in zip(point, slot):
+            if key[1] not in free:
+                occupancy[key] = occupancy.get(key, 0) + 1
+        for (pid, s), n in occupancy.items():
             if n > 1:
-                problems.append(f"slot {pid}.{slot} occupied {n} times")
-        for pid, p in self.points.items():
+                problems.append(f"slot {pid}.{s} occupied {n} times")
+        for pid, p in points.items():
             if p.kind == HYPERBOLIC:
                 needed = set(HYPERBOLIC_SLOTS)
             elif p.kind == EMBRYO:
                 needed = {"in" if p.sign > 0 else "out", "b0", "b1"}
             else:
-                needed = set()
-            for slot in needed:
-                if (pid, slot) not in occupancy:
-                    problems.append(f"slot {pid}.{slot} is vacant")
+                continue
+            for s in needed:
+                if (pid, s) not in occupancy:
+                    problems.append(f"slot {pid}.{s} is vacant")
         if problems:
             return problems
 
         # rotation tuples are exactly the incident darts, each point nonempty
-        incident: dict[str, set[Dart]] = {pid: set() for pid in self.points}
-        for eid, e in self.edges.items():
+        incident: dict[str, set[Dart]] = {pid: set() for pid in points}
+        for eid, e in edges.items():
             incident[e.src.point].add((eid, "src"))
             incident[e.dst.point].add((eid, "tgt"))
-        for pid in self.points:
-            seq = self.rotation.get(pid)
+        for pid in points:
+            seq = rotation.get(pid)
             if seq is None:
                 problems.append(f"point {pid}: missing rotation")
                 continue
-            if len(set(seq)) != len(seq):
+            listed = set(seq)
+            if len(listed) != len(seq):
                 problems.append(f"point {pid}: repeated dart in rotation")
-            if set(seq) != incident[pid]:
+            if listed != incident[pid]:
                 problems.append(f"point {pid}: rotation does not list its incident ends")
             if not seq:
                 problems.append(f"point {pid}: isolated (no incident ends)")
-        for pid in self.rotation:
-            if pid not in self.points:
+        for pid in rotation:
+            if pid not in points:
                 problems.append(f"rotation for unknown point {pid}")
         if problems:
             return problems
 
-        # local cyclic patterns at saddle-type points
-        for pid, p in self.points.items():
-            seq = self.rotation[pid]
-            slots = [self.dart_slot(d) for d in seq]
+        # the checks above make the rotation system a permutation of the
+        # darts, so the dart table builds, with the directions read above
+        if self._table is None:
+            self._table = DartTable(*self._rotation_permutation(), out, point)
+        index, sigma = self._table.index, self._table.sigma
+
+        # local cyclic patterns at saddle-type points; an elliptic end with a
+        # slot has no direction, which the slot discipline above reports
+        for pid, p in points.items():
+            if p.kind == ELLIPTIC:
+                continue
+            seq = rotation[pid]
+            slots = [slot[index[d]] for d in seq]
             if p.kind == HYPERBOLIC:
                 if len(seq) != 4:
                     problems.append(f"hyperbolic {pid}: degree {len(seq)} != 4")
                     continue
-                rolled = [
-                    tuple(slots[(i + k) % 4] for k in range(4)) for i in range(4)
-                ]
-                if tuple(HYPERBOLIC_SLOTS) not in rolled:
+                # s0 is occupied and listed, by the checks above
+                i = slots.index("s0")
+                if tuple(slots[i:] + slots[:i]) != HYPERBOLIC_SLOTS:
                     problems.append(f"hyperbolic {pid}: rotation must read s0,u0,s1,u1")
-            elif p.kind == EMBRYO:
+            else:
                 anchor = "in" if p.sign > 0 else "out"
-                if anchor not in slots:
-                    problems.append(f"embryo {pid}: missing {anchor} end")
-                    continue
-                i = slots.index(anchor)
-                rolled = [slots[(i + k) % len(slots)] for k in range(len(slots))]
+                i = slots.index(anchor)  # occupied and listed, as s0 above
+                rolled = slots[i:] + slots[:i]
                 ok = (
                     len(rolled) >= 3
-                    and rolled[0] == anchor
                     and rolled[1] == "b0"
                     and rolled[-1] == "b1"
                     and all(s == "zone" for s in rolled[2:-1])
@@ -471,44 +491,59 @@ class FoliationGraph:
                     problems.append(
                         f"embryo {pid}: rotation must read {anchor},b0,zone...,b1"
                     )
-            else:
-                if any(s is not None for s in slots):
-                    problems.append(f"elliptic {pid}: ends must be slot-free")
         if problems:
             return problems
 
-        # connectivity; the rotation checks above make the rotation system a
-        # permutation of the darts, so the dart table builds
-        if self.points:
-            _, index, _, _, point = self.dart_table()
-            seen = {next(iter(sorted(self.points)))}
-            frontier = list(seen)
-            while frontier:
-                pid = frontier.pop()
-                for d in self.rotation[pid]:
-                    q = point[index[d] ^ 1]
-                    if q not in seen:
-                        seen.add(q)
-                        frontier.append(q)
-            if seen != set(self.points):
-                problems.append("graph is not connected")
-        if problems:
-            return problems
+        # connectivity: every dart is reached from dart 0 by theta and sigma
+        # (every point has a dart, by the rotation checks)
+        n = len(sigma)
+        if n:
+            reached = [False] * n
+            reached[0] = True
+            stack = [0]
+            while stack:
+                d = stack.pop()
+                for e in (d ^ 1, sigma[d]):
+                    if not reached[e]:
+                        reached[e] = True
+                        stack.append(e)
+            if not all(reached):
+                return ["graph is not connected"]
 
-        # sphere closure and flow-coherent faces
-        try:
-            faces = self.faces()
-        except GraphError as exc:
-            return [str(exc)]
-        euler = len(self.points) - len(self.edges) + len(faces)
+        # sphere closure and flow-coherent faces: walk every phi-orbit and
+        # count its source corners; the corner at dart d of a face walk is
+        # entered along d ^ 1 and left along phi(d) = sigma[d ^ 1].  Every
+        # edge runs from an out end to an in end, so the walk turns from
+        # against the flow to along it exactly at a source corner and back
+        # exactly at a sink corner: a face has as many sink corners as
+        # source corners.
+        seen = [False] * n
+        n_faces = 0
+        coherent = True
+        for start in range(n):
+            if seen[start]:
+                continue
+            n_faces += 1
+            sources = 0
+            d = start
+            while not seen[d]:
+                seen[d] = True
+                enter = d ^ 1
+                d = sigma[enter]
+                sources += out[enter] and out[d]
+            if sources != 1:
+                coherent = False
+        euler = len(points) - len(edges) + n_faces
         if euler != 2:
             problems.append(f"Euler count V-E+F = {euler} != 2 (not a sphere)")
-        for f in faces:
-            ns, nk = len(f.source_corners), len(f.sink_corners)
-            if (ns, nk) != (1, 1):
-                problems.append(
-                    f"face {f.index}: {ns} source / {nk} sink corners (need 1/1)"
-                )
+        if not coherent:
+            # name each bad face by its index among faces()
+            for f in self.faces():
+                ns, nk = len(f.source_corners), len(f.sink_corners)
+                if (ns, nk) != (1, 1):
+                    problems.append(
+                        f"face {f.index}: {ns} source / {nk} sink corners (need 1/1)"
+                    )
         return problems
 
     @property

@@ -333,11 +333,7 @@ def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveR
 
 def _reversed_face_index(g: FoliationGraph, g_rev: FoliationGraph, index: int) -> int:
     """Faces of the reversed graph are the theta-images of the original ones."""
-    target = {FoliationGraph.theta(d) for d in g.faces()[index].darts}
-    for f in g_rev.faces():
-        if set(f.darts) == target:
-            return f.index
-    raise GraphError("face correspondence under reversal failed")
+    return g_rev.dart_faces()[FoliationGraph.theta(g.faces()[index].darts[0])]
 
 
 def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult:
@@ -345,16 +341,19 @@ def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult
 
     The new saddle is fed by the face's source corner (for a positive pair)
     and drains to the face's sink; inverse of :func:`eliminate_pair`.
+    ``face_index`` counts from 0 in :meth:`FoliationGraph.faces` order and
+    ``sign`` is +1 or -1; anything else raises :class:`MoveError`.
     """
+    if sign not in (1, -1):
+        raise MoveError(f"pair sign must be +1 or -1, got {sign}")
     g.require_valid()
+    if not 0 <= face_index < len(g.faces()):
+        raise MoveError(f"no face with index {face_index}")
     if sign < 0:
         return _conjugated(
             g, lambda r: create_pair(r, _reversed_face_index(g, r, face_index), 1), sign=-1
         )
-    try:
-        face = g.faces()[face_index]
-    except IndexError:
-        raise MoveError(f"no face with index {face_index}") from None
+    face = g.faces()[face_index]
 
     s = _Surgeon(g)
     eps = s.fresh_point_id()

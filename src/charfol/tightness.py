@@ -17,7 +17,7 @@ can cross-check each other on enumerated universes
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .invariants import (
     MAX_POLYGON_FACES,
@@ -32,6 +32,7 @@ from .model import (
     ELLIPTIC,
     EMBRYO,
     HYPERBOLIC,
+    HYPERBOLIC_SLOTS,
     EndRef,
     FoliationGraph,
     GraphError,
@@ -637,44 +638,48 @@ def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
 def _assemble(
     signs: list[int], s_cycles: tuple, u_cycles: tuple
 ) -> FoliationGraph:
+    """The candidate of a source permutation's cycles and its sink cycles.
+
+    Saddle ``i``'s slots ``s0, u0, s1, u1`` hold leaves ``e{4i}`` to
+    ``e{4i + 3}``, so stable slot ``t`` holds leaf ``e{2t}`` and unstable
+    slot ``t`` leaf ``e{2t + 1}``; each leaf's elliptic end is read off the
+    cycle that holds its slot before the leaf is built.
+    """
     n = len(signs)
-    slot_names = ("s0", "u0", "s1", "u1")
     points = {}
-    edges = {}
     rotation = {}
     for i in range(n):
         hid = f"h{i}"
         points[hid] = SingularPoint(hid, HYPERBOLIC, signs[i])
-    for k in range(4 * n):
-        eid = f"e{k}"
-        hid = f"h{k // 4}"
-        slot = slot_names[k % 4]
-        if slot.startswith("s"):
-            edges[eid] = Separatrix(eid, EndRef("", None), EndRef(hid, slot))
-        else:
-            edges[eid] = Separatrix(eid, EndRef(hid, slot), EndRef("", None))
-    for i in range(n):
-        rotation[f"h{i}"] = tuple(
-            (f"e{4 * i + j}", "tgt" if j in (0, 2) else "src") for j in range(4)
+        rotation[hid] = (
+            (f"e{4 * i}", "tgt"),
+            (f"e{4 * i + 1}", "src"),
+            (f"e{4 * i + 2}", "tgt"),
+            (f"e{4 * i + 3}", "src"),
         )
+    far: list[EndRef | None] = [None] * (4 * n)  # the elliptic end of leaf e{k}
     for ci, cyc in enumerate(s_cycles):
         pid = f"p{ci}"
         points[pid] = SingularPoint(pid, ELLIPTIC, 1)
-        darts = []
+        ref = EndRef(pid, None)
         for t in cyc:
-            eid = f"e{4 * (t >> 1) + 2 * (t & 1)}"
-            edges[eid] = replace(edges[eid], src=EndRef(pid, None))
-            darts.append((eid, "src"))
-        rotation[pid] = tuple(darts)
+            far[2 * t] = ref
+        rotation[pid] = tuple((f"e{2 * t}", "src") for t in cyc)
     for ci, cyc in enumerate(u_cycles):
         zid = f"z{ci}"
         points[zid] = SingularPoint(zid, ELLIPTIC, -1)
-        darts = []
+        ref = EndRef(zid, None)
         for t in cyc:
-            eid = f"e{4 * (t >> 1) + 2 * (t & 1) + 1}"
-            edges[eid] = replace(edges[eid], dst=EndRef(zid, None))
-            darts.append((eid, "tgt"))
-        rotation[zid] = tuple(darts)
+            far[2 * t + 1] = ref
+        rotation[zid] = tuple((f"e{2 * t + 1}", "tgt") for t in cyc)
+    edges = {}
+    for k in range(4 * n):
+        eid = f"e{k}"
+        saddle_end = EndRef(f"h{k >> 2}", HYPERBOLIC_SLOTS[k & 3])
+        if k & 1:
+            edges[eid] = Separatrix(eid, saddle_end, far[k])
+        else:
+            edges[eid] = Separatrix(eid, far[k], saddle_end)
     return FoliationGraph(points, edges, rotation)
 
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from charfol import zoo
+from charfol import FoliationGraph, zoo
 from charfol.moves import (
     MoveError,
+    _reversed_face_index,
     create_pair,
     eliminate_embryo,
     eliminate_pair,
@@ -74,6 +75,36 @@ def test_create_pair_negative():
 def test_create_pair_needs_a_real_face():
     with pytest.raises(MoveError, match="no face with index"):
         create_pair(zoo.trivial(), 5)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("face_index", [-1, -2, 2, 5])
+def test_create_pair_rejects_a_face_index_out_of_range(face_index, sign):
+    g = zoo.example("tight_one_saddle")  # faces 0 and 1
+    with pytest.raises(MoveError, match=f"^no face with index {face_index}$"):
+        create_pair(g, face_index, sign)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_create_pair_rejects_a_sign_other_than_one(sign):
+    with pytest.raises(MoveError, match=f"^pair sign must be \\+1 or -1, got {sign}$"):
+        create_pair(zoo.trivial(), 0, sign)
+
+
+def _reversed_face_index_by_scan(g, g_rev, index):
+    """The face of ``g_rev`` whose darts are the theta-images of face ``index``."""
+    target = {FoliationGraph.theta(d) for d in g.faces()[index].darts}
+    (match,) = [f.index for f in g_rev.faces() if set(f.darts) == target]
+    return match
+
+
+def test_reversed_face_index_matches_the_dart_set_scan(walked_spheres):
+    graphs = [zoo.example(name) for name in sorted(zoo.ZOO)] + [g for _, g in walked_spheres]
+    for g in graphs:
+        rev = g.reverse()
+        for f in g.faces():
+            expected = _reversed_face_index_by_scan(g, rev, f.index)
+            assert _reversed_face_index(g, rev, f.index) == expected
 
 
 def test_create_pair_preserves_tightness_verdict():
