@@ -2,7 +2,8 @@
 """Tabulate the instance universe by saddle signature.
 
 For each (positive, negative) saddle count up to the bound, print how many
-isomorphism classes exist and how many decide tight.  With ``--dump DIR``
+isomorphism classes exist, how many decide tight, and on how many the
+decision procedure and the exhaustive oracle agree.  With ``--dump DIR``
 every instance is also written as a document, named by signature and index.
 
     python3 scripts/enumerate_universe.py --max-saddles 3
@@ -17,7 +18,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from charfol.cli import emit
-from charfol.tightness import decide_tightness, universe_cached
+from charfol.tightness import decide_tightness, oracle_tightness, universe_cached
 
 
 def main() -> int:
@@ -35,20 +36,22 @@ def main() -> int:
         dump_dir = pathlib.Path(args.dump)
         dump_dir.mkdir(parents=True, exist_ok=True)
 
-    print(f"{'signature':>10}  {'classes':>7}  {'tight':>5}")
-    total = total_tight = 0
+    print(f"{'signature':>10}  {'classes':>7}  {'tight':>5}  {'agree':>5}")
+    total = total_tight = total_agree = 0
     for sig, graphs in sorted(by_sig.items()):
-        tight = 0
+        tight = agree = 0
         for i, g in enumerate(graphs):
             cert = decide_tightness(g)
             tight += cert.tight
+            agree += cert.tight == oracle_tightness(g)["tight"]
             if dump_dir is not None:
                 name = f"h{sig[0]}p{sig[1]}n_{i:03d}_{cert.verdict}.fol"
                 (dump_dir / name).write_text(emit(g))
-        print(f"{str(sig):>10}  {len(graphs):>7}  {tight:>5}")
+        print(f"{str(sig):>10}  {len(graphs):>7}  {tight:>5}  {agree:>5}")
         total += len(graphs)
         total_tight += tight
-    print(f"{'total':>10}  {total:>7}  {total_tight:>5}")
+        total_agree += agree
+    print(f"{'total':>10}  {total:>7}  {total_tight:>5}  {total_agree:>5}")
     print(f"built in {built:.1f}s")
     return 0
 

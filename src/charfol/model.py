@@ -421,10 +421,11 @@ class FoliationGraph:
             if n > 1:
                 problems.append(f"slot {pid}.{s} occupied {n} times")
         for pid, p in points.items():
+            # tuples, not sets, so the messages come in one order under every hash seed
             if p.kind == HYPERBOLIC:
-                needed = set(HYPERBOLIC_SLOTS)
+                needed = HYPERBOLIC_SLOTS
             elif p.kind == EMBRYO:
-                needed = {"in" if p.sign > 0 else "out", "b0", "b1"}
+                needed = ("in" if p.sign > 0 else "out", "b0", "b1")
             else:
                 continue
             for s in needed:

@@ -351,7 +351,10 @@ def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult
         raise MoveError(f"no face with index {face_index}")
     if sign < 0:
         return _conjugated(
-            g, lambda r: create_pair(r, _reversed_face_index(g, r, face_index), 1), sign=-1
+            g,
+            lambda r: create_pair(r, _reversed_face_index(g, r, face_index), 1),
+            face=face_index,
+            sign=-1,
         )
     face = g.faces()[face_index]
 

@@ -6,8 +6,9 @@ Two independent routes are provided:
   bottom events (joins, splits, embryo deaths) to synthesize a simple taming
   order, verifying the result on the original graph; failures produce an
   overtwistedness certificate (surplus mismatch or same-sign polygon).
-* :func:`oracle_tightness` — brute force: tries every strict ordering of the
-  saddle values and keeps any that tames simply.
+* :func:`oracle_tightness` — exhaustive: searches the strict orderings of
+  the saddle values, as sets of saddles below each one, for the first that
+  tames simply.
 
 They share only the assignment checkers, never the search strategy, so they
 can cross-check each other on enumerated universes
@@ -17,6 +18,7 @@ can cross-check each other on enumerated universes
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .invariants import (
@@ -48,7 +50,7 @@ from .moves import (
     resolve_connection,
     resolve_embryo,
 )
-from .taming import normalized_assignment, simplicity_check
+from .taming import normalized_assignment, simplicity_check, stable_circles
 
 
 class DecisionError(GraphError):
@@ -415,12 +417,27 @@ MAX_ORACLE_POINTS = 12
 
 
 def oracle_tightness(g: FoliationGraph) -> dict:
-    """Exhaustive search over strict orderings of saddle and embryo values.
+    """Exhaustive search for a simple taming order of saddle and embryo values.
 
-    Independent of the synthesis route: tries every permutation and keeps
-    the first whose normalized assignment is Lyapunov, taming and simple.
-    Precondition: no saddle connections (resolve first) and at most
-    :data:`MAX_ORACLE_POINTS` singular points (the search is factorial).
+    Independent of the synthesis route.  On a connection-free graph every
+    leaf runs from a positive elliptic point (value 0) or to a negative one
+    (value 1), so every strict order is Lyapunov, and the normalized
+    assignment puts each saddle alone at its level, so a join level's forest
+    check always holds.  An order therefore tames simply exactly when each
+    saddle, read by :func:`stable_circles` over the region of the positive
+    sources and the points before it, joins if positive and splits if
+    negative.  That reading depends only on the *set* below the saddle, so
+    the search runs depth first over order prefixes in sorted-id order and
+    remembers the sets with no completion (Held and Karp's subset
+    recursion): at most ``n * 2**(n - 1)`` one-saddle readings for ``n``
+    saddle-type points, where a loop over the permutations makes ``n!``
+    full checks.
+
+    Returns the lexicographically first order that passes, with the
+    assignment :func:`verify_taming_order` gives it, and ``orders_tried``:
+    the order's lexicographic rank plus one, or ``n!`` when none passes, the
+    count that loop would have made.  Precondition: no saddle connections
+    (resolve first) and at most :data:`MAX_ORACLE_POINTS` singular points.
     """
     g.require_valid()
     if g.homoclinic_edges():
@@ -430,21 +447,55 @@ def oracle_tightness(g: FoliationGraph) -> dict:
             f"instance has {len(g.points)} singular points, "
             f"oracle bound is {MAX_ORACLE_POINTS}"
         )
-    ids = sorted(
-        p.id for p in g.points.values() if p.kind in (HYPERBOLIC, EMBRYO)
+    ids = sorted(p.id for p in g.saddle_points())
+    sources = frozenset(
+        p.id for p in g.points.values() if p.kind == ELLIPTIC and p.sign > 0
     )
-    tried = 0
-    for perm in itertools.permutations(ids):
-        tried += 1
-        assignment = verify_taming_order(g, perm)
-        if assignment is not None:
-            return {
-                "tight": True,
-                "order": list(perm),
-                "assignment": assignment,
-                "orders_tried": tried,
-            }
-    return {"tight": False, "order": None, "assignment": None, "orders_tried": tried}
+    order: list[str] = []
+    dead: set[frozenset[str]] = set()
+
+    def complete(below: frozenset[str]) -> bool:
+        """Extend ``order``, whose points are ``below``, to a full order."""
+        if len(order) == len(ids):
+            return True
+        if below in dead:
+            return False
+        region = Region.of(g, sources | below)
+        for pid in ids:
+            if pid in below:
+                continue
+            p = g.points[pid]
+            if p.kind == HYPERBOLIC:
+                c0, c1 = stable_circles(region, pid)
+                if (c0 != c1) != (p.sign > 0):
+                    continue
+            order.append(pid)
+            if complete(below | {pid}):
+                return True
+            order.pop()
+        dead.add(below)
+        return False
+
+    if not complete(frozenset()):
+        return {
+            "tight": False,
+            "order": None,
+            "assignment": None,
+            "orders_tried": math.factorial(len(ids)),
+        }
+    assignment = verify_taming_order(g, tuple(order))
+    if assignment is None:
+        raise InternalCheckError("the oracle's order fails verify_taming_order")
+    rank, rest = 0, list(ids)
+    for pid in order:
+        rank += rest.index(pid) * math.factorial(len(rest) - 1)
+        rest.remove(pid)
+    return {
+        "tight": True,
+        "order": order,
+        "assignment": assignment,
+        "orders_tried": rank + 1,
+    }
 
 
 # -------------------------------------------------------------- enumeration

@@ -3,6 +3,7 @@
 import pytest
 
 from charfol import FoliationGraph, zoo
+from charfol.cli import emit
 from charfol.moves import (
     MoveError,
     _reversed_face_index,
@@ -105,6 +106,17 @@ def test_reversed_face_index_matches_the_dart_set_scan(walked_spheres):
         for f in g.faces():
             expected = _reversed_face_index_by_scan(g, rev, f.index)
             assert _reversed_face_index(g, rev, f.index) == expected
+
+
+def test_create_pair_records_the_callers_face_for_both_signs(zoo_graph):
+    rev = zoo_graph.reverse()
+    for f in zoo_graph.faces():
+        for sign in (1, -1):
+            details = create_pair(zoo_graph, f.index, sign).record.details
+            assert (details["face"], details["sign"]) == (f.index, sign)
+        # the negative planting is the positive one on the reversal, reversed back
+        by_hand = create_pair(rev, _reversed_face_index_by_scan(zoo_graph, rev, f.index), 1)
+        assert emit(create_pair(zoo_graph, f.index, -1).graph) == emit(by_hand.graph.reverse())
 
 
 def test_create_pair_preserves_tightness_verdict():

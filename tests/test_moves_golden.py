@@ -76,7 +76,7 @@ GOLDEN = {
     "eliminate_pair": "4579928614eee622da16a867f2a1c5442fcfd0b0045a428b9ca146ca40a413da",
     "eliminate_embryo": "17724974d1a797663db3772aa26e92d6a63ec09a6a16c837bdcdea936d4184d7",
     "resolve_embryo": "3ab530875d78ffbf0c505347b164df926d99fa39a6d8f5970d4113c59b1c6213",
-    "create_pair": "6f1ae2a9d7c6f6900ba5abd5a3927a0331fd0a43383767850d959091afcf16ae",
+    "create_pair": "86c519c656e8e37dfc1dfb5f84658c6818ce6e09e564e61f6423efde26708b04",
     "resolve_connection": "65e29bde72a3e9f4f8df7768adbfd4bab5efb3c0817e1f6cabe21dd9260bc27f",
 }
 

@@ -10,13 +10,18 @@ corruptions of them (each adjacent transposition in each rotation, each
 sign flipped, each marker flag flipped, each edge dropped).
 """
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
 from charfol import FoliationGraph, GraphError, SingularPoint, zoo
 from charfol import tightness
+from charfol.cli import emit
 from charfol.model import EMBRYO, HYPERBOLIC, HYPERBOLIC_SLOTS, Dart, end_direction
 
 
@@ -65,11 +70,11 @@ def reference_check(self: FoliationGraph) -> list[str]:
             problems.append(f"slot {pid}.{slot} occupied {n} times")
     for pid, p in self.points.items():
         if p.kind == HYPERBOLIC:
-            needed = set(HYPERBOLIC_SLOTS)
+            needed = HYPERBOLIC_SLOTS
         elif p.kind == EMBRYO:
-            needed = {"in" if p.sign > 0 else "out", "b0", "b1"}
+            needed = ("in" if p.sign > 0 else "out", "b0", "b1")
         else:
-            needed = set()
+            needed = ()
         for slot in needed:
             if (pid, slot) not in occupancy:
                 problems.append(f"slot {pid}.{slot} is vacant")
@@ -291,3 +296,21 @@ def test_a_bad_face_is_named_by_its_index_among_faces():
     ]
     faces = bad.faces()
     assert [(len(f.source_corners), len(f.sink_corners)) for f in faces] == [(1, 1), (3, 3)]
+
+
+def test_vacant_slots_are_reported_in_one_order_under_every_hash_seed(tmp_path):
+    # the one-saddle sphere with the saddle's two stable leaves dropped
+    lines = emit(zoo.example("tight_one_saddle")).splitlines()
+    doc = tmp_path / "vacant.fol"
+    doc.write_text("\n".join(l for l in lines if not l.startswith(("sep ea ", "sep eb "))) + "\n")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "charfol.cli", "validate", "-i", str(doc)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == (2, "invalid\n  slot h.s0 is vacant\n  slot h.s1 is vacant\n", "")
+    assert runs[1] == runs[0] and runs[2] == runs[0]
