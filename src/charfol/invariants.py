@@ -15,6 +15,7 @@ Three layers live here:
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -91,12 +92,14 @@ class Region:
     The graph is never mutated after construction, so a region computes its
     components, boundary circles and edge-to-circle map once, on first use.
     :meth:`of` hands out one region per (graph, point set), cached on the
-    graph: every query about one sublevel set shares those traces, and the
-    cache goes away with the graph.
+    graph: every query about one sublevel set shares those traces.  A region
+    holds its graph by a weak reference, so the cache makes no reference
+    cycle and goes away with the graph as soon as the last reference to the
+    graph is dropped.  Whoever keeps a region must keep its graph too.
     """
 
     def __init__(self, graph: FoliationGraph, inside: Iterable[str]) -> None:
-        self.graph = graph
+        self._graph = weakref.ref(graph)
         self.inside = frozenset(inside)
         unknown = self.inside - set(graph.points)
         if unknown:
@@ -113,6 +116,10 @@ class Region:
         if region is None:
             region = graph._regions[key] = cls(graph, key)
         return region
+
+    @property
+    def graph(self) -> FoliationGraph:
+        return self._graph()
 
     # membership helpers -----------------------------------------------------
 
@@ -149,9 +156,10 @@ class Region:
         """
         g = self.graph
         problems = [f"edge {eid} points into the region" for eid in self._edge_kinds["inward"]]
-        faces, face_of = g.faces(), g.dart_faces()
-        for i in sorted({face_of[d] for pid in self.inside for d in g.rotation[pid]}):
-            if faces[i].source_point not in self.inside:
+        _, index, _, _, point = g.dart_table()
+        face, _, source, _ = g.face_table()
+        for i in sorted({face[index[d]] for pid in self.inside for d in g.rotation[pid]}):
+            if point[source[i]] not in self.inside:
                 problems.append(
                     f"face {i} touches the region but its source corner is outside"
                 )
@@ -204,8 +212,8 @@ class Region:
         if bad:
             raise GraphError("; ".join(bad))
         g = self.graph
-        face_of = g.dart_faces()
         darts, index, sigma, _, _ = g.dart_table()
+        face = g.face_table().face
         cut = self.cut_edges()
         # the src dart 2k of each cut edge k
         cut_src = {index[(c, "src")] for c in cut}
@@ -218,10 +226,11 @@ class Region:
             c = start
             while True:
                 circle_of_edge[c] = len(circles)
-                d = sigma[index[(c, "src")]]
+                src = index[(c, "src")]
+                d = sigma[src]
                 while d not in cut_src:
                     d = sigma[d ^ 1]
-                items += [("f", face_of[(c, "tgt")]), ("x", darts[d][0])]
+                items += [("f", face[src ^ 1]), ("x", darts[d][0])]
                 c = darts[d][0]
                 if c == start:
                     break

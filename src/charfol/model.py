@@ -167,11 +167,6 @@ class Face:
     source_corners: tuple[Corner, ...] = field(repr=False, compare=False)
     sink_corners: tuple[Corner, ...] = field(repr=False, compare=False)
 
-    @property
-    def source_point(self) -> str:
-        (c,) = self.source_corners
-        return c.point
-
 
 class DartTable(NamedTuple):
     """The darts of a graph as integers.
@@ -186,6 +181,24 @@ class DartTable(NamedTuple):
     sigma: list[int]  # rotation successor
     out: list[bool]  # the flow leaves the point along this end
     point: list[str]
+
+
+class FaceTable(NamedTuple):
+    """The faces of a graph over its integer darts.
+
+    Faces are numbered as :meth:`FoliationGraph.faces` numbers them, by
+    their least tuple dart.  ``face[d]`` is the face of dart ``d`` and
+    ``orbits[f]`` lists face ``f``'s darts in walk order from its least one.
+    The corner at dart ``d`` of a walk is entered along ``d ^ 1``, so a
+    corner is named by that enter dart: ``source[f]`` and ``sink[f]`` are
+    the enter darts of face ``f``'s source and sink corners, or ``-1`` when
+    the face does not have exactly one, which a valid graph rules out.
+    """
+
+    face: list[int]
+    orbits: list[list[int]]
+    source: list[int]
+    sink: list[int]
 
 
 class FoliationGraph:
@@ -213,6 +226,7 @@ class FoliationGraph:
         }
         # lazily built caches; the graph is never mutated after construction
         self._faces: tuple[Face, ...] | None = None
+        self._face_table: FaceTable | None = None
         self._problems: tuple[str, ...] | None = None
         self._dart_face: dict[Dart, int] | None = None
         self._canon: str | None = None
@@ -296,66 +310,72 @@ class FoliationGraph:
 
     # ----------------------------------------------------------------- faces
 
-    def faces(self) -> tuple[Face, ...]:
-        if self._faces is None:
-            self._faces = self._trace_faces()
-        return self._faces
+    def face_table(self) -> FaceTable:
+        """The integer face table, built by one face walk on first use.
 
-    def _trace_faces(self) -> tuple[Face, ...]:
-        darts, _, sigma, out, point = self.dart_table()
-        seen = [False] * len(darts)
-        faces: list[Face] = []
-        for start in sorted(range(len(darts)), key=darts.__getitem__):
-            if seen[start]:
-                continue
-            # phi is a permutation (the table checks sigma), so the walk
-            # meets no seen dart before it closes at start
-            orbit: list[int] = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                orbit.append(d)
-                d = sigma[d ^ 1]
-            corners: list[Corner] = []
-            sources: list[Corner] = []
-            sinks: list[Corner] = []
-            for d, leave in zip(orbit, orbit[1:] + orbit[:1]):
-                enter = d ^ 1
-                if out[enter] and out[leave]:
-                    c = Corner(point[enter], darts[enter], darts[leave], "source")
-                    sources.append(c)
-                elif out[enter] or out[leave]:
-                    c = Corner(point[enter], darts[enter], darts[leave], "through")
-                else:
-                    c = Corner(point[enter], darts[enter], darts[leave], "sink")
-                    sinks.append(c)
-                corners.append(c)
-            faces.append(
-                Face(
-                    len(faces),
-                    tuple(darts[d] for d in orbit),
-                    tuple(corners),
-                    tuple(sources),
-                    tuple(sinks),
+        Raises :class:`GraphError` where :meth:`dart_table` does.
+        """
+        if self._face_table is None:
+            darts, _, sigma, out, _ = self.dart_table()
+            face = [-1] * len(darts)
+            orbits: list[list[int]] = []
+            source: list[int] = []
+            sink: list[int] = []
+            for start in sorted(range(len(darts)), key=darts.__getitem__):
+                if face[start] >= 0:
+                    continue
+                # phi is a permutation (the table checks sigma), so the walk
+                # meets no seen dart before it closes at start
+                f = len(orbits)
+                orbit: list[int] = []
+                sources: list[int] = []
+                sinks: list[int] = []
+                d = start
+                while face[d] < 0:
+                    face[d] = f
+                    orbit.append(d)
+                    enter = d ^ 1
+                    d = sigma[enter]
+                    if out[enter] == out[d]:
+                        (sources if out[d] else sinks).append(enter)
+                orbits.append(orbit)
+                source.append(sources[0] if len(sources) == 1 else -1)
+                sink.append(sinks[0] if len(sinks) == 1 else -1)
+            self._face_table = FaceTable(face, orbits, source, sink)
+        return self._face_table
+
+    def faces(self) -> tuple[Face, ...]:
+        """The faces as objects, built from the face table's walks; the
+        library reads the table itself and builds these only for output and
+        for polygons."""
+        if self._faces is None:
+            darts, _, sigma, out, point = self.dart_table()
+            flavors = {(True, True): "source", (False, False): "sink"}
+            faces: list[Face] = []
+            for orbit in self.face_table().orbits:
+                corners: list[Corner] = []
+                for d in orbit:
+                    enter = d ^ 1
+                    leave = sigma[enter]
+                    flavor = flavors.get((out[enter], out[leave]), "through")
+                    corners.append(Corner(point[enter], darts[enter], darts[leave], flavor))
+                faces.append(
+                    Face(
+                        len(faces),
+                        tuple(darts[d] for d in orbit),
+                        tuple(corners),
+                        tuple(c for c in corners if c.flavor == "source"),
+                        tuple(c for c in corners if c.flavor == "sink"),
+                    )
                 )
-            )
-        return tuple(faces)
+            self._faces = tuple(faces)
+        return self._faces
 
     def dart_faces(self) -> dict[Dart, int]:
         """Map every dart to the index of the face whose walk holds it."""
         if self._dart_face is None:
-            self._dart_face = {d: f.index for f in self.faces() for d in f.darts}
+            self._dart_face = dict(zip(self.dart_table().darts, self.face_table().face))
         return self._dart_face
-
-    def face_of_dart(self, dart: Dart) -> Face:
-        try:
-            return self.faces()[self.dart_faces()[dart]]
-        except KeyError:
-            raise GraphError(f"dart {dart} not on any face") from None
-
-    def face_at_corner(self, enter: Dart) -> Face:
-        """The face whose walk arrives at ``enter`` (i.e. contains theta(enter))."""
-        return self.face_of_dart(self.theta(enter))
 
     # ------------------------------------------------------------ validation
 
@@ -364,8 +384,8 @@ class FoliationGraph:
 
         The checks run once per graph, which is never mutated, so validating
         a graph again (``require_valid`` after a load) is a lookup.  The face
-        rule counts source corners on the dart table; the faces are built
-        only to name a face that breaks it.
+        rule reads the face table; the faces are built only to name a face
+        that breaks it.
         """
         if self._problems is None:
             self._problems = tuple(self._check())
@@ -511,33 +531,16 @@ class FoliationGraph:
             if not all(reached):
                 return ["graph is not connected"]
 
-        # sphere closure and flow-coherent faces: walk every phi-orbit and
-        # count its source corners; the corner at dart d of a face walk is
-        # entered along d ^ 1 and left along phi(d) = sigma[d ^ 1].  Every
-        # edge runs from an out end to an in end, so the walk turns from
+        # sphere closure and flow-coherent faces, on the face table.  Every
+        # edge runs from an out end to an in end, so a face walk turns from
         # against the flow to along it exactly at a source corner and back
         # exactly at a sink corner: a face has as many sink corners as
-        # source corners.
-        seen = [False] * n
-        n_faces = 0
-        coherent = True
-        for start in range(n):
-            if seen[start]:
-                continue
-            n_faces += 1
-            sources = 0
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                enter = d ^ 1
-                d = sigma[enter]
-                sources += out[enter] and out[d]
-            if sources != 1:
-                coherent = False
-        euler = len(points) - len(edges) + n_faces
+        # source corners, and it is a flow box when it has one source corner.
+        source = self.face_table().source
+        euler = len(points) - len(edges) + len(source)
         if euler != 2:
             problems.append(f"Euler count V-E+F = {euler} != 2 (not a sphere)")
-        if not coherent:
+        if -1 in source:
             # name each bad face by its index among faces()
             for f in self.faces():
                 ns, nk = len(f.source_corners), len(f.sink_corners)

@@ -28,7 +28,6 @@ from .model import (
     HYPERBOLIC_SLOTS,
     Dart,
     EndRef,
-    Face,
     FoliationGraph,
     GraphError,
     Separatrix,
@@ -152,13 +151,19 @@ def _slot_before(slot: str) -> str:
     return HYPERBOLIC_SLOTS[(i - 1) % 4]
 
 
-def _insertion(g: FoliationGraph, face: Face, flavor: str) -> tuple[EndRef, Dart]:
-    """(end reference, rotation anchor) for attaching a new leaf at a face's
-    ``"sink"`` or ``"source"`` corner."""
-    (corner,) = face.sink_corners if flavor == "sink" else face.source_corners
-    p = g.points[corner.point]
-    slot = None if p.kind == ELLIPTIC else "zone"
-    return EndRef(corner.point, slot), corner.enter
+def _face_of(g: FoliationGraph, dart: Dart) -> int:
+    """The index of the face whose walk holds ``dart``."""
+    return g.face_table().face[g.dart_table().index[dart]]
+
+
+def _insertion(g: FoliationGraph, face: int, flavor: str) -> tuple[EndRef, Dart]:
+    """(end reference, rotation anchor) for attaching a new leaf at the
+    ``"sink"`` or ``"source"`` corner of the face with index ``face``."""
+    table = g.face_table()
+    enter = (table.sink if flavor == "sink" else table.source)[face]
+    darts, _, _, _, point = g.dart_table()
+    slot = None if g.points[point[enter]].kind == ELLIPTIC else "zone"
+    return EndRef(point[enter], slot), darts[enter]
 
 
 def _conjugated(g: FoliationGraph, move, **details) -> MoveResult:
@@ -291,7 +296,7 @@ def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveR
 
     # canonical re-route target: sink of the face flanking the dead connection
     # on its rotation-successor side
-    target_face = g.face_at_corner((site.gamma.id, "tgt"))
+    target_face = _face_of(g, (site.gamma.id, "src"))
     kappa_ref, kappa_anchor = _insertion(g, target_face, "sink")
     if kappa_ref.point in (elliptic_id, saddle_id):
         raise MoveError("re-route target dies with the pair")
@@ -333,7 +338,8 @@ def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveR
 
 def _reversed_face_index(g: FoliationGraph, g_rev: FoliationGraph, index: int) -> int:
     """Faces of the reversed graph are the theta-images of the original ones."""
-    return g_rev.dart_faces()[FoliationGraph.theta(g.faces()[index].darts[0])]
+    first = g.dart_table().darts[g.face_table().orbits[index][0]]
+    return _face_of(g_rev, FoliationGraph.theta(first))
 
 
 def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult:
@@ -347,7 +353,7 @@ def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult
     if sign not in (1, -1):
         raise MoveError(f"pair sign must be +1 or -1, got {sign}")
     g.require_valid()
-    if not 0 <= face_index < len(g.faces()):
+    if not 0 <= face_index < len(g.face_table().orbits):
         raise MoveError(f"no face with index {face_index}")
     if sign < 0:
         return _conjugated(
@@ -356,8 +362,6 @@ def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult
             face=face_index,
             sign=-1,
         )
-    face = g.faces()[face_index]
-
     s = _Surgeon(g)
     eps = s.fresh_point_id()
     chi = s.fresh_point_id("w" if eps[0] == "v" else "v")
@@ -366,8 +370,8 @@ def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult
     s.rotation[eps] = []
     s.rotation[chi] = []
 
-    src_ref, src_anchor = _insertion(g, face, "source")
-    snk_ref, snk_anchor = _insertion(g, face, "sink")
+    src_ref, src_anchor = _insertion(g, face_index, "source")
+    snk_ref, snk_anchor = _insertion(g, face_index, "sink")
 
     o_id = s.fresh_edge_id("o")
     s.edges[o_id] = Separatrix(o_id, src_ref, EndRef(chi, "s0"))
@@ -456,7 +460,7 @@ def eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
 
     w_ref = e_in.src
     # the face at the first parabolic corner supplies the drain for strays
-    par_face = g.face_at_corner((b0e.id, "src"))
+    par_face = _face_of(g, (b0e.id, "tgt"))
     kappa_ref, kappa_anchor = _insertion(g, par_face, "sink")
     if kappa_ref.point == embryo_id:
         raise MoveError("parabolic drain dies with the embryo")
@@ -522,8 +526,8 @@ def resolve_connection(g: FoliationGraph, edge_id: str, side: str = "right") -> 
     e = g.edges[edge_id]
     if e.dst.slot in (None, "zone"):
         raise MoveError("connection is already generic at its target")
-    face_bend = g.face_of_dart((edge_id, "tgt" if side == "left" else "src"))
-    face_feed = g.face_of_dart((edge_id, "src" if side == "left" else "tgt"))
+    face_bend = _face_of(g, (edge_id, "tgt" if side == "left" else "src"))
+    face_feed = _face_of(g, (edge_id, "src" if side == "left" else "tgt"))
     src_ref, src_anchor = _insertion(g, face_feed, "source")
     snk_ref, snk_anchor = _insertion(g, face_bend, "sink")
     if g.points[src_ref.point].kind != ELLIPTIC:

@@ -136,30 +136,31 @@ def _forest_ok(nodes: Iterable, links: Iterable[tuple]) -> bool:
 @dataclass(frozen=True)
 class LevelReport:
     """The saddles at one critical level and the region just below it.  The
-    forest readings of the joins are computed on first use."""
+    forest readings of the joins are computed on first use, from the two
+    circles each join's stable separatrices cross (``links``, in ``joins``
+    order).  The report holds the graph, which the region only refers to."""
 
     value: Fraction
     joins: tuple[str, ...]
     splits: tuple[str, ...]
     region: Region = field(repr=False, compare=False)
-
-    def _links(self) -> list[tuple[int, int]]:
-        return [stable_circles(self.region, hid) for hid in self.joins]
+    graph: FoliationGraph = field(repr=False, compare=False)
+    links: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
 
     @cached_property
     def circle_forest(self) -> bool:
-        return _forest_ok(range(len(self.region.boundary_circles())), self._links())
+        return _forest_ok(range(len(self.region.boundary_circles())), self.links)
 
     @cached_property
     def component_forest(self) -> bool:
         # refined reading: collapse circles to the component they bound
-        g = self.region.graph
+        g = self.graph
         comp = self.region.components()
         comp_of_circle = [
             comp[g.edges[circle.crossed_edges()[0]].src.point]
             for circle in self.region.boundary_circles()
         ]
-        comp_links = [(comp_of_circle[u], comp_of_circle[v]) for u, v in self._links()]
+        comp_links = [(comp_of_circle[u], comp_of_circle[v]) for u, v in self.links]
         return _forest_ok(set(comp_of_circle), comp_links)
 
 
@@ -194,17 +195,23 @@ def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
         return SimplicityReport(violations, (), ())
     reports, mismatched = [], []
     for v, region, at in levels(g, a):
-        joins, splits = [], []
+        joins, splits, links = [], [], []
         for hid in at:
             if g.points[hid].kind != HYPERBOLIC:
                 continue
             c0, c1 = stable_circles(region, hid)
             joined = c0 != c1
-            (joins if joined else splits).append(hid)
+            if joined:
+                joins.append(hid)
+                links.append((c0, c1))
+            else:
+                splits.append(hid)
             if joined != (g.points[hid].sign > 0):
                 mismatched.append(hid)
         if joins or splits:
-            reports.append(LevelReport(v, tuple(joins), tuple(splits), region))
+            reports.append(
+                LevelReport(v, tuple(joins), tuple(splits), region, g, tuple(links))
+            )
     return SimplicityReport((), tuple(reports), tuple(sorted(mismatched)))
 
 

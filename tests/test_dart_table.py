@@ -5,8 +5,8 @@ table: each dart's rotation successor from its position in its rotation
 tuple, faces traced by ``phi`` over tuple darts in sorted order with each
 corner classified by the directions of its two darts, and the canonical
 code numbered from a dart index and successor array of its own.  Faces,
-``sigma``/``phi``, ``dart_faces`` and ``canonical_form`` must match it
-exactly.
+``sigma``/``phi``, ``dart_faces``, the face table and ``canonical_form``
+must match it exactly.
 """
 
 import pytest
@@ -109,6 +109,20 @@ def test_the_table_matches_the_tuple_walk(graphs):
             assert f.sink_corners == tuple(c for c in corners if c.flavor == "sink")
         assert g.dart_faces() == {d: i for i, darts, _ in faces for d in darts}
         assert g.canonical_form() == ref.canonical_form()
+
+
+def test_the_face_table_matches_the_tuple_walk(graphs):
+    for g in graphs:
+        darts, index, _, _, point = g.dart_table()
+        table = g.face_table()
+        faces = TupleReference(g).faces()
+        assert len(table.orbits) == len(table.source) == len(table.sink) == len(faces)
+        for i, orbit, corners in faces:
+            assert [table.face[index[d]] for d in orbit] == [i] * len(orbit)
+            assert [darts[d] for d in table.orbits[i]] == list(orbit)
+            for enter, flavor in ((table.source[i], "source"), (table.sink[i], "sink")):
+                (corner,) = (c for c in corners if c.flavor == flavor)
+                assert (point[enter], darts[enter]) == (corner.point, corner.enter)
 
 
 def _one_saddle(rotation_z):

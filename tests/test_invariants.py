@@ -162,7 +162,8 @@ def reference_region_problems(region):
     ]
     for f in g.faces():
         touches = any(c.point in inside for c in f.corners)
-        if touches and f.source_point not in inside:
+        (source,) = f.source_corners
+        if touches and source.point not in inside:
             problems.append(
                 f"face {f.index} touches the region but its source corner is outside"
             )

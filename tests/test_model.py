@@ -48,11 +48,12 @@ def test_euler_formula_on_fixtures(name):
 def test_face_corners_one_source_one_sink():
     g = zoo.example("tight_one_saddle")
     for f in g.faces():
-        assert f.source_point in g.points
+        (source,) = f.source_corners
+        assert source.point in g.points
         (sink,) = f.sink_corners
         assert sink.point in g.points
     # both faces of the one-saddle sphere run source -> saddle -> sink
-    assert {f.source_point for f in g.faces()} == {"a", "b"}
+    assert {c.point for f in g.faces() for c in f.source_corners} == {"a", "b"}
     assert {c.point for f in g.faces() for c in f.sink_corners} == {"z"}
 
 

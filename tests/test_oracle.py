@@ -88,10 +88,9 @@ def test_search_reads_each_saddle_once_per_set_below_it(monkeypatch, walks):
         reads.update(search=0, final=0)
         out = oracle_tightness(g)
         assert reads["search"] <= 5 * 2**4
-        # the final check reads every saddle, and each join once more for
-        # the forest of its level
-        final = len(saddles) + sum(p.sign > 0 for p in saddles)
-        assert reads["final"] == (final if out["tight"] else 0)
+        # the final check reads every saddle once: the forest of a level
+        # reuses the readings of its joins
+        assert reads["final"] == (len(saddles) if out["tight"] else 0)
         most = max(most, reads["search"])
     # an overtwisted walk makes the search read far past one order's worth
     assert most > 5 * 5

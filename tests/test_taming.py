@@ -1,7 +1,9 @@
 """Lyapunov and taming checks, simplicity reports, the path inequality."""
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 from charfol import FoliationGraph, GraphError
 from charfol import zoo
-from charfol.invariants import positive_links
+from charfol.handles import extend_to_ball, verify_decomposition
+from charfol.invariants import Region, positive_links
 from charfol.taming import (
     eq_simplicity_check,
     eq_simplicity_violations,
@@ -25,6 +28,7 @@ from charfol.taming import (
     sublevel_component_surplus,
     sublevel_region,
 )
+from charfol.tightness import decide_tightness, verify_taming_order
 
 F = Fraction
 
@@ -255,6 +259,41 @@ def test_a_changed_assignment_changes_its_sublevel_sets():
     assert sublevel_region(g, a, F(1, 2)).inside == {"p0", "p1", "h0"}
     assert reading(g, a, "h1") == -1 and not is_taming(g, a)
     assert [level.value for level in simplicity_check(g, a).levels] == [F(1, 2), F(3, 4)]
+
+
+def fresh_copy(walked_spheres, label):
+    """A copy of a walked sphere that nothing else refers to."""
+    return FoliationGraph.from_data(dict(walked_spheres)[label].to_data())
+
+
+def test_decide_and_extend_free_their_graph_without_the_cycle_collector(walked_spheres):
+    gc.disable()
+    try:
+        g = fresh_copy(walked_spheres, "three_basin_chain+14")
+        cert = decide_tightness(g)
+        a = verify_taming_order(g, cert.saddle_order)
+        dec = extend_to_ball(g, a)
+        assert verify_decomposition(dec) == []
+        # the region just below the top level, which every level walk cached
+        top = max(a.values())
+        region = Region.of(g, [pid for pid in g.points if a[pid] < top])
+        assert region.boundary_circles()
+        graph_ref, region_ref = weakref.ref(g), weakref.ref(region)
+        del g, cert, a, dec, region
+        assert graph_ref() is None and region_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_kept_simplicity_report_holds_its_graph(walked_spheres):
+    g = fresh_copy(walked_spheres, "three_basin_chain+14")
+    report = simplicity_check(g, verify_taming_order(g, decide_tightness(g).saddle_order))
+    graph_ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert graph_ref() is not None
+    # neither forest reading has been computed yet
+    assert report.circle_simple and report.component_simple
 
 
 # -------------------------------------------- path-inequality characterization

@@ -296,6 +296,9 @@ def test_a_bad_face_is_named_by_its_index_among_faces():
     ]
     faces = bad.faces()
     assert [(len(f.source_corners), len(f.sink_corners)) for f in faces] == [(1, 1), (3, 3)]
+    # the face table names no corner of a face that is no flow box
+    table = bad.face_table()
+    assert [s >= 0 for s in table.source] == [s >= 0 for s in table.sink] == [True, False]
 
 
 def test_vacant_slots_are_reported_in_one_order_under_every_hash_seed(tmp_path):
