@@ -226,29 +226,65 @@ def split_at_negative_saddle(
     return capped(circle0), capped(circle1)
 
 
+def _saddle_key(g: FoliationGraph) -> frozenset[str]:
+    return frozenset(p.id for p in g.saddle_points())
+
+
 def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
     """Search for a saddle order whose normalized assignment tames simply.
 
     Recursive bottom-up collapse with backtracking over allowable events.
-    A graph that admits no order is remembered, so an isomorphic graph met
-    later is pruned at once.  The memo is keyed by canonical form inside
-    buckets of a cheap isomorphism invariant (edge count and the multiset
-    of point kinds and signs); the canonical form is computed only when a
-    graph fails or its bucket already holds a failure, so a search that
-    succeeds without backtracking never computes one.  The returned order
-    is always re-verified on the input graph by the caller.
-    """
-    failures: dict[tuple, set[str]] = {}
+    A node is keyed by the set of ids of its saddle-type points (hyperbolic
+    and embryo), and the keys of nodes that admit no order are remembered.
+    Eliminating a saddle ``h``, or letting an embryo ``h`` die, leaves the
+    key minus ``h``, so a dead child is skipped before its move is made; a
+    split side is keyed from the side the cut built.  The search computes
+    no canonical form.  The returned order is always re-verified on the
+    input graph by the caller.
 
-    def recurse(h: FoliationGraph) -> list[str] | None:
-        saddles = [p.id for p in h.points.values() if p.kind == HYPERBOLIC]
-        embryos = [p.id for p in h.points.values() if p.kind == EMBRYO]
-        if not saddles and not embryos:
+    The memo rests on a lemma: within one call, a node is determined up to
+    isomorphism by its set of saddle-type ids.
+
+    * Every event is surgery on its saddle's stable manifold: a
+      cancellation merges the saddle's two sources across it into one, an
+      embryo death merges the embryo into the source that feeds it, and a
+      split cuts along the annulus of the saddle and its source and caps
+      the far side with a fresh source.  Stable manifolds of distinct
+      saddles meet at most in their sources, so events at distinct saddles
+      commute up to isomorphism, and the source a cancellation keeps
+      changes only an elliptic id.
+    * A split keeps the side that holds the remaining saddles and caps the
+      other side whole, so nothing done on the capped side, on this path or
+      another, shows in the kept one.
+    * ``marker_reduce`` leaves no markers, so a built node carries no trace
+      of the path that built it.
+
+    So two paths to one key differ only in the order of their surgeries and
+    in what they did on capped sides, and reach isomorphic nodes: a key that
+    died once dies again.
+    ``tests/test_tightness.py`` checks the lemma, and this search, against
+    ``reference_synthesis``, a search whose memo is keyed by canonical form.
+    """
+    dead: set[frozenset[str]] = set()
+
+    def recurse(h: FoliationGraph, key: frozenset[str]) -> list[str] | None:
+        if not key:
             return []
-        bucket = (len(h.edges), tuple(sorted((p.kind, p.sign) for p in h.points.values())))
-        if bucket in failures and h.canonical_form() in failures[bucket]:
+        if key in dead:
             return None
         for cand in allowable_candidates(h):
+            if cand.case == "NegHypSameSource":
+                parts = split_at_negative_saddle(h, cand.point, cand.witnesses[0])
+                sub0 = recurse(parts[0], _saddle_key(parts[0]))
+                if sub0 is None:
+                    continue
+                sub1 = recurse(parts[1], _saddle_key(parts[1]))
+                if sub1 is None:
+                    continue
+                return [cand.point] + sub0 + sub1
+            child = key - {cand.point}
+            if child in dead:
+                continue
             if cand.case == "PosHypDistinctSources":
                 e_a, e_b = cand.witnesses
                 try:
@@ -258,30 +294,21 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
                         collapsed = eliminate_pair(h, e_b, cand.point).graph
                     except MoveError:
                         continue
-                sub = recurse(collapsed)
+                sub = recurse(collapsed, child)
                 if sub is not None:
                     return [cand.point] + sub
-            elif cand.case == "NegHypSameSource":
-                parts = split_at_negative_saddle(h, cand.point, cand.witnesses[0])
-                sub0 = recurse(parts[0])
-                if sub0 is None:
-                    continue
-                sub1 = recurse(parts[1])
-                if sub1 is None:
-                    continue
-                return [cand.point] + sub0 + sub1
             else:
                 try:
                     collapsed = eliminate_embryo(h, cand.point).graph
                 except MoveError:
                     continue
-                sub = recurse(collapsed)
+                sub = recurse(collapsed, child)
                 if sub is not None:
                     return sub
-        failures.setdefault(bucket, set()).add(h.canonical_form())
+        dead.add(key)
         return None
 
-    order = recurse(g)
+    order = recurse(g, _saddle_key(g))
     if order is None:
         return None
     # embryos take part in the Lyapunov constraints even though they carry
@@ -373,7 +400,11 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
     if surplus != (1, 1):
         # the surplus alone proves it; the polygon is evidence the search
         # can only offer up to its face limit
-        poly = find_same_sign_polygon(g) if len(g.faces()) <= MAX_POLYGON_FACES else None
+        poly = (
+            find_same_sign_polygon(g)
+            if len(g.face_table().orbits) <= MAX_POLYGON_FACES
+            else None
+        )
         return TightnessCertificate(
             "overtwisted",
             f"point surplus {surplus} != (1, 1)",
@@ -416,6 +447,39 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
 MAX_ORACLE_POINTS = 12
 
 
+def _complete(
+    g: FoliationGraph,
+    ids: list[str],
+    sources: frozenset[str],
+    order: list[str],
+    dead: set[frozenset[str]],
+    below: frozenset[str],
+) -> bool:
+    """Extend ``order``, whose points are ``below``, to a full order of
+    ``ids``; ``dead`` holds the sets already found to have no completion.
+    A module-level function, so the search leaves no reference cycle
+    through ``g``."""
+    if len(order) == len(ids):
+        return True
+    if below in dead:
+        return False
+    region = Region.of(g, sources | below)
+    for pid in ids:
+        if pid in below:
+            continue
+        p = g.points[pid]
+        if p.kind == HYPERBOLIC:
+            c0, c1 = stable_circles(region, pid)
+            if (c0 != c1) != (p.sign > 0):
+                continue
+        order.append(pid)
+        if _complete(g, ids, sources, order, dead, below | {pid}):
+            return True
+        order.pop()
+    dead.add(below)
+    return False
+
+
 def oracle_tightness(g: FoliationGraph) -> dict:
     """Exhaustive search for a simple taming order of saddle and embryo values.
 
@@ -452,31 +516,7 @@ def oracle_tightness(g: FoliationGraph) -> dict:
         p.id for p in g.points.values() if p.kind == ELLIPTIC and p.sign > 0
     )
     order: list[str] = []
-    dead: set[frozenset[str]] = set()
-
-    def complete(below: frozenset[str]) -> bool:
-        """Extend ``order``, whose points are ``below``, to a full order."""
-        if len(order) == len(ids):
-            return True
-        if below in dead:
-            return False
-        region = Region.of(g, sources | below)
-        for pid in ids:
-            if pid in below:
-                continue
-            p = g.points[pid]
-            if p.kind == HYPERBOLIC:
-                c0, c1 = stable_circles(region, pid)
-                if (c0 != c1) != (p.sign > 0):
-                    continue
-            order.append(pid)
-            if complete(below | {pid}):
-                return True
-            order.pop()
-        dead.add(below)
-        return False
-
-    if not complete(frozenset()):
+    if not _complete(g, ids, sources, order, set(), frozenset()):
         return {
             "tight": False,
             "order": None,

@@ -8,12 +8,14 @@ connection-free graph below.  The seeded walks of ``conftest`` all have
 more than 12 points, so five-saddle walks grown here stand in for them.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
-from charfol import taming, tightness, zoo
+from charfol import FoliationGraph, taming, tightness, zoo
 from charfol.model import HYPERBOLIC
 from charfol.moves import create_pair
 from charfol.tightness import oracle_tightness, verify_taming_order
@@ -94,3 +96,23 @@ def test_search_reads_each_saddle_once_per_set_below_it(monkeypatch, walks):
         most = max(most, reads["search"])
     # an overtwisted walk makes the search read far past one order's worth
     assert most > 5 * 5
+
+
+def test_the_search_frees_its_graph_without_the_cycle_collector(universe_list, walks):
+    # a tight universe class and an overtwisted walk: the search caches a
+    # region per set it reads, and none of them may keep the graph alive
+    tight = next(
+        g for g in universe_list if len(g.saddle_points()) == 3 and oracle_tightness(g)["tight"]
+    )
+    overtwisted = next(g for g in walks if not oracle_tightness(g)["tight"])
+    gc.disable()
+    try:
+        for source in (tight, overtwisted):
+            g = FoliationGraph.from_data(source.to_data())
+            out = oracle_tightness(g)
+            assert out == oracle_tightness(source)
+            graph_ref = weakref.ref(g)
+            del g, out
+            assert graph_ref() is None
+    finally:
+        gc.enable()

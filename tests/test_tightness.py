@@ -9,7 +9,8 @@ import pytest
 from charfol import ELLIPTIC, FoliationGraph, GraphError
 from charfol import handles, taming, tightness, zoo
 from charfol.cli import emit, parse
-from charfol.moves import create_pair
+from charfol.model import EMBRYO
+from charfol.moves import MoveError, create_pair, eliminate_embryo, eliminate_pair
 from charfol.tightness import (
     DecisionError,
     InternalCheckError,
@@ -73,6 +74,24 @@ def test_certificates_carry_their_evidence():
     assert ot.polygon is not None and ot.polygon.same_sign and ot.polygon.sign == 1
     data = ot.to_data()
     assert data["polygon"]["embedded"] and data["polygon"]["faces"] == [0]
+
+
+def test_a_mismatch_past_the_polygon_limit_builds_no_faces(monkeypatch):
+    # the surplus decides it, and the face count that rules out the polygon
+    # search comes from the face table
+    g = _walk(
+        zoo.example("overtwisted_loop_positive"),
+        random.Random(7),
+        lambda h: len(h.faces()) > tightness.MAX_POLYGON_FACES,
+    )
+    expected = decide_tightness(g).to_data()
+    assert expected == {"verdict": "overtwisted", "reason": "point surplus (0, 2) != (1, 1)"}
+
+    def refuse(self):
+        raise AssertionError("faces built for a sphere past the polygon limit")
+
+    monkeypatch.setattr(FoliationGraph, "faces", refuse)
+    assert decide_tightness(FoliationGraph.from_data(g.to_data())).to_data() == expected
 
 
 def test_chain_certificate_assignment():
@@ -183,24 +202,30 @@ def _walk(g: FoliationGraph, rng: random.Random, done) -> FoliationGraph:
 
 
 def test_first_try_synthesis_never_computes_a_canonical_form(monkeypatch):
+    # neither a search that succeeds at once nor one that backtracks to
+    # exhaustion computes a canonical form: the memo is keyed by saddle ids
     g = _walk(
         zoo.example("tight_one_saddle"), random.Random(4), lambda h: len(h.saddle_points()) >= 10
     )
     expected = decide_tightness(g).to_data()
     assert expected["verdict"] == "tight"
+    untameable = _walk(parse(UNTAMEABLE).graph, random.Random(11), lambda h: len(h.points) >= 12)
 
     def refuse(self):
         raise AssertionError("canonical_form called on the first-try path")
 
     monkeypatch.setattr(FoliationGraph, "canonical_form", refuse)
     assert decide_tightness(FoliationGraph.from_data(g.to_data())).to_data() == expected
+    assert synthesize_taming(untameable) is None
+    assert decide_tightness(untameable).reason == "no simple taming order exists"
 
 
 def test_failure_memo_prunes_as_before(monkeypatch):
     # two pairs planted in the untameable class make the search meet
-    # isomorphic dead ends again: the memo prunes them (7 hits at the commit
-    # that keyed every node), and allowable_candidates runs on the same 6
-    # nodes; verdict and certificate are pinned from that commit
+    # dead ends again: the memo prunes them (7 hits at the commit that keyed
+    # every node), and allowable_candidates runs on 9 nodes (6 when the memo
+    # was keyed by canonical form, which also pruned isomorphs with other
+    # saddle sets); verdict and certificate are pinned from that commit
     g = _walk(parse(UNTAMEABLE).graph, random.Random(11), lambda h: len(h.points) >= 12)
     calls = []
     real = tightness.allowable_candidates
@@ -211,7 +236,7 @@ def test_failure_memo_prunes_as_before(monkeypatch):
 
     monkeypatch.setattr(tightness, "allowable_candidates", counted)
     assert synthesize_taming(g) is None
-    assert len(calls) == 6
+    assert len(calls) == 9
     assert decide_tightness(g).to_data() == {
         "verdict": "overtwisted",
         "reason": "no simple taming order exists",
@@ -228,6 +253,121 @@ def test_failure_memo_prunes_as_before(monkeypatch):
             "sides": 2,
         },
     }
+
+
+def reference_synthesis(g: FoliationGraph, nodes: list | None = None):
+    """``synthesize_taming`` as it read when its failure memo was keyed by
+    canonical form, inside buckets of edge count and the multiset of point
+    kinds and signs.  With ``nodes``, each node the search enters is
+    appended as (set of saddle-type ids, canonical form)."""
+    failures: dict[tuple, set[str]] = {}
+
+    def recurse(h):
+        if nodes is not None:
+            nodes.append((frozenset(p.id for p in h.saddle_points()), h.canonical_form()))
+        if not h.saddle_points():
+            return []
+        bucket = (len(h.edges), tuple(sorted((p.kind, p.sign) for p in h.points.values())))
+        if bucket in failures and h.canonical_form() in failures[bucket]:
+            return None
+        for cand in allowable_candidates(h):
+            if cand.case == "PosHypDistinctSources":
+                e_a, e_b = cand.witnesses
+                try:
+                    collapsed = eliminate_pair(h, e_a, cand.point).graph
+                except MoveError:
+                    try:
+                        collapsed = eliminate_pair(h, e_b, cand.point).graph
+                    except MoveError:
+                        continue
+                sub = recurse(collapsed)
+                if sub is not None:
+                    return [cand.point] + sub
+            elif cand.case == "NegHypSameSource":
+                parts = tightness.split_at_negative_saddle(h, cand.point, cand.witnesses[0])
+                sub0 = recurse(parts[0])
+                if sub0 is None:
+                    continue
+                sub1 = recurse(parts[1])
+                if sub1 is None:
+                    continue
+                return [cand.point] + sub0 + sub1
+            else:
+                try:
+                    collapsed = eliminate_embryo(h, cand.point).graph
+                except MoveError:
+                    continue
+                sub = recurse(collapsed)
+                if sub is not None:
+                    return sub
+        failures.setdefault(bucket, set()).add(h.canonical_form())
+        return None
+
+    order = recurse(g)
+    if order is None:
+        return None
+    embryo_ids = sorted(p.id for p in g.points.values() if p.kind == EMBRYO)
+    return tuple(embryo_ids + order)
+
+
+@pytest.fixture(scope="module")
+def synthesis_inputs(universe_list, walked_spheres):
+    """The <=3-saddle universe and its flow reversals, the zoo, the walked
+    spheres and the untameable class's seeded walk."""
+    untameable = _walk(parse(UNTAMEABLE).graph, random.Random(11), lambda h: len(h.points) >= 12)
+    return (
+        universe_list
+        + [g.reverse() for g in universe_list]
+        + [zoo.example(name) for name in sorted(zoo.ZOO)]
+        + [g for _, g in walked_spheres]
+        + [untameable]
+    )
+
+
+def test_a_synthesis_node_is_fixed_by_its_saddle_set(synthesis_inputs):
+    # the lemma behind synthesize_taming's memo: within one search, every
+    # node entered with a given set of saddle-type ids has one canonical form
+    repeats = 0
+    for g in synthesis_inputs:
+        nodes = []
+        reference_synthesis(g, nodes)
+        forms = {}
+        for key, form in nodes:
+            repeats += key in forms
+            assert forms.setdefault(key, form) == form
+    # the search meets many sets again, so the check is not vacuous
+    assert repeats > 400
+
+
+def test_synthesis_matches_the_canonical_form_memo(synthesis_inputs):
+    orders = [synthesize_taming(g) for g in synthesis_inputs]
+    assert orders == [reference_synthesis(g) for g in synthesis_inputs]
+    assert any(o is None for o in orders) and any(o for o in orders)
+
+
+def test_a_dead_child_is_skipped_before_its_move(monkeypatch, synthesis_inputs):
+    # a dead set is looked up before the move that would build it: on these
+    # inputs no search builds a non-empty set twice (84 are built again
+    # when the lookup waits until the child is entered); the empty set is
+    # where every finished branch ends
+    built = []
+
+    def recording(move):
+        def wrapped(*args):
+            out = move(*args)
+            key = frozenset(p.id for p in out.graph.saddle_points())
+            if key:
+                built.append(key)
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(tightness, "eliminate_pair", recording(eliminate_pair))
+    monkeypatch.setattr(tightness, "eliminate_embryo", recording(eliminate_embryo))
+    for g in synthesis_inputs:
+        built.clear()
+        synthesize_taming(g)
+        assert len(built) == len(set(built))
 
 
 def test_verify_taming_order_round_trip():
