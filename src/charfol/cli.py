@@ -535,7 +535,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     payload: dict = {
         "points": len(g.points),
         "separatrices": len(g.edges),
-        "faces": len(g.faces()),
+        "faces": len(g.face_table().orbits),
         "surplus": [dp, dm],
         "homoclinic": g.homoclinic_edges(),
         "skeleton": list(decomposition.skeleton),

@@ -20,9 +20,9 @@ the graph and reports every discrepancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from .invariants import Region
 from .model import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
@@ -47,83 +47,60 @@ def _circle_tag(key: tuple) -> str:
 
 
 @dataclass(frozen=True)
-class ZeroCell:
+class Record:
+    """One critical point's step, at its value; ``kind`` names the step."""
+
     point: str
     value: Fraction
 
-    kind = "zero-cell"
+    kind: ClassVar[str]
 
     def to_data(self) -> dict:
-        return {"kind": self.kind, "point": self.point, "value": str(self.value)}
+        """``kind``, then the fields in order: a value as its string, a pair
+        as a list."""
+        data: dict = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, Fraction):
+                v = str(v)
+            elif isinstance(v, tuple):
+                v = list(v)
+            data[f.name] = v
+        return data
 
 
 @dataclass(frozen=True)
-class HalfHandle1:
-    saddle: str
-    value: Fraction
+class ZeroCell(Record):
+    kind = "zero-cell"
+
+
+@dataclass(frozen=True)
+class HalfHandle1(Record):
     circles: tuple[str, str]
     components: tuple[str, str]
 
     kind = "half-handle-1"
 
-    def to_data(self) -> dict:
-        return {
-            "kind": self.kind,
-            "point": self.saddle,
-            "value": str(self.value),
-            "circles": list(self.circles),
-            "components": list(self.components),
-        }
-
 
 @dataclass(frozen=True)
-class HalfHandle2:
-    saddle: str
-    value: Fraction
+class HalfHandle2(Record):
     circle: str
     component: str
 
     kind = "half-handle-2"
 
-    def to_data(self) -> dict:
-        return {
-            "kind": self.kind,
-            "point": self.saddle,
-            "value": str(self.value),
-            "circle": self.circle,
-            "component": self.component,
-        }
-
 
 @dataclass(frozen=True)
-class Cap:
-    point: str
-    value: Fraction
+class Cap(Record):
     circle: str
 
     kind = "cap"
 
-    def to_data(self) -> dict:
-        return {
-            "kind": self.kind,
-            "point": self.point,
-            "value": str(self.value),
-            "circle": self.circle,
-        }
-
 
 @dataclass(frozen=True)
-class EmbryoStep:
-    point: str
-    value: Fraction
-
+class EmbryoStep(Record):
     kind = "embryo-step"
 
-    def to_data(self) -> dict:
-        return {"kind": self.kind, "point": self.point, "value": str(self.value)}
-
-
-Record = ZeroCell | HalfHandle1 | HalfHandle2 | Cap | EmbryoStep
 
 # presentation order inside one critical level: new cells first, then
 # splitting handles, then joining ones, then caps; embryo steps are neutral
@@ -198,7 +175,7 @@ def extend_to_ball(g: FoliationGraph, a: Mapping[str, Fraction]) -> HandleDecomp
                 records.append(_saddle_event(region, pid, value))
             else:
                 records.append(EmbryoStep(pid, value))
-    records.sort(key=lambda r: (r.value, _RANK[r.kind], r.to_data()["point"]))
+    records.sort(key=lambda r: (r.value, _RANK[r.kind], r.point))
     return HandleDecomposition(g, dict(a), tuple(records))
 
 
@@ -222,7 +199,7 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
         return c0 != c1
 
     expected = {p.id for p in g.points.values()}
-    listed = [r.to_data()["point"] for r in dec.records]
+    listed = [r.point for r in dec.records]
     if sorted(listed) != sorted(expected):
         problems.append("records do not list every singular point exactly once")
         return problems
@@ -231,7 +208,7 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
     last = None
     for r in dec.records:
         if last is not None and r.value < last:
-            problems.append(f"record for {r.to_data()['point']} is out of order")
+            problems.append(f"record for {r.point} is out of order")
         last = r.value
 
     # independent replay: count components and level circles
@@ -239,7 +216,7 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
     circles = 0
     zero_cells = UnionFind()  # ball components, named by their zero-cells
     for r in dec.records:
-        pid = r.to_data()["point"]
+        pid = r.point
         p = g.points[pid]
         if isinstance(r, ZeroCell):
             if not (p.kind == ELLIPTIC and p.sign > 0):

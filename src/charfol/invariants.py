@@ -171,10 +171,6 @@ class Region:
 
     # bookkeeping ------------------------------------------------------------
 
-    def surplus(self) -> tuple[int, int]:
-        """The point surplus of the points inside."""
-        return surplus(self.graph.points[pid] for pid in self.inside)
-
     def components(self) -> dict[str, str]:
         """Map each inside point to a root naming its component.
 
@@ -189,9 +185,6 @@ class Region:
                 sets.union(e.src.point, e.dst.point)
             self._components = {pid: sets.find(pid) for pid in self.inside}
         return dict(self._components)
-
-    def component_count(self) -> int:
-        return len(set(self.components().values()))
 
     # boundary tracing ---------------------------------------------------------
 
@@ -247,9 +240,6 @@ class Region:
         except KeyError:
             raise GraphError(f"edge {eid} is not a cut edge of the region") from None
 
-    def euler_characteristic(self) -> int:
-        return 2 * self.component_count() - len(self.boundary_circles())
-
 
 # ------------------------------------------------------- skeleton and basins
 
@@ -282,20 +272,21 @@ def skeleton_decomposition(g: FoliationGraph) -> SkeletonDecomposition:
         if src.kind in (HYPERBOLIC, EMBRYO) and e.src.slot != "zone":
             skeleton.add(eid)
 
-    faces = g.faces()
-    face_of = g.dart_faces()
-    sets = UnionFind(f.index for f in faces)
-    for eid in g.edges:
+    point = g.dart_table().point
+    face, orbits, source, _ = g.face_table()
+    sets = UnionFind(range(len(orbits)))
+    for k, eid in enumerate(g.edges):
         if eid not in skeleton:
-            sets.union(face_of[(eid, "src")], face_of[(eid, "tgt")])
+            sets.union(face[2 * k], face[2 * k + 1])
 
     groups: dict[int, list[int]] = {}
-    for f in faces:
-        groups.setdefault(sets.find(f.index), []).append(f.index)
+    for f in range(len(orbits)):
+        groups.setdefault(sets.find(f), []).append(f)
 
     basins, semibasins = [], []
     for members in groups.values():
-        centers = {c.point for i in members for c in faces[i].source_corners}
+        # a valid graph gives every face exactly one source corner
+        centers = {point[source[i]] for i in members}
         if len(centers) != 1:
             raise GraphError(
                 f"faces {sorted(members)} form a basin with centers "
@@ -423,76 +414,67 @@ class Polygon:
         }
 
 
-def _closure_euler(g: FoliationGraph, face_set: frozenset[int]) -> int:
-    faces = [g.faces()[i] for i in face_set]
-    pts = {c.point for f in faces for c in f.corners}
-    eds = {d[0] for f in faces for d in f.darts}
-    return len(pts) - len(eds) + len(faces)
-
-
 def trace_polygon(g: FoliationGraph, face_set: frozenset[int]) -> Polygon | None:
-    """Build the polygon on this face set, or None if it is not a disc."""
-    faces = g.faces()
-    if not face_set or not face_set <= set(range(len(faces))):
+    """Build the polygon on this face set, or None if it is not a disc.
+
+    Reads the dart and face tables.  The boundary walk arrives at a point
+    along a dart ``e`` whose face is outside the set, and leaves along the
+    first dart ``n`` counterclockwise after ``e`` with ``face[n ^ 1]``
+    outside the set.  One comes before the rotation returns to ``e``: the
+    dart ``m`` just before ``e`` has ``face[m ^ 1] == face[e]``.
+    """
+    darts, _, sigma, out, point = g.dart_table()
+    face, orbits, _, _ = g.face_table()
+    if not face_set or not face_set.issubset(range(len(orbits))):
         return None
-    if len(face_set) == len(faces):
+    if len(face_set) == len(orbits):
         return None  # the whole sphere
     # connectivity through shared edges
-    face_of = g.dart_faces()
-    seen = {min(face_set)}
-    frontier = [min(face_set)]
+    first = min(face_set)
+    seen = {first}
+    frontier = [first]
     while frontier:
-        for d in faces[frontier.pop()].darts:
-            j = face_of[g.theta(d)]
+        for d in orbits[frontier.pop()]:
+            j = face[d ^ 1]
             if j in face_set and j not in seen:
                 seen.add(j)
                 frontier.append(j)
     if seen != face_set:
         return None
-    if _closure_euler(g, face_set) != 1:
+    # the closure's Euler count: its points, edges and faces
+    sides = [d for i in face_set for d in orbits[i]]
+    if len({point[d ^ 1] for d in sides}) - len({d >> 1 for d in sides}) + len(face_set) != 1:
         return None
 
-    boundary_sides = sorted(
-        d for i in face_set for d in faces[i].darts if face_of[g.theta(d)] not in face_set
-    )
-    if not boundary_sides:
+    boundary = [d for d in sides if face[d ^ 1] not in face_set]
+    if not boundary:
         return None
-
-    def next_side(d: Dart) -> tuple[Dart, Dart]:
-        """Departure dart at the point reached by d, hopping interior edges."""
-        n = g.phi(d)
-        guard = 0
-        while face_of[g.theta(n)] in face_set:
-            n = g.phi(g.theta(n))
-            guard += 1
-            if guard > 4 * len(g.edges):
-                raise GraphError("polygon boundary walk failed to close")
-        return g.theta(d), n
-
-    start = boundary_sides[0]
-    visits: list[tuple[str, Dart, Dart]] = []
-    walked: set[Dart] = set()
+    start = min(boundary, key=darts.__getitem__)
+    # (enter, leave) of every point visit; the walk is a permutation of the
+    # boundary darts, so it covers them all exactly when there is one circle
+    visits: list[tuple[int, int]] = []
     d = start
     while True:
-        walked.add(d)
-        enter, leave = next_side(d)
-        visits.append((g.dart_point(enter), enter, leave))
-        d = leave
+        enter = d ^ 1
+        d = sigma[enter]
+        while face[d ^ 1] in face_set:  # an interior edge: turn past it
+            d = sigma[d]
+        visits.append((enter, d))
         if d == start:
             break
-    if walked != set(boundary_sides):
+    if len(visits) != len(boundary):
         return None  # more than one boundary circle (pinched or worse)
 
     corners: list[PolygonCorner] = []
-    for q, enter, leave in visits:
-        dirs = {g.dart_direction(enter), g.dart_direction(leave)}
-        if len(dirs) == 2:
+    for enter, leave in visits:
+        if out[enter] != out[leave]:
             continue  # boundary passes through smoothly
+        q = point[enter]
         p = g.points[q]
         role = "pseudovertex" if p.kind == HYPERBOLIC else "vertex"
-        corners.append(PolygonCorner(q, enter, leave, role, p.sign))
+        corners.append(PolygonCorner(q, darts[enter], darts[leave], role, p.sign))
 
-    points_visited = tuple(q for q, _, _ in visits)
+    points_visited = tuple(point[enter] for enter, _ in visits)
     embedded = len(set(points_visited)) == len(points_visited)
     return Polygon(face_set, points_visited, tuple(corners), embedded)
 
@@ -501,22 +483,18 @@ def trace_polygon(g: FoliationGraph, face_set: frozenset[int]) -> Polygon | None
 MAX_POLYGON_FACES = 20
 
 
-def enumerate_polygons(g: FoliationGraph, embedded_only: bool = False) -> Iterator[Polygon]:
+def enumerate_polygons(g: FoliationGraph) -> Iterator[Polygon]:
     """All polygons of the graph, smallest face sets first."""
-    n = len(g.faces())
+    n = len(g.face_table().orbits)
     if n > MAX_POLYGON_FACES:
         raise GraphError(
             f"polygon enumeration is limited to graphs with <= {MAX_POLYGON_FACES} faces"
         )
-    indices = [f.index for f in g.faces()]
     for size in range(1, n + 1):
-        for combo in itertools.combinations(indices, size):
+        for combo in itertools.combinations(range(n), size):
             poly = trace_polygon(g, frozenset(combo))
-            if poly is None:
-                continue
-            if embedded_only and not poly.embedded:
-                continue
-            yield poly
+            if poly is not None:
+                yield poly
 
 
 def find_same_sign_polygon(g: FoliationGraph) -> Polygon | None:
@@ -528,7 +506,7 @@ def find_same_sign_polygon(g: FoliationGraph) -> Polygon | None:
     Such a polygon certifies that no taming assignment can exist: smoothing
     its corners yields a closed leaf bounding the disc.
     """
-    for poly in enumerate_polygons(g, embedded_only=True):
-        if poly.same_sign:
+    for poly in enumerate_polygons(g):
+        if poly.embedded and poly.same_sign:
             return poly
     return None

@@ -228,7 +228,6 @@ class FoliationGraph:
         self._faces: tuple[Face, ...] | None = None
         self._face_table: FaceTable | None = None
         self._problems: tuple[str, ...] | None = None
-        self._dart_face: dict[Dart, int] | None = None
         self._canon: str | None = None
         self._table: DartTable | None = None
         self._slot_edge: dict[tuple[str, str | None], Separatrix] | None = None
@@ -254,11 +253,6 @@ class FoliationGraph:
 
     def dart_slot(self, dart: Dart) -> str | None:
         return self.end_ref(dart).slot
-
-    def dart_direction(self, dart: Dart) -> str:
-        """``"out"`` if the flow leaves the point along this end."""
-        ref = self.end_ref(dart)
-        return end_direction(self.points[ref.point], ref.slot)
 
     @staticmethod
     def theta(dart: Dart) -> Dart:
@@ -297,16 +291,6 @@ class FoliationGraph:
         if -1 in sigma:
             raise GraphError("rotation system is not a permutation of darts")
         return darts, index, sigma
-
-    def sigma(self, dart: Dart) -> Dart:
-        """Rotation successor: next dart counterclockwise at the same point."""
-        t = self.dart_table()
-        return t.darts[t.sigma[t.index[dart]]]
-
-    def phi(self, dart: Dart) -> Dart:
-        """Face-walk successor: cross the edge, then turn counterclockwise."""
-        t = self.dart_table()
-        return t.darts[t.sigma[t.index[dart] ^ 1]]
 
     # ----------------------------------------------------------------- faces
 
@@ -347,7 +331,7 @@ class FoliationGraph:
     def faces(self) -> tuple[Face, ...]:
         """The faces as objects, built from the face table's walks; the
         library reads the table itself and builds these only for output and
-        for polygons."""
+        to name a face that breaks the face rule."""
         if self._faces is None:
             darts, _, sigma, out, point = self.dart_table()
             flavors = {(True, True): "source", (False, False): "sink"}
@@ -370,12 +354,6 @@ class FoliationGraph:
                 )
             self._faces = tuple(faces)
         return self._faces
-
-    def dart_faces(self) -> dict[Dart, int]:
-        """Map every dart to the index of the face whose walk holds it."""
-        if self._dart_face is None:
-            self._dart_face = dict(zip(self.dart_table().darts, self.face_table().face))
-        return self._dart_face
 
     # ------------------------------------------------------------ validation
 
@@ -818,7 +796,7 @@ class FoliationGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FoliationGraph(V={len(self.points)}, E={len(self.edges)}, "
-            f"F={len(self.faces()) if self.is_valid else '?'})"
+            f"F={len(self.face_table().orbits) if self.is_valid else '?'})"
         )
 
 

@@ -161,12 +161,6 @@ def allowable_candidates(g: FoliationGraph) -> list[AllowabilityVerdict]:
     return out
 
 
-def find_allowable(g: FoliationGraph) -> str | None:
-    """Lowest-id allowable point, or None."""
-    cands = allowable_candidates(g)
-    return cands[0].point if cands else None
-
-
 def split_at_negative_saddle(
     g: FoliationGraph, saddle_id: str, source_id: str
 ) -> tuple[FoliationGraph, FoliationGraph]:

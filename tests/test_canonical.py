@@ -19,7 +19,7 @@ SLOT_LETTERS = {
 }
 
 
-def _encode_from(g: FoliationGraph, start) -> str:
+def _encode_from(g: FoliationGraph, sigma: dict, start) -> str:
     index: dict = {}
     order: list = []
 
@@ -33,7 +33,7 @@ def _encode_from(g: FoliationGraph, start) -> str:
     while i < len(order):
         d = order[i]
         visit(g.theta(d))
-        visit(g.sigma(d))
+        visit(sigma[d])
         i += 1
 
     point_index: dict[str, int] = {}
@@ -54,7 +54,7 @@ def _encode_from(g: FoliationGraph, start) -> str:
                     SLOT_LETTERS.get(ref.slot, "?"),
                     "S" if end == "src" else "T",
                     str(index[g.theta(d)]),
-                    str(index[g.sigma(d)]),
+                    str(index[sigma[d]]),
                     "m" if g.edges[eid].marker else "-",
                 )
             )
@@ -67,7 +67,9 @@ def reference_canonical_form(g: FoliationGraph) -> str:
     darts = sorted(g.darts())
     if not darts:
         return "empty"
-    return min(_encode_from(g, d) for d in darts)
+    # the rotation successor, read from the rotation tuples
+    sigma = {d: seq[(i + 1) % len(seq)] for seq in g.rotation.values() for i, d in enumerate(seq)}
+    return min(_encode_from(g, sigma, d) for d in darts)
 
 
 def relabelled(g: FoliationGraph, rng: random.Random) -> FoliationGraph:

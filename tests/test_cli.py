@@ -389,6 +389,26 @@ def test_invariants_command(tmp_path, capsys):
     assert code == 0 and "same-sign polygon: faces 0" in out
 
 
+def test_polygons_and_basins_build_no_faces(tmp_path, capsys, monkeypatch):
+    # faces() objects are for render and for naming a bad face; the polygon
+    # search, the basins and the face count read the face table
+    paths = {
+        name: write_doc(tmp_path, emit(zoo.example(name)), f"{name}.fol") for name in ZOO_NAMES
+    }
+    argvs = [("invariants", "-i", paths[name], "--json") for name in ZOO_NAMES]
+    argvs += [
+        ("decide", "-i", paths[name], "--json")
+        for name in ("overtwisted_loop_positive", "double_join_cycle")
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(self):
+        raise AssertionError("Face objects built on a polygon path")
+
+    monkeypatch.setattr(FoliationGraph, "faces", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+
+
 def test_unknown_file_is_an_io_error(capsys):
     code, _, err = run(capsys, "decide", "-i", "/nonexistent/only/in/tests.fol")
     assert code == 2 and "io error" in err

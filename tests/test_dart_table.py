@@ -2,17 +2,18 @@
 
 ``TupleReference`` rebuilds what ``FoliationGraph`` computed before the
 table: each dart's rotation successor from its position in its rotation
-tuple, faces traced by ``phi`` over tuple darts in sorted order with each
-corner classified by the directions of its two darts, and the canonical
-code numbered from a dart index and successor array of its own.  Faces,
-``sigma``/``phi``, ``dart_faces``, the face table and ``canonical_form``
-must match it exactly.
+tuple, its flow direction from its slot, faces traced by ``phi`` over tuple
+darts in sorted order with each corner classified by the directions of its
+two darts, and the canonical code numbered from a dart index and successor
+array of its own.  The dart table (successor, direction and point of every
+dart), the face table, ``faces()`` and ``canonical_form`` must match it
+exactly.
 """
 
 import pytest
 
 from charfol import FoliationGraph, GraphError, build, zoo
-from charfol.model import _KIND_CODE, _SLOT_CLASS, Corner
+from charfol.model import _KIND_CODE, _SLOT_CLASS, Corner, end_direction
 
 
 class TupleReference:
@@ -29,6 +30,10 @@ class TupleReference:
 
     def phi(self, d):
         return self.sigma(FoliationGraph.theta(d))
+
+    def direction(self, d):
+        ref = self.g.end_ref(d)
+        return end_direction(self.g.points[ref.point], ref.slot)
 
     def faces(self) -> tuple[tuple, ...]:
         """(index, darts, corners) of each face."""
@@ -47,7 +52,7 @@ class TupleReference:
             corners = []
             for d in orbit:
                 enter, leave = FoliationGraph.theta(d), self.phi(d)
-                dirs = {g.dart_direction(enter), g.dart_direction(leave)}
+                dirs = {self.direction(enter), self.direction(leave)}
                 flavor = (
                     "source" if dirs == {"out"} else "sink" if dirs == {"in"} else "through"
                 )
@@ -99,15 +104,19 @@ def graphs(universe_list, walked_spheres):
 def test_the_table_matches_the_tuple_walk(graphs):
     for g in graphs:
         ref = TupleReference(g)
-        for d in g.darts():
-            assert g.sigma(d) == ref.sigma(d)
-            assert g.phi(d) == ref.phi(d)
+        darts, index, sigma, out, point = g.dart_table()
+        assert darts == g.darts()
+        for d in darts:
+            i = index[d]
+            assert darts[sigma[i]] == ref.sigma(d)
+            assert darts[sigma[i ^ 1]] == ref.phi(d)
+            assert out[i] == (ref.direction(d) == "out")
+            assert point[i] == g.dart_point(d)
         faces = ref.faces()
         assert [(f.index, f.darts, f.corners) for f in g.faces()] == list(faces)
         for f, (_, _, corners) in zip(g.faces(), faces):
             assert f.source_corners == tuple(c for c in corners if c.flavor == "source")
             assert f.sink_corners == tuple(c for c in corners if c.flavor == "sink")
-        assert g.dart_faces() == {d: i for i, darts, _ in faces for d in darts}
         assert g.canonical_form() == ref.canonical_form()
 
 
@@ -167,6 +176,6 @@ def test_a_rotation_that_is_no_permutation_raises(rotation_z, problem):
     assert _one_saddle([("f0", "tgt"), ("f1", "tgt")]).validate() == []
     g = _one_saddle(rotation_z)
     assert g.validate() == [problem]
-    for query in (g.faces, g.canonical_form, g.dart_faces, lambda: g.sigma(("f0", "tgt"))):
+    for query in (g.dart_table, g.face_table, g.faces, g.canonical_form):
         with pytest.raises(GraphError, match="^rotation system is not a permutation of darts$"):
             query()

@@ -50,7 +50,7 @@ def test_record_kinds_frozen(name):
 def test_one_saddle_join_names_both_components():
     dec = decomposition_of("tight_one_saddle")
     join = dec.records[2]
-    assert join.saddle == "h" and join.value == F(1, 2)
+    assert join.point == "h" and join.value == F(1, 2)
     assert len(set(join.components)) == 2
     assert len(set(join.circles)) == 2
 
@@ -59,7 +59,7 @@ def test_split_reuses_one_circle():
     dec = decomposition_of("tight_one_saddle_negative")
     split = dec.records[1]
     assert split.kind == "half-handle-2"
-    assert split.saddle == "h" and split.value == F(1, 2)
+    assert split.point == "h" and split.value == F(1, 2)
     caps = [r for r in dec.records if isinstance(r, Cap)]
     assert {c.point for c in caps} == {"y", "z"}
     assert len({c.circle for c in caps}) == 2
@@ -119,12 +119,12 @@ def test_verify_detects_forged_components():
 
 
 def _join_as_split(join):
-    return HalfHandle2(join.saddle, join.value, join.circles[0], join.components[0])
+    return HalfHandle2(join.point, join.value, join.circles[0], join.components[0])
 
 
 def _split_as_join(split):
     return HalfHandle1(
-        split.saddle, split.value, (split.circle,) * 2, (split.component,) * 2
+        split.point, split.value, (split.circle,) * 2, (split.component,) * 2
     )
 
 

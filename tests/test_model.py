@@ -292,8 +292,8 @@ def _one_saddle_with_marker():
 def test_marker_reduce_drops_a_leaf_between_two_faces():
     g = _one_saddle_with_marker()
     assert g.validate() == []
-    faces = g.dart_faces()
-    assert faces[("m0", "src")] != faces[("m0", "tgt")]
+    index, face = g.dart_table().index, g.face_table().face
+    assert face[index[("m0", "src")]] != face[index[("m0", "tgt")]]
     reduced = g.marker_reduce()
     assert sorted(reduced.edges) == ["ea", "eb", "f0", "f1"]
     assert reduced.validate() == []
@@ -307,8 +307,8 @@ def test_marker_reduce_keeps_a_leaf_with_one_face_on_both_sides():
         rotation={"p": [("m0", "src")], "q": [("m0", "tgt")]},
     )
     assert trivial.validate() == []
-    faces = trivial.dart_faces()
-    assert faces[("m0", "src")] == faces[("m0", "tgt")]
+    index, face = trivial.dart_table().index, trivial.face_table().face
+    assert face[index[("m0", "src")]] == face[index[("m0", "tgt")]]
     assert sorted(trivial.marker_reduce().edges) == ["m0"]
     # two leaves bound two faces: the first in id order goes, and the second
     # is then the only leaf, with one face on both sides

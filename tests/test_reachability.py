@@ -30,9 +30,6 @@ ENTRY_POINTS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfben
 TEST_REFERENCES = {
     "model.FoliationGraph.relabel": "the isomorphism tests relabel a graph and compare canonical forms",
     "model.FoliationGraph.from_data": "round-trips to_data, which the --json outputs print",
-    "invariants.Region.component_count": "the Euler identity of a region is checked with it",
-    "invariants.Region.euler_characteristic": "the Euler identity of a region is checked with it",
-    "tightness.find_allowable": "acceptance check C4 reads the first allowable event",
     "taming.eq_simplicity_check": "acceptance check C6 compares the path inequality with taming",
     "taming.eq_simplicity_violations": "the path-inequality messages behind eq_simplicity_check",
     "tightness.enumerate_reference": "the independent <=3-saddle enumeration that enumerate_signature is checked against",

@@ -20,7 +20,6 @@ from charfol.tightness import (
     enumerate_foliations,
     enumerate_reference,
     enumerate_signature,
-    find_allowable,
     oracle_tightness,
     synthesize_taming,
     verify_taming_order,
@@ -140,10 +139,10 @@ def test_classify_allowable_cases():
         assert v.allowable == (case != "NotAllowable")
 
 
-def test_find_allowable_on_fixtures():
-    assert find_allowable(zoo.example("tight_one_saddle")) == "h"
-    assert find_allowable(zoo.example("overtwisted_loop_positive")) is None
-    assert find_allowable(zoo.example("trivial")) is None  # nothing to pick
+def test_allowable_candidates_on_fixtures():
+    assert [v.point for v in allowable_candidates(zoo.example("tight_one_saddle"))] == ["h"]
+    assert allowable_candidates(zoo.example("overtwisted_loop_positive")) == []
+    assert allowable_candidates(zoo.example("trivial")) == []  # nothing to pick
     got = allowable_candidates(zoo.example("three_basin_chain"))
     assert [v.point for v in got] == ["h0", "h1"]
 
