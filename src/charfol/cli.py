@@ -188,6 +188,10 @@ def parse(text: str) -> FoliationDocument:
             if len(tokens) < 2 or not tokens[1].endswith(":"):
                 raise ParseError("rot line needs: <point-id>: <edge-end> ...", lineno)
             pid = tokens[1][:-1]
+            if not pid:
+                raise ParseError(
+                    f"empty point id in {tokens[1]!r}", lineno, _column(raw, tokens[1])
+                )
             if pid in rotation:
                 raise ParseError(f"duplicate rotation for {pid}", lineno, _column(raw, pid))
             darts = []
@@ -356,8 +360,12 @@ def _layout(g: FoliationGraph) -> dict[str, tuple[float, float]]:
     for k, pid in enumerate(inner):
         ang = 2 * math.pi * k / max(len(inner), 1)
         pos[pid] = (cx + 20 * math.cos(ang), cy + 20 * math.sin(ang))
+    # the far end of each dart, in rotation order
     neighbors = {
-        pid: [g.dart_point(g.theta(d)) for d in g.rotation.get(pid, ())]
+        pid: [
+            g.edges[eid].dst.point if end == "src" else g.edges[eid].src.point
+            for eid, end in g.rotation.get(pid, ())
+        ]
         for pid in g.points
     }
     for _ in range(300):

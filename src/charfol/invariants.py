@@ -165,10 +165,6 @@ class Region:
                 )
         return problems
 
-    @property
-    def is_valid(self) -> bool:
-        return not self.validate()
-
     # bookkeeping ------------------------------------------------------------
 
     def components(self) -> dict[str, str]:
@@ -344,24 +340,19 @@ def elliptic_feeders(g: FoliationGraph, hid: str) -> tuple[str, str] | None:
     return feeders[0], feeders[1]
 
 
-def positive_links(g: FoliationGraph) -> tuple[tuple[str, str, str], ...]:
-    """``(p, q, saddle)`` for each positive saddle fed by the positive
-    elliptic points ``p`` and ``q``, in saddle id order."""
-    links = []
-    for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
-        feeders = elliptic_feeders(g, p.id) if p.sign > 0 else None
-        if feeders is not None:
-            links.append((*feeders, p.id))
-    return tuple(links)
-
-
 def positive_tree(g: FoliationGraph) -> PositiveTree:
-    """The graph of positive elliptic points joined by positive saddles."""
+    """The graph of positive elliptic points joined by positive saddles,
+    its links in saddle id order."""
     g.require_valid()
     if g.homoclinic_edges():
         raise GraphError("positive-separatrix graph requires a connection-free instance")
     nodes = tuple(sorted(p.id for p in g.points_of_kind(ELLIPTIC) if p.sign > 0))
-    return PositiveTree(nodes, positive_links(g))
+    links = []
+    for hid in sorted(p.id for p in g.points_of_kind(HYPERBOLIC) if p.sign > 0):
+        feeders = elliptic_feeders(g, hid)
+        if feeders is not None:
+            links.append((*feeders, hid))
+    return PositiveTree(nodes, tuple(links))
 
 
 # -------------------------------------------------------------------- polygons
@@ -396,11 +387,6 @@ class Polygon:
     @property
     def same_sign(self) -> bool:
         return len(self.signs) <= 1
-
-    @property
-    def sign(self) -> int:
-        s = self.signs
-        return next(iter(s)) if len(s) == 1 else 0
 
     def describe(self) -> dict:
         return {

@@ -15,7 +15,7 @@ Edge ends are addressed as *darts* ``(edge_id, "src"|"tgt")``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 ELLIPTIC = "elliptic"
@@ -247,9 +247,6 @@ class FoliationGraph:
         eid, end = dart
         edge = self.edges[eid]
         return edge.src if end == "src" else edge.dst
-
-    def dart_point(self, dart: Dart) -> str:
-        return self.end_ref(dart).point
 
     def dart_slot(self, dart: Dart) -> str | None:
         return self.end_ref(dart).slot
@@ -576,28 +573,6 @@ class FoliationGraph:
 
     # ------------------------------------------------------- transformations
 
-    def relabel(self, point_map: Mapping[str, str], edge_map: Mapping[str, str]) -> "FoliationGraph":
-        pm = dict(point_map)
-        em = dict(edge_map)
-        points = {
-            pm.get(pid, pid): replace(p, id=pm.get(pid, pid))
-            for pid, p in self.points.items()
-        }
-        edges = {}
-        for eid, e in self.edges.items():
-            nid = em.get(eid, eid)
-            edges[nid] = Separatrix(
-                nid,
-                EndRef(pm.get(e.src.point, e.src.point), e.src.slot),
-                EndRef(pm.get(e.dst.point, e.dst.point), e.dst.slot),
-                e.marker,
-            )
-        rotation = {
-            pm.get(pid, pid): tuple((em.get(eid, eid), end) for eid, end in seq)
-            for pid, seq in self.rotation.items()
-        }
-        return FoliationGraph(points, edges, rotation)
-
     def reverse(self) -> "FoliationGraph":
         """The time-reversed flow: signs flip, stable and unstable swap.
 
@@ -772,26 +747,6 @@ class FoliationGraph:
                 for pid, seq in sorted(self.rotation.items())
             },
         }
-
-    @classmethod
-    def from_data(cls, data: Mapping) -> "FoliationGraph":
-        points = [
-            SingularPoint(d["id"], d["kind"], int(d["sign"])) for d in data["points"]
-        ]
-        edges = [
-            Separatrix(
-                d["id"],
-                EndRef(d["src"]["point"], d["src"].get("slot")),
-                EndRef(d["dst"]["point"], d["dst"].get("slot")),
-                bool(d.get("marker", False)),
-            )
-            for d in data["edges"]
-        ]
-        rotation = {
-            pid: tuple((eid, end) for eid, end in seq)
-            for pid, seq in data["rotation"].items()
-        }
-        return cls(points, edges, rotation)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .invariants import Region, elliptic_feeders, positive_links, surplus
+from .invariants import Region, surplus
 from .model import ELLIPTIC, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
 
 Assignment = Mapping[str, Fraction]
@@ -213,65 +213,6 @@ def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
                 LevelReport(v, tuple(joins), tuple(splits), region, g, tuple(links))
             )
     return SimplicityReport((), tuple(reports), tuple(sorted(mismatched)))
-
-
-# ------------------------------------------- path-inequality characterization
-
-
-def eq_simplicity_violations(g: FoliationGraph, a: Assignment) -> list[str]:
-    """Path-inequality reading of simplicity.
-
-    Every negative saddle must sit strictly above the smallest positive-saddle
-    value on the skeleton path between the two positive elliptic points that
-    feed it.  Together with the Lyapunov condition this is equivalent to
-    taming on tight connection-free instances whose skeleton is a tree.
-    """
-    check_assignment(g, a)
-    adj: dict[str, list[tuple[str, str]]] = {}
-    for u, v, hid in positive_links(g):
-        adj.setdefault(u, []).append((v, hid))
-        adj.setdefault(v, []).append((u, hid))
-
-    def merge_value(src: str, dst: str) -> Fraction | None:
-        """Largest join value on the skeleton path: the two circles are one
-        only once every join along the path has happened."""
-        if src == dst:
-            return Fraction(0)
-        seen = {src}
-        stack: list[tuple[str, Fraction | None]] = [(src, None)]
-        while stack:
-            node, high = stack.pop()
-            for nxt, hid in adj.get(node, ()):
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                raised = a[hid] if high is None else max(high, a[hid])
-                if nxt == dst:
-                    return raised
-                stack.append((nxt, raised))
-        return None
-
-    out = []
-    for p in sorted(g.points_of_kind(HYPERBOLIC), key=lambda p: p.id):
-        if p.sign >= 0:
-            continue
-        srcs = elliptic_feeders(g, p.id)
-        if srcs is None:
-            out.append(f"negative saddle {p.id} is not fed by elliptic points")
-            continue
-        c = merge_value(*srcs)
-        if c is None:
-            out.append(f"feeders {srcs[0]}, {srcs[1]} of {p.id} never merge in the skeleton")
-        elif not a[p.id] > c:
-            out.append(
-                f"negative saddle {p.id} at {a[p.id]} does not exceed the "
-                f"skeleton merge value {c} of {srcs[0]} and {srcs[1]}"
-            )
-    return out
-
-
-def eq_simplicity_check(g: FoliationGraph, a: Assignment) -> bool:
-    return not eq_simplicity_violations(g, a)
 
 
 # ----------------------------------------------- sublevel component bookkeeping

@@ -535,25 +535,6 @@ def oracle_tightness(g: FoliationGraph) -> dict:
 # -------------------------------------------------------------- enumeration
 
 
-def _set_partitions(items: list) -> list[list[list]]:
-    if not items:
-        return [[]]
-    first, rest = items[0], items[1:]
-    out = []
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            out.append(part[:i] + [[first] + part[i]] + part[i + 1 :])
-        out.append([[first]] + part)
-    return out
-
-
-def _cyclic_orders(items: list) -> list[list]:
-    if len(items) <= 1:
-        return [list(items)]
-    head, rest = items[0], items[1:]
-    return [[head] + list(p) for p in itertools.permutations(rest)]
-
-
 def _cycles(perm: tuple[int, ...] | list[int]) -> tuple[tuple[int, ...], ...]:
     """The cycles of a permutation of ``range(len(perm))``, each from its
     least element, in increasing order of that element."""
@@ -572,87 +553,6 @@ def _cycles(perm: tuple[int, ...] | list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_reference(plus: int, minus: int) -> list[FoliationGraph]:
-    """Slow assembly of the connection-free universe, for cross-checking.
-
-    Positive elliptic points are the blocks of a set partition of the stable
-    slots, negative ones of the unstable slots; elliptic rotations range over
-    cyclic orders; results are deduplicated by canonical form and listed in
-    the order their first representative is assembled.  Sources feed
-    saddles directly, so no connections and no markers occur (a floating
-    elliptic would add a second source corner to some face).
-    """
-    total = plus + minus
-    if total == 0:
-        from .zoo import trivial
-
-        return [trivial()]
-    if total > 3:
-        raise DecisionError("enumeration bounded to three saddles")
-    signs = [1] * plus + [-1] * minus
-    saddle_ids = [f"h{i}" for i in range(total)]
-    stable_slots = [(h, s) for h in saddle_ids for s in ("s0", "s1")]
-    unstable_slots = [(h, u) for h in saddle_ids for u in ("u0", "u1")]
-
-    seen: dict = {}
-    for src_part in _set_partitions(stable_slots):
-        for dst_part in _set_partitions(unstable_slots):
-            src_blocks = [sorted(b) for b in src_part]
-            dst_blocks = [sorted(b) for b in dst_part]
-            e_plus = [f"p{i}" for i in range(len(src_blocks))]
-            e_minus = [f"z{i}" for i in range(len(dst_blocks))]
-            points = {}
-            for i, h in enumerate(saddle_ids):
-                points[h] = SingularPoint(h, HYPERBOLIC, signs[i])
-            for pid in e_plus:
-                points[pid] = SingularPoint(pid, ELLIPTIC, 1)
-            for zid in e_minus:
-                points[zid] = SingularPoint(zid, ELLIPTIC, -1)
-            edges = {}
-            src_darts: dict[str, list] = {pid: [] for pid in e_plus}
-            dst_darts: dict[str, list] = {zid: [] for zid in e_minus}
-            slot_edge: dict[tuple, str] = {}
-            for i, block in enumerate(src_blocks):
-                for h, slot in block:
-                    eid = f"s_{h}_{slot}"
-                    edges[eid] = Separatrix(
-                        eid, EndRef(e_plus[i], None), EndRef(h, slot)
-                    )
-                    src_darts[e_plus[i]].append((eid, "src"))
-                    slot_edge[(h, slot)] = eid
-            for i, block in enumerate(dst_blocks):
-                for h, slot in block:
-                    eid = f"u_{h}_{slot}"
-                    edges[eid] = Separatrix(
-                        eid, EndRef(h, slot), EndRef(e_minus[i], None)
-                    )
-                    dst_darts[e_minus[i]].append((eid, "tgt"))
-                    slot_edge[(h, slot)] = eid
-            saddle_rot = {
-                h: tuple(
-                    (slot_edge[(h, s)], "tgt" if s.startswith("s") else "src")
-                    for s in ("s0", "u0", "s1", "u1")
-                )
-                for h in saddle_ids
-            }
-            for src_rots in itertools.product(
-                *(_cyclic_orders(src_darts[pid]) for pid in e_plus)
-            ):
-                for dst_rots in itertools.product(
-                    *(_cyclic_orders(dst_darts[zid]) for zid in e_minus)
-                ):
-                    rotation = dict(saddle_rot)
-                    for pid, rot in zip(e_plus, src_rots):
-                        rotation[pid] = tuple(rot)
-                    for zid, rot in zip(e_minus, dst_rots):
-                        rotation[zid] = tuple(rot)
-                    cand = FoliationGraph(points, edges, rotation)
-                    if cand.validate():
-                        continue
-                    seen.setdefault(cand.canonical_form(), cand)
-    return list(seen.values())
-
-
 #: the largest saddle count that :func:`enumerate_signature` builds
 MAX_ENUMERATION_SADDLES = 4
 
@@ -667,10 +567,10 @@ def _require_enumerable(saddles: int) -> None:
 def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
     """All valid connection-free foliations with the given saddle counts.
 
-    Same universe as :func:`enumerate_reference` but driven by permutations:
-    an elliptic point's leaves in rotation order are exactly one cycle of a
-    permutation of the slots.  Slot ``t = 2i + k`` is saddle ``i``'s ``s_k``
-    on the source side and its ``u_k`` on the sink side.
+    Driven by permutations: an elliptic point's leaves in rotation order
+    are exactly one cycle of a permutation of the slots.  Slot ``t = 2i + k``
+    is saddle ``i``'s ``s_k`` on the source side and its ``u_k`` on the sink
+    side.
 
     Only the source rotations are free.  Every leaf joins a saddle to an
     elliptic point and every saddle corner is a through corner, so a face

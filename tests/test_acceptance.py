@@ -23,7 +23,6 @@ from charfol.moves import (
     resolve_embryo,
 )
 from charfol.taming import (
-    eq_simplicity_check,
     is_lyapunov,
     is_taming,
     normalized_assignment,
@@ -37,6 +36,7 @@ from charfol.tightness import (
     oracle_tightness,
     universe_cached,
 )
+from references import eq_simplicity_check
 
 F = Fraction
 
@@ -327,7 +327,7 @@ def test_c12_fixture_regressions():
     loop = decide_tightness(zoo.example("overtwisted_loop_positive"))
     assert not loop.tight
     assert loop.polygon is not None
-    assert loop.polygon.same_sign and loop.polygon.sign == 1 and loop.polygon.embedded
+    assert loop.polygon.signs == {1} and loop.polygon.embedded
 
     one = decide_tightness(zoo.example("tight_one_saddle"))
     assert one.tight

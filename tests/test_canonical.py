@@ -12,6 +12,7 @@ import pytest
 
 from charfol import FoliationGraph, zoo
 from charfol.moves import create_pair
+from references import relabel
 
 SLOT_LETTERS = {
     None: "f", "s0": "s", "s1": "s", "u0": "u", "u1": "u",
@@ -38,7 +39,7 @@ def _encode_from(g: FoliationGraph, sigma: dict, start) -> str:
 
     point_index: dict[str, int] = {}
     for d in order:
-        point_index.setdefault(g.dart_point(d), len(point_index))
+        point_index.setdefault(g.end_ref(d).point, len(point_index))
     point_bits = [
         f"{g.points[pid].kind[0]}{g.points[pid].sign:+d}"
         for pid in sorted(point_index, key=point_index.get)
@@ -78,7 +79,7 @@ def relabelled(g: FoliationGraph, rng: random.Random) -> FoliationGraph:
     new_e = [f"E{i}" for i in range(len(eids))]
     rng.shuffle(new_p)
     rng.shuffle(new_e)
-    return g.relabel(dict(zip(pids, new_p)), dict(zip(eids, new_e)))
+    return relabel(g, dict(zip(pids, new_p)), dict(zip(eids, new_e)))
 
 
 def grown(name: str, saddles: int, rng: random.Random) -> FoliationGraph:

@@ -14,6 +14,7 @@ from charfol.cli import FoliationDocument, ParseError, emit, main, parse, render
 from charfol.invariants import MAX_POLYGON_FACES, point_surplus
 from charfol.moves import create_pair
 from charfol.tightness import universe_cached
+from references import from_data
 
 ZOO_NAMES = sorted(zoo.ZOO)
 
@@ -96,6 +97,8 @@ SYNTAX_ERRORS = [
     ("foliation v1\npoint h corner +\n", "unknown point kind 'corner'", 2),
     ("foliation v1\npoint p elliptic +\nvalue q 1/2\n", "unknown point", 3),
     ("foliation v1\npoint p elliptic +\nrot p m0.src\n", "rot line needs", 3),
+    ("foliation v1\npoint p elliptic +\nrot : m0.src\n", "column 5: empty point id in ':'", 3),
+    ("foliation v1\nrot   :  # p\n", "column 7: empty point id in ':'", 2),
     ("foliation v1\ntranscript {not json}\n", "bad transcript", 2),
 ]
 
@@ -348,7 +351,7 @@ def test_enumerate_streams_documents(capsys):
     payload = json.loads(out)
     assert len(payload) == 7
     for data in payload:
-        assert FoliationGraph.from_data(data).validate() == []
+        assert from_data(data).validate() == []
 
 
 @pytest.mark.parametrize("bound", ["5", "-1"])

@@ -56,7 +56,7 @@ class TupleReference:
                 flavor = (
                     "source" if dirs == {"out"} else "sink" if dirs == {"in"} else "through"
                 )
-                corners.append(Corner(g.dart_point(enter), enter, leave, flavor))
+                corners.append(Corner(g.end_ref(enter).point, enter, leave, flavor))
             faces.append((len(faces), tuple(orbit), tuple(corners)))
         return tuple(faces)
 
@@ -111,7 +111,7 @@ def test_the_table_matches_the_tuple_walk(graphs):
             assert darts[sigma[i]] == ref.sigma(d)
             assert darts[sigma[i ^ 1]] == ref.phi(d)
             assert out[i] == (ref.direction(d) == "out")
-            assert point[i] == g.dart_point(d)
+            assert point[i] == g.end_ref(d).point
         faces = ref.faces()
         assert [(f.index, f.darts, f.corners) for f in g.faces()] == list(faces)
         for f, (_, _, corners) in zip(g.faces(), faces):

@@ -62,7 +62,7 @@ def test_surplus_flips_under_reversal():
 def test_region_below_a_negative_saddle_is_an_annulus():
     g = zoo.example("tight_one_saddle_negative")
     region = Region(g, {"p", "h"})
-    assert region.is_valid
+    assert region.validate() == []
     dp, dm = surplus(g.points[pid] for pid in region.inside)
     components = len(set(region.components().values()))
     circles = len(region.boundary_circles())
@@ -77,7 +77,7 @@ def test_region_below_a_negative_saddle_is_an_annulus():
 def test_region_single_source_is_a_disc():
     g = zoo.example("tight_one_saddle")
     region = Region(g, {"a"})
-    assert region.is_valid
+    assert region.validate() == []
     assert len(set(region.components().values())) == 1
     assert len(region.boundary_circles()) == 1
     assert region.circle_of_edge("ea") == 0
@@ -215,7 +215,7 @@ def test_positive_loop_carries_an_all_positive_monogon():
     g = zoo.example("overtwisted_loop_positive")
     poly = find_same_sign_polygon(g)
     assert poly is not None
-    assert poly.same_sign and poly.sign == 1
+    assert poly.signs == {1}
     assert poly.embedded
     assert poly.sides == 1
     assert sorted(poly.face_indices) == [0]
@@ -226,14 +226,14 @@ def test_positive_loop_carries_an_all_positive_monogon():
 
 def test_negative_loop_polygon_has_opposite_sign():
     poly = find_same_sign_polygon(zoo.example("overtwisted_loop_negative"))
-    assert poly is not None and poly.sign == -1 and poly.embedded
+    assert poly is not None and poly.signs == {-1} and poly.embedded
 
 
 def test_double_join_cycle_polygon():
     g = zoo.example("double_join_cycle")
     poly = find_same_sign_polygon(g)
     assert poly is not None
-    assert poly.sign == 1 and poly.embedded
+    assert poly.signs == {1} and poly.embedded
     assert sorted(poly.face_indices) == [0, 3]
     assert poly.sides == 2
 
@@ -294,7 +294,7 @@ def reference_trace_polygon(g, face_set):
     while True:
         walked.add(d)
         enter, leave = next_side(d)
-        visits.append((g.dart_point(enter), enter, leave))
+        visits.append((g.end_ref(enter).point, enter, leave))
         d = leave
         if d == start:
             break

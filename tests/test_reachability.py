@@ -10,32 +10,19 @@ function or class so called, and an attribute also every method, so the
 scan can only over-approximate what is reached; annotations are not
 references.
 
-What it misses is code that only tests call.  The few definitions that
-tests use as references stay, listed below with their reason; a listed
-name that gains a library caller fails the test too, so the list does not
-go stale.
+Every definition must be reached.  Code that only tests call, such as the
+reference implementations the tests compare the library with, belongs in
+``tests/``.
 """
 
 from __future__ import annotations
 
 import ast
-import functools
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "charfol").glob("*.py"))
 ENTRY_POINTS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-
-#: definitions that only tests call, each with the reason it stays
-TEST_REFERENCES = {
-    "model.FoliationGraph.relabel": "the isomorphism tests relabel a graph and compare canonical forms",
-    "model.FoliationGraph.from_data": "round-trips to_data, which the --json outputs print",
-    "taming.eq_simplicity_check": "acceptance check C6 compares the path inequality with taming",
-    "taming.eq_simplicity_violations": "the path-inequality messages behind eq_simplicity_check",
-    "tightness.enumerate_reference": "the independent <=3-saddle enumeration that enumerate_signature is checked against",
-    "tightness._set_partitions": "builds the sink sides of enumerate_reference",
-    "tightness._cyclic_orders": "builds the rotations of enumerate_reference",
-}
 
 
 def _definitions(trees: dict[str, ast.Module]) -> dict[str, ast.AST]:
@@ -108,9 +95,8 @@ def _roots(trees: dict[str, ast.Module], modules: dict[str, set[str]]) -> set[tu
     return names
 
 
-@functools.cache
-def _scan() -> tuple[set[str], set[str], set[str]]:
-    """(defined, reached, listed names that something reached)."""
+def _scan() -> tuple[set[str], set[str]]:
+    """(defined, reached)."""
     trees = {path.stem: ast.parse(path.read_text()) for path in LIBRARY}
     modules = {stem: _modules_imported(tree) for stem, tree in trees.items()}
     defs = _definitions(trees)
@@ -118,7 +104,6 @@ def _scan() -> tuple[set[str], set[str], set[str]]:
     for qual in defs:
         by_name.setdefault(qual.rsplit(".", 1)[-1], []).append(qual)
     reached: set[str] = set()
-    called: set[str] = set()
     pending = list(_roots(trees, modules))
     seen: set[tuple[str, str]] = set()
     while pending:
@@ -130,9 +115,6 @@ def _scan() -> tuple[set[str], set[str], set[str]]:
         for qual in by_name.get(name, ()):
             if kind == "name" and qual.count(".") > 1:
                 continue  # a bare name is never a method
-            if qual in TEST_REFERENCES:
-                called.add(qual)
-                continue
             todo = [qual]
             node = defs[qual]
             if isinstance(node, ast.ClassDef):
@@ -155,16 +137,10 @@ def _scan() -> tuple[set[str], set[str], set[str]]:
                 else:
                     body = [n]
                 pending += _references(body, modules[q.split(".", 1)[0]])
-    return set(defs), reached, called
+    return set(defs), reached
 
 
-def test_every_library_definition_is_reached_or_a_listed_test_reference():
-    defined, reached, called = _scan()
-    unreached = sorted(defined - reached - set(TEST_REFERENCES))
-    assert unreached == [], f"only tests reach {unreached}: delete them or list them"
-
-
-def test_every_listed_test_reference_exists_and_has_no_library_caller():
-    defined, _, called = _scan()
-    assert sorted(set(TEST_REFERENCES) - defined) == []
-    assert sorted(called) == [], f"the library now calls {sorted(called)}: unlist them"
+def test_every_library_definition_is_reached():
+    defined, reached = _scan()
+    unreached = sorted(defined - reached)
+    assert unreached == [], f"only tests reach {unreached}: delete them or move them to tests/"

@@ -10,13 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charfol import FoliationGraph, GraphError
-from charfol import zoo
+from charfol import GraphError, zoo
 from charfol.handles import extend_to_ball, verify_decomposition
-from charfol.invariants import Region, positive_links
+from charfol.invariants import Region, positive_tree
 from charfol.taming import (
-    eq_simplicity_check,
-    eq_simplicity_violations,
     is_lyapunov,
     is_taming,
     levels,
@@ -29,6 +26,7 @@ from charfol.taming import (
     sublevel_region,
 )
 from charfol.tightness import decide_tightness, verify_taming_order
+from references import eq_simplicity_check, eq_simplicity_violations, from_data
 
 F = Fraction
 
@@ -263,7 +261,7 @@ def test_a_changed_assignment_changes_its_sublevel_sets():
 
 def fresh_copy(walked_spheres, label):
     """A copy of a walked sphere that nothing else refers to."""
-    return FoliationGraph.from_data(dict(walked_spheres)[label].to_data())
+    return from_data(dict(walked_spheres)[label].to_data())
 
 
 def test_decide_and_extend_free_their_graph_without_the_cycle_collector(walked_spheres):
@@ -337,7 +335,7 @@ MAX_RULE_WITNESS = json.loads("""
 
 
 def max_rule_graph():
-    g = FoliationGraph.from_data(MAX_RULE_WITNESS)
+    g = from_data(MAX_RULE_WITNESS)
     assert g.validate() == []
     return g
 
@@ -346,7 +344,7 @@ def test_path_inequality_uses_the_latest_join():
     g = max_rule_graph()
     # h2 splits the pair (p1, p2); their unique path p1 - p0 - p2 carries
     # both joins
-    assert positive_links(g) == (("p0", "p1", "h0"), ("p0", "p2", "h1"))
+    assert positive_tree(g).links == (("p0", "p1", "h0"), ("p0", "p2", "h1"))
 
     good = normalized_assignment(g, ["h0", "h1", "h2"])  # split after both joins
     assert is_taming(g, good)
@@ -366,8 +364,6 @@ def test_path_inequality_uses_the_latest_join():
 
 def test_path_inequality_matches_taming_on_every_order(tight_instances):
     import itertools
-
-    from charfol.invariants import positive_tree
 
     checked = 0
     for g in tight_instances:

@@ -18,12 +18,12 @@ from charfol.tightness import (
     classify_allowable,
     decide_tightness,
     enumerate_foliations,
-    enumerate_reference,
     enumerate_signature,
     oracle_tightness,
     synthesize_taming,
     verify_taming_order,
 )
+from references import enumerate_reference, from_data
 
 F = Fraction
 
@@ -70,7 +70,7 @@ def test_certificates_carry_their_evidence():
 
     ot = decide_tightness(zoo.example("overtwisted_loop_positive"))
     assert ot.reason == "point surplus (0, 2) != (1, 1)"
-    assert ot.polygon is not None and ot.polygon.same_sign and ot.polygon.sign == 1
+    assert ot.polygon is not None and ot.polygon.signs == {1}
     data = ot.to_data()
     assert data["polygon"]["embedded"] and data["polygon"]["faces"] == [0]
 
@@ -90,7 +90,7 @@ def test_a_mismatch_past_the_polygon_limit_builds_no_faces(monkeypatch):
         raise AssertionError("faces built for a sphere past the polygon limit")
 
     monkeypatch.setattr(FoliationGraph, "faces", refuse)
-    assert decide_tightness(FoliationGraph.from_data(g.to_data())).to_data() == expected
+    assert decide_tightness(from_data(g.to_data())).to_data() == expected
 
 
 def test_chain_certificate_assignment():
@@ -214,7 +214,7 @@ def test_first_try_synthesis_never_computes_a_canonical_form(monkeypatch):
         raise AssertionError("canonical_form called on the first-try path")
 
     monkeypatch.setattr(FoliationGraph, "canonical_form", refuse)
-    assert decide_tightness(FoliationGraph.from_data(g.to_data())).to_data() == expected
+    assert decide_tightness(from_data(g.to_data())).to_data() == expected
     assert synthesize_taming(untameable) is None
     assert decide_tightness(untameable).reason == "no simple taming order exists"
 

@@ -23,6 +23,7 @@ from charfol import FoliationGraph, GraphError, SingularPoint, zoo
 from charfol import tightness
 from charfol.cli import emit
 from charfol.model import EMBRYO, HYPERBOLIC, HYPERBOLIC_SLOTS, Dart, end_direction
+from references import relabel
 
 
 def reference_check(self: FoliationGraph) -> list[str]:
@@ -271,7 +272,7 @@ def test_validate_matches_the_face_building_check_on_corruptions(valid_graphs):
     # that only the connectivity check rejects
     for name in sorted(zoo.ZOO):
         g = zoo.example(name)
-        twin = g.relabel({p: f"{p}'" for p in g.points}, {e: f"{e}'" for e in g.edges})
+        twin = relabel(g, {p: f"{p}'" for p in g.points}, {e: f"{e}'" for e in g.edges})
         pair = FoliationGraph(
             {**g.points, **twin.points}, {**g.edges, **twin.edges}, {**g.rotation, **twin.rotation}
         )
