@@ -288,10 +288,10 @@ def emit(doc: FoliationDocument | FoliationGraph) -> str:
         for pid in sorted(doc.values):
             lines.append(f"value {pid} {_frac(doc.values[pid])}")
     if doc.transcript is not None:
-        lines.append(
-            "transcript "
-            + json.dumps(doc.transcript, sort_keys=True, separators=(",", ":"))
-        )
+        # a "#" starts a comment, and in compact JSON one occurs only inside
+        # a string, where its escape reads back as the same character
+        payload = json.dumps(doc.transcript, sort_keys=True, separators=(",", ":"))
+        lines.append("transcript " + payload.replace("#", "\\u0023"))
     return "\n".join(lines) + "\n"
 
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .invariants import (
     MAX_POLYGON_FACES,
-    BoundaryCircle,
     Polygon,
     Region,
     elliptic_feeders,
@@ -35,6 +35,7 @@ from .model import (
     EMBRYO,
     HYPERBOLIC,
     HYPERBOLIC_SLOTS,
+    SADDLE_KINDS,
     EndRef,
     FoliationGraph,
     GraphError,
@@ -161,15 +162,45 @@ def allowable_candidates(g: FoliationGraph) -> list[AllowabilityVerdict]:
     return out
 
 
+def _annulus(g: FoliationGraph, saddle_id: str, source_id: str) -> tuple[Region, dict[str, str]]:
+    """The region of a ``NegHypSameSource`` pair, and a root naming the
+    complement component of each point outside it.  Both regions go into the
+    graph's cache, so a split's side keys and its cut share one component
+    search."""
+    region = Region.of(g, {source_id, saddle_id})
+    return region, Region.of(g, set(g.points) - region.inside).components()
+
+
+def _side_keys(
+    g: FoliationGraph, saddle_id: str, source_id: str
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The saddle-type ids of each side of :func:`split_at_negative_saddle`,
+    side 0 first, read without making the cut.
+
+    Side 0 is capped at the circle that ``boundary_circles`` starts at the
+    least cut edge, and each circle reaches one complement component.  A
+    side is its component plus a cap, an elliptic point, less the marker
+    leaves ``marker_reduce`` deletes, which are edges: so its saddle-type
+    points are those of its component.
+    """
+    region, roots = _annulus(g, saddle_id, source_id)
+    first = roots[g.edges[region.cut_edges()[0]].dst.point]
+    saddles = frozenset(pid for pid in roots if g.points[pid].kind in SADDLE_KINDS)
+    side0 = frozenset(pid for pid in saddles if roots[pid] == first)
+    return side0, saddles - side0
+
+
 def split_at_negative_saddle(
     g: FoliationGraph, saddle_id: str, source_id: str
-) -> tuple[FoliationGraph, FoliationGraph]:
+) -> Iterator[FoliationGraph]:
     """Cut the sphere along the annulus spanned by a splitting saddle.
 
     ``g`` is valid and (source, saddle) a ``NegHypSameSource`` pair.  Each
     complementary disc is capped with a fresh positive elliptic point that
     emits the cut leaves in the order its boundary circle crosses them.
-    Returns the two capped sides, which are valid spheres:
+    Yields the two capped sides, which are valid spheres, in the order of
+    the region's boundary circles; a side is capped only when it is asked
+    for, so a caller that stops after side 0 never builds side 1:
 
     * Nothing enters a positive elliptic point, and the saddle's stable
       slots hold the two leaves from the source.  So those leaves are the
@@ -194,13 +225,9 @@ def split_at_negative_saddle(
       so the sides' Euler counts add up to V - (E - 2) + F = 4; neither
       exceeds 2 for a connected side, so each is 2.
     """
-    region = Region(g, {source_id, saddle_id})
-    circle0, circle1 = region.boundary_circles()
-    # both regions serve this one cut, so neither goes into the graph's cache
-    roots = Region(g, set(g.points) - region.inside).components()
+    region, roots = _annulus(g, saddle_id, source_id)
     cap = _fresh(set(g.points), "v")
-
-    def capped(circle: BoundaryCircle) -> FoliationGraph:
+    for circle in region.boundary_circles():
         crossings = circle.crossed_edges()
         root = roots[g.edges[crossings[0]].dst.point]
         points = {pid: p for pid, p in g.points.items() if roots.get(pid) == root}
@@ -215,13 +242,7 @@ def split_at_negative_saddle(
             e = g.edges[eid]
             marker = e.dst.slot in (None, "zone")
             edges[eid] = Separatrix(eid, EndRef(cap, None), e.dst, marker=marker)
-        return FoliationGraph(points, edges, rotation).marker_reduce()
-
-    return capped(circle0), capped(circle1)
-
-
-def _saddle_key(g: FoliationGraph) -> frozenset[str]:
-    return frozenset(p.id for p in g.saddle_points())
+        yield FoliationGraph(points, edges, rotation).marker_reduce()
 
 
 def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
@@ -230,11 +251,16 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
     Recursive bottom-up collapse with backtracking over allowable events.
     A node is keyed by the set of ids of its saddle-type points (hyperbolic
     and embryo), and the keys of nodes that admit no order are remembered.
-    Eliminating a saddle ``h``, or letting an embryo ``h`` die, leaves the
-    key minus ``h``, so a dead child is skipped before its move is made; a
-    split side is keyed from the side the cut built.  The search computes
-    no canonical form.  The returned order is always re-verified on the
-    input graph by the caller.
+    Every key is looked up before its node is built.  Eliminating a saddle
+    ``h``, or letting an embryo ``h`` die, leaves the key minus ``h``, so a
+    dead child is skipped before its move is made.  A split's two side keys
+    are the saddle-type ids of the two components of the complement of
+    (source, saddle), because capping adds only an elliptic point and
+    ``marker_reduce`` removes only edges (:func:`_side_keys`).  So a split
+    with a dead side is skipped before any circle is traced, and side 1 is
+    capped only once side 0 has an order.  The search computes no canonical
+    form.  The returned order is always re-verified on the input graph by
+    the caller.
 
     The memo rests on a lemma: within one call, a node is determined up to
     isomorphism by its set of saddle-type ids.
@@ -255,7 +281,8 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
 
     So two paths to one key differ only in the order of their surgeries and
     in what they did on capped sides, and reach isomorphic nodes: a key that
-    died once dies again.
+    died once dies again.  Skipping a branch that would fail leaves the
+    first success of the depth-first search where it was.
     ``tests/test_tightness.py`` checks the lemma, and this search, against
     ``reference_synthesis``, a search whose memo is keyed by canonical form.
     """
@@ -264,15 +291,17 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
     def recurse(h: FoliationGraph, key: frozenset[str]) -> list[str] | None:
         if not key:
             return []
-        if key in dead:
-            return None
         for cand in allowable_candidates(h):
             if cand.case == "NegHypSameSource":
-                parts = split_at_negative_saddle(h, cand.point, cand.witnesses[0])
-                sub0 = recurse(parts[0], _saddle_key(parts[0]))
+                source = cand.witnesses[0]
+                keys = _side_keys(h, cand.point, source)
+                if keys[0] in dead or keys[1] in dead:
+                    continue
+                sides = split_at_negative_saddle(h, cand.point, source)
+                sub0 = recurse(next(sides), keys[0])
                 if sub0 is None:
                     continue
-                sub1 = recurse(parts[1], _saddle_key(parts[1]))
+                sub1 = recurse(next(sides), keys[1])
                 if sub1 is None:
                     continue
                 return [cand.point] + sub0 + sub1
@@ -302,7 +331,7 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
         dead.add(key)
         return None
 
-    order = recurse(g, _saddle_key(g))
+    order = recurse(g, frozenset(p.id for p in g.saddle_points()))
     if order is None:
         return None
     # embryos take part in the Lyapunov constraints even though they carry

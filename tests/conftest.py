@@ -43,8 +43,7 @@ WALKS = (
 )
 
 
-@pytest.fixture(scope="session")
-def walked_spheres():
+def walk_spheres():
     """(label, graph) for seeded create_pair walks from zoo fixtures."""
     rng = random.Random(5151)
     out = []
@@ -54,3 +53,8 @@ def walked_spheres():
             g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
         out.append((f"{name}+{saddles}", g))
     return out
+
+
+@pytest.fixture(scope="session")
+def walked_spheres():
+    return walk_spheres()

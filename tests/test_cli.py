@@ -60,6 +60,15 @@ def test_round_trip_keeps_values_and_transcript():
     assert emit(again) == text
 
 
+def test_a_transcript_holding_a_comment_sign_round_trips():
+    # "#" starts a comment, so emit escapes it inside the transcript JSON
+    doc = FoliationDocument(zoo.example("trivial"), None, {"note": "step #1", "#": 1})
+    text = emit(doc)
+    again = parse(text)
+    assert again.transcript == doc.transcript
+    assert emit(again) == text and "#" not in text
+
+
 def test_round_trip_on_enumerated_universe():
     for graphs in universe_cached(2).values():
         for g in graphs:

@@ -283,11 +283,13 @@ def reference_synthesis(g: FoliationGraph, nodes: list | None = None):
                 if sub is not None:
                     return [cand.point] + sub
             elif cand.case == "NegHypSameSource":
-                parts = tightness.split_at_negative_saddle(h, cand.point, cand.witnesses[0])
-                sub0 = recurse(parts[0])
+                side0, side1 = tightness.split_at_negative_saddle(
+                    h, cand.point, cand.witnesses[0]
+                )
+                sub0 = recurse(side0)
                 if sub0 is None:
                     continue
-                sub1 = recurse(parts[1])
+                sub1 = recurse(side1)
                 if sub1 is None:
                     continue
                 return [cand.point] + sub0 + sub1
@@ -367,6 +369,57 @@ def test_a_dead_child_is_skipped_before_its_move(monkeypatch, synthesis_inputs):
         built.clear()
         synthesize_taming(g)
         assert len(built) == len(set(built))
+
+
+def test_a_split_with_a_dead_side_is_not_cut(monkeypatch, synthesis_inputs):
+    # both sides of a split are looked up before the cut: no cut is made
+    # while either side's saddle set is dead (145 of 444 cuts on these
+    # inputs had one when the sides were looked up after the cut; 273 cuts
+    # are left), and side 1 is capped only once side 0 has an order
+    events = []
+    real_candidates = tightness.allowable_candidates
+    real_split = tightness.split_at_negative_saddle
+
+    def key(h):
+        return frozenset(p.id for p in h.saddle_points())
+
+    def entering(h):
+        events.append(("enter", key(h), h))
+        return real_candidates(h)
+
+    def cutting(h, saddle_id, source_id):
+        keys = tuple(key(side) for side in real_split(h, saddle_id, source_id))
+        capped = []
+        events.append(("cut", keys, capped))
+        for side in real_split(h, saddle_id, source_id):
+            capped.append(side)
+            yield side
+
+    cuts = 0
+    for g in synthesis_inputs:
+        events.clear()
+        with monkeypatch.context() as m:
+            m.setattr(tightness, "allowable_candidates", entering)
+            m.setattr(tightness, "split_at_negative_saddle", cutting)
+            synthesize_taming(g)
+        # a node is fixed by its key, so the reference search tells which
+        # keys die; a node's own search meets only smaller keys, so its key
+        # may count as dead from the moment it is entered
+        fails = {}
+        for kind, k, h in events:
+            if kind == "enter" and k not in fails:
+                fails[k] = reference_synthesis(h) is None
+        dead = set()
+        for kind, k, detail in events:
+            if kind == "enter":
+                if fails[k]:
+                    dead.add(k)
+                continue
+            cuts += 1
+            assert not dead & set(k)
+            if fails.get(k[0]):
+                assert len(detail) == 1
+    assert cuts > 100
 
 
 def test_verify_taming_order_round_trip():
@@ -522,20 +575,21 @@ def test_enumerate_foliations_counts():
 
 def _split_sites(universe_list, walked_spheres):
     """(label, graph, saddle, source) for every NegHypSameSource candidate of
-    the universe and every split that deciding the walked spheres asks for."""
+    the universe and every split that deciding the walked spheres considers,
+    recorded where synthesis looks its sides up, before any is found dead."""
     sites = []
     for i, g in enumerate(universe_list):
         for cand in allowable_candidates(g):
             if cand.case == "NegHypSameSource":
                 sites.append((f"u{i}", g, cand.point, cand.witnesses[0]))
-    real = tightness.split_at_negative_saddle
+    real = tightness._side_keys
 
     def record(h, saddle_id, source_id):
         sites.append((label, h, saddle_id, source_id))
         return real(h, saddle_id, source_id)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tightness, "split_at_negative_saddle", record)
+        mp.setattr(tightness, "_side_keys", record)
         for label, g in walked_spheres:
             decide_tightness(g)
     return sites
@@ -552,7 +606,11 @@ def test_split_at_negative_saddle_is_pinned(universe_list, walked_spheres):
     crossings = []
     for label, g, saddle_id, source_id in sites:
         lines.append(f"## {label} {saddle_id} {source_id}")
-        sides = tightness.split_at_negative_saddle(g, saddle_id, source_id)
+        sides = tuple(tightness.split_at_negative_saddle(g, saddle_id, source_id))
+        # synthesis reads each side's saddle set before it cuts
+        assert tightness._side_keys(g, saddle_id, source_id) == tuple(
+            frozenset(p.id for p in side.saddle_points()) for side in sides
+        )
         kept = []
         for side in sides:
             assert side.validate() == []
