@@ -18,7 +18,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from charfol.cli import emit
-from charfol.tightness import decide_tightness, oracle_tightness, universe_cached
+from charfol.tightness import decide_tightness, oracle_tightness, universe
 
 
 def main() -> int:
@@ -28,7 +28,7 @@ def main() -> int:
     args = ap.parse_args()
 
     start = time.monotonic()
-    by_sig = universe_cached(args.max_saddles)
+    by_sig = universe(args.max_saddles)
     built = time.monotonic() - start
 
     dump_dir = None

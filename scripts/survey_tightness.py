@@ -24,7 +24,7 @@ from charfol.taming import (
     simplicity_check,
     sublevel_component_surplus,
 )
-from charfol.tightness import universe_cached
+from charfol.tightness import universe
 
 
 def main() -> int:
@@ -36,7 +36,7 @@ def main() -> int:
     header = f"{'signature':>10}  {'orderings':>9}  {'taming':>6}  {'simple':>6}  {'bad d+':>6}"
     print(header)
     totals = [0, 0, 0, 0]
-    for sig, graphs in sorted(universe_cached(args.max_saddles).items()):
+    for sig, graphs in sorted(universe(args.max_saddles).items()):
         row = [0, 0, 0, 0]
         for g in graphs:
             saddles = sorted(p.id for p in g.points.values() if p.kind == HYPERBOLIC)

@@ -40,10 +40,10 @@ from typing import Sequence
 
 from .handles import ExtensionError, extend_to_ball, verify_decomposition
 from .invariants import (
-    find_same_sign_polygon,
     point_surplus,
     positive_tree,
     skeleton_decomposition,
+    witness_polygon,
 )
 from .model import (
     ELLIPTIC,
@@ -539,7 +539,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     g = doc.graph
     decomposition = skeleton_decomposition(g)
     dp, dm = point_surplus(g)
-    polygon = find_same_sign_polygon(g)
+    polygon = witness_polygon(g)
     payload: dict = {
         "points": len(g.points),
         "separatrices": len(g.edges),

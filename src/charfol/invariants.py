@@ -9,7 +9,10 @@ Three layers live here:
   the next found by one walk over the darts of a face;
 * polygons: unions of faces whose closure is a disc, with their boundary
   corners classified and signed.  An embedded polygon all of whose signed
-  corners agree is the overtwistedness certificate used elsewhere.
+  corners agree is the overtwistedness certificate used elsewhere.  Up to
+  :data:`MAX_POLYGON_FACES` faces a subset search finds one; past that, on
+  a Morse–Smale sphere, a cycle of the positive or the negative separatrix
+  graph bounds one.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .model import (
     Dart,
     FoliationGraph,
     GraphError,
+    InternalCheckError,
     SingularPoint,
     UnionFind,
 )
@@ -496,3 +500,86 @@ def find_same_sign_polygon(g: FoliationGraph) -> Polygon | None:
         if poly.embedded and poly.same_sign:
             return poly
     return None
+
+
+def is_morse_smale(g: FoliationGraph) -> bool:
+    """True when the sphere has no saddle connection and no embryo."""
+    return not g.homoclinic_edges() and not g.points_of_kind(EMBRYO)
+
+
+def separatrix_cycle(g: FoliationGraph, sign: int) -> Polygon | None:
+    """The polygon bounded by a cycle of Γ+ (``sign > 0``) or of Γ− on a
+    Morse–Smale sphere, or None when that graph has no cycle.
+
+    Γ+ is :func:`positive_tree`, and Γ− the same graph on ``g.reverse()``.
+    A union-find over its links, in saddle id order, stops at the first
+    link whose ends are already joined; the cycle is that link and the
+    forest path between its ends.  On the sphere the cycle is a simple
+    closed curve of separatrices through distinct points, so each of its
+    two sides is a disc, and it turns at every point it passes: both its
+    leaves leave a source of Γ+ and both enter a saddle of Γ+, and the other
+    way round for Γ−.  So either side is an embedded polygon whose corners
+    all have the sign ``sign``.  A flood fill over the face table that does
+    not cross the curve finds the sides, and the one with fewer faces is
+    taken, the one holding the least face on a tie.  :func:`trace_polygon`
+    must accept it as embedded and same-sign, or
+    :class:`~charfol.model.InternalCheckError` is raised.
+    """
+    if not is_morse_smale(g):
+        raise GraphError("separatrix cycles are read on Morse-Smale spheres only")
+    oriented = g if sign > 0 else g.reverse()
+    tree = positive_tree(oriented)
+    sets = UnionFind(tree.nodes)
+    forest: dict[str, list[tuple[str, str]]] = {v: [] for v in tree.nodes}
+    for u, v, hid in tree.links:
+        if sets.union(u, v):
+            forest[u].append((v, hid))
+            forest[v].append((u, hid))
+            continue
+        # the saddles on the forest path from v back to u close the cycle
+        via: dict[str, tuple[str, str] | None] = {u: None}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for y, link in forest[x]:
+                if y not in via:
+                    via[y] = (x, link)
+                    stack.append(y)
+        saddles = [hid]
+        while v != u:
+            v, link = via[v]
+            saddles.append(link)
+        break
+    else:
+        return None
+    cycle = {oriented.edge_at_slot(hid, slot).id for hid in saddles for slot in ("s0", "s1")}
+    face, orbits, _, _ = g.face_table()
+    sides = UnionFind(range(len(orbits)))
+    for k, eid in enumerate(g.edges):
+        if eid not in cycle:
+            sides.union(face[2 * k], face[2 * k + 1])
+    by_side: dict[int, list[int]] = {}
+    for f in range(len(orbits)):
+        by_side.setdefault(sides.find(f), []).append(f)
+    side = min(by_side.values(), key=lambda faces: (len(faces), faces[0]))
+    poly = trace_polygon(g, frozenset(side))
+    if len(by_side) != 2 or poly is None or not poly.embedded or poly.signs != {sign}:
+        raise InternalCheckError(
+            f"the cycle through saddles {' '.join(sorted(saddles))} bounds no "
+            "embedded same-sign polygon"
+        )
+    return poly
+
+
+def witness_polygon(g: FoliationGraph) -> Polygon | None:
+    """An embedded same-sign polygon, if one exists.
+
+    Up to :data:`MAX_POLYGON_FACES` faces this is the subset search's
+    (:func:`find_same_sign_polygon`).  Past that, on a Morse–Smale sphere, it
+    is the polygon of a cycle of Γ+ or else of Γ− (:func:`separatrix_cycle`),
+    and None when both are trees; on other spheres the subset search refuses
+    with :class:`GraphError`.
+    """
+    if len(g.face_table().orbits) > MAX_POLYGON_FACES and is_morse_smale(g):
+        return separatrix_cycle(g, 1) or separatrix_cycle(g, -1)
+    return find_same_sign_polygon(g)

@@ -36,6 +36,14 @@ class GraphError(ValueError):
     """A structure failed validation where validity was required."""
 
 
+class DecisionError(GraphError):
+    """The graph is outside the decision procedure's domain."""
+
+
+class InternalCheckError(DecisionError):
+    """A cross-check between independent routes failed: a bug, not an input."""
+
+
 class UnionFind:
     """Disjoint sets with path halving.
 

@@ -27,8 +27,9 @@ from .invariants import (
     Polygon,
     Region,
     elliptic_feeders,
-    find_same_sign_polygon,
+    is_morse_smale,
     point_surplus,
+    witness_polygon,
 )
 from .model import (
     ELLIPTIC,
@@ -36,9 +37,11 @@ from .model import (
     HYPERBOLIC,
     HYPERBOLIC_SLOTS,
     SADDLE_KINDS,
+    DecisionError,
     EndRef,
     FoliationGraph,
     GraphError,
+    InternalCheckError,
     Separatrix,
     SingularPoint,
     UnionFind,
@@ -52,14 +55,6 @@ from .moves import (
     resolve_embryo,
 )
 from .taming import normalized_assignment, simplicity_check, stable_circles
-
-
-class DecisionError(GraphError):
-    """The graph is outside the decision procedure's domain."""
-
-
-class InternalCheckError(DecisionError):
-    """A cross-check between independent routes failed: a bug, not an input."""
 
 
 # --------------------------------------------------------------- certificates
@@ -357,8 +352,10 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
     """Decide whether the foliated sphere bounds a tight structure.
 
     Routes: surplus mismatch -> overtwisted, with a same-sign polygon when
-    the graph is small enough to search; saddle connections -> resolve and
-    decide both sides (tight only when every perturbation is); otherwise
+    :func:`~charfol.invariants.witness_polygon` can look for one (up to the
+    subset search's face limit, or on a Morse-Smale sphere); saddle
+    connections -> resolve and decide both sides (tight only when every
+    perturbation is); otherwise
     synthesize a simple taming order and verify it, or exhibit the
     obstruction.
     """
@@ -421,11 +418,11 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
 
     surplus = point_surplus(g)
     if surplus != (1, 1):
-        # the surplus alone proves it; the polygon is evidence the search
-        # can only offer up to its face limit
+        # the surplus alone proves it; the polygon is evidence, which past
+        # the subset search's face limit only a Morse-Smale sphere offers
         poly = (
-            find_same_sign_polygon(g)
-            if len(g.face_table().orbits) <= MAX_POLYGON_FACES
+            witness_polygon(g)
+            if len(g.face_table().orbits) <= MAX_POLYGON_FACES or is_morse_smale(g)
             else None
         )
         return TightnessCertificate(
@@ -444,7 +441,7 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
                 saddle_order=order,
                 assignment=assignment,
             )
-    poly = find_same_sign_polygon(g)
+    poly = witness_polygon(g)
     if poly is not None:
         return TightnessCertificate(
             "overtwisted",
@@ -593,8 +590,10 @@ def _require_enumerable(saddles: int) -> None:
         )
 
 
-def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
-    """All valid connection-free foliations with the given saddle counts.
+def enumerate_signature(saddles: int) -> list[FoliationGraph]:
+    """All valid connection-free foliations with ``saddles`` saddles, one
+    per isomorphism class, signature by signature: the classes of
+    ``(0, saddles)`` first, then ``(1, saddles - 1)`` and so on.
 
     Driven by permutations: an elliptic point's leaves in rotation order
     are exactly one cycle of a permutation of the slots.  Slot ``t = 2i + k``
@@ -612,19 +611,34 @@ def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
     sink rotation is ``sink[perm[t]] = t ^ 1``.  With ``2n`` faces and ``4n`` leaves,
     Euler's count on the sphere reads ``#sources + #sinks = n + 2``; a
     rotation system that passes it may still be disconnected (12 candidates
-    at three saddles), hence the union-find.  Classes are listed in the
-    order their first representative is found, which does not depend on the
-    canonical form.
+    at three saddles), hence the union-find.
+
+    One pass over the source rotations serves every signature, by a lemma:
+    nothing that accepts a rotation system reads a saddle's sign.  The
+    filter reads only the cycles.  ``validate()``, the dart table and the
+    face walk read a point's sign only in ``end_direction`` and in the
+    embryo pattern check; ``end_direction`` ignores a hyperbolic point's
+    sign, the s0,u0,s1,u1 pattern check reads none, and the elliptic points
+    carry the same signs in every signing.  So each rotation system that
+    passes the filter is assembled once and validated once
+    (:func:`_assemble`), and signature ``(p, n - p)`` takes its signed copy,
+    in which saddle ``h{i}`` is positive exactly when ``i < p``
+    (:func:`_signings`); the copy shares the edges and the rotation.  The
+    canonical form does read signs, so each copy takes its own.  Each
+    signature sees its candidates in permutation order, as a loop of its
+    own would, and keeps the first graph of each canonical form, so its
+    classes come in the order their first representative is found, which
+    does not depend on the canonical form.  Every graph returned is
+    validated on its own object.
     """
-    total = plus + minus
-    if total == 0:
+    _require_enumerable(saddles)
+    if saddles == 0:
         from .zoo import trivial
 
         return [trivial()]
-    _require_enumerable(total)
-    n = total
-    signs = [1] * plus + [-1] * minus
-    seen_forms: dict = {}
+    n = saddles
+    signings = _signings(n)
+    classes: list[dict[str, FoliationGraph]] = [{} for _ in signings]
     for perm in itertools.permutations(range(2 * n)):
         sink = [0] * (2 * n)
         for t in range(2 * n):
@@ -642,29 +656,41 @@ def enumerate_signature(plus: int, minus: int) -> list[FoliationGraph]:
                     sets.union(t >> 1, offset + ci)
         if len({sets.find(x) for x in range(n_points)}) != 1:
             continue
-        g = _assemble(signs, s_cycles, u_cycles)
+        g = _assemble(n, s_cycles, u_cycles)
         if g.validate():
             raise DecisionError("enumeration filter accepted an invalid graph")
-        seen_forms.setdefault(g.canonical_form(), g)
-    return list(seen_forms.values())
+        for signing, seen in zip(signings, classes):
+            signed = FoliationGraph({**g.points, **signing}, g.edges, g.rotation)
+            seen.setdefault(signed.canonical_form(), signed)
+    out = [g for seen in classes for g in seen.values()]
+    if any(g.validate() for g in out):
+        raise DecisionError("enumeration signed a valid graph into an invalid one")
+    return out
 
 
-def _assemble(
-    signs: list[int], s_cycles: tuple, u_cycles: tuple
-) -> FoliationGraph:
-    """The candidate of a source permutation's cycles and its sink cycles.
+def _signings(n: int) -> list[dict[str, SingularPoint]]:
+    """The saddles ``h0`` to ``h{n - 1}`` of each signature ``(p, n - p)``,
+    ``p = 0..n`` in order: ``h{i}`` is positive exactly when ``i < p``."""
+    return [
+        {f"h{i}": SingularPoint(f"h{i}", HYPERBOLIC, 1 if i < p else -1) for i in range(n)}
+        for p in range(n + 1)
+    ]
+
+
+def _assemble(n: int, s_cycles: tuple, u_cycles: tuple) -> FoliationGraph:
+    """The candidate of a source permutation's cycles and its sink cycles,
+    with ``n`` saddles, every one positive.
 
     Saddle ``i``'s slots ``s0, u0, s1, u1`` hold leaves ``e{4i}`` to
     ``e{4i + 3}``, so stable slot ``t`` holds leaf ``e{2t}`` and unstable
     slot ``t`` leaf ``e{2t + 1}``; each leaf's elliptic end is read off the
     cycle that holds its slot before the leaf is built.
     """
-    n = len(signs)
     points = {}
     rotation = {}
     for i in range(n):
         hid = f"h{i}"
-        points[hid] = SingularPoint(hid, HYPERBOLIC, signs[i])
+        points[hid] = SingularPoint(hid, HYPERBOLIC, 1)
         rotation[hid] = (
             (f"e{4 * i}", "tgt"),
             (f"e{4 * i + 1}", "src"),
@@ -698,16 +724,20 @@ def _assemble(
 
 
 def universe(max_saddles: int) -> dict[tuple[int, int], list[FoliationGraph]]:
-    """Enumerated universes for every saddle signature up to a total count.
+    """Enumerated universes for every saddle signature up to a total count,
+    grouped from one :func:`enumerate_signature` pass per count.
 
     Raises :class:`DecisionError` before any work unless the count is in
     ``0..MAX_ENUMERATION_SADDLES``.
     """
     _require_enumerable(max_saddles)
-    out = {}
+    out: dict[tuple[int, int], list[FoliationGraph]] = {}
     for total in range(0, max_saddles + 1):
-        for plus in range(0, total + 1):
-            out[(plus, total - plus)] = enumerate_signature(plus, total - plus)
+        by_sig = {(plus, total - plus): [] for plus in range(total + 1)}
+        for g in enumerate_signature(total):
+            plus = sum(p.sign > 0 for p in g.saddle_points())
+            by_sig[(plus, total - plus)].append(g)
+        out.update(by_sig)
     return out
 
 
@@ -727,7 +757,7 @@ def enumerate_foliations(
     """
     from . import zoo
 
-    by_sig = universe_cached(max_saddles)
+    by_sig = universe(max_saddles)
     for sig in sorted(by_sig):
         for g in by_sig[sig]:
             yield g
@@ -741,12 +771,3 @@ def enumerate_foliations(
             g = zoo.example(name)
             if len(g.saddle_points()) <= max_saddles:
                 yield g
-
-
-_UNIVERSE_CACHE: dict[int, dict[tuple[int, int], list[FoliationGraph]]] = {}
-
-
-def universe_cached(max_saddles: int) -> dict[tuple[int, int], list[FoliationGraph]]:
-    if max_saddles not in _UNIVERSE_CACHE:
-        _UNIVERSE_CACHE[max_saddles] = universe(max_saddles)
-    return _UNIVERSE_CACHE[max_saddles]

@@ -7,7 +7,7 @@ import pytest
 
 from charfol import zoo
 from charfol.moves import create_pair
-from charfol.tightness import decide_tightness, universe_cached
+from charfol.tightness import decide_tightness, universe
 
 ZOO_NAMES = sorted(zoo.ZOO)
 
@@ -15,7 +15,7 @@ ZOO_NAMES = sorted(zoo.ZOO)
 @pytest.fixture(scope="session")
 def universe3():
     """Isomorphism classes with at most three saddles, keyed by signature."""
-    return universe_cached(3)
+    return universe(3)
 
 
 @pytest.fixture(scope="session")

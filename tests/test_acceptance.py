@@ -34,7 +34,7 @@ from charfol.tightness import (
     allowable_candidates,
     decide_tightness,
     oracle_tightness,
-    universe_cached,
+    universe,
 )
 from references import eq_simplicity_check
 
@@ -260,7 +260,7 @@ def test_c11_certificates_reverify_through_the_cli(tmp_path, capsys):
         captured = capsys.readouterr()
         return code, captured.out
 
-    instances = [g for graphs in universe_cached(2).values() for g in graphs]
+    instances = [g for graphs in universe(2).values() for g in graphs]
     instances += [
         zoo.example(n) for n in sorted(zoo.ZOO) if n != "trivial"
     ]

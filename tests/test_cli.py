@@ -5,15 +5,16 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from charfol import FoliationGraph, cli, zoo
 from charfol.cli import FoliationDocument, ParseError, emit, main, parse, render_dot, render_svg
-from charfol.invariants import MAX_POLYGON_FACES, point_surplus
+from charfol.invariants import MAX_POLYGON_FACES, is_morse_smale, point_surplus, trace_polygon
 from charfol.moves import create_pair
-from charfol.tightness import universe_cached
+from charfol.tightness import universe
 from references import from_data
 
 ZOO_NAMES = sorted(zoo.ZOO)
@@ -70,7 +71,7 @@ def test_a_transcript_holding_a_comment_sign_round_trips():
 
 
 def test_round_trip_on_enumerated_universe():
-    for graphs in universe_cached(2).values():
+    for graphs in universe(2).values():
         for g in graphs:
             assert parse(emit(g)).graph.canonical_form() == g.canonical_form()
 
@@ -371,7 +372,8 @@ def test_enumerate_rejects_a_bound_outside_the_enumerated_range(capsys, bound):
 
 # sha256 of `charfol enumerate --max-saddles 3 --embryos --homoclinics`
 # stdout, text and --json, taken before the sink rotations were derived from
-# the source ones: they pin the representatives and their order
+# the source ones, and again while each signature still made its own pass
+# over the source rotations: they pin the representatives and their order
 ENUMERATE3_GOLDEN = {
     False: "801666ff956ca22d7820f838e9f429580f110bf70037d985195dd9fc1b911adc",
     True: "33ffb40bf185497a694d2c11c5cef03f40719e597937fa819e69f63e6f103ddc",
@@ -384,6 +386,25 @@ def test_enumerate_three_saddles_golden(capsys, as_json):
     code, out, _ = run(capsys, *argv, *(["--json"] if as_json else []))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE3_GOLDEN[as_json]
+
+
+#: classes per (positive, negative) saddle signature in that output
+ENUMERATE3_CLASSES = {
+    (0, 0): 1, (0, 1): 2, (0, 2): 4, (0, 3): 14, (1, 0): 2,
+    (1, 1): 5, (1, 2): 30, (2, 0): 4, (2, 1): 30, (3, 0): 14,
+}
+
+
+def test_enumerate_three_saddles_lists_its_classes_signature_by_signature(capsys):
+    code, out, _ = run(capsys, "enumerate", "--max-saddles", "3", "--embryos", "--homoclinics")
+    assert code == 0
+    graphs = [parse("foliation v1" + doc).graph for doc in out.split("foliation v1")[1:]]
+    signatures = [
+        (sum(p.sign > 0 for p in g.saddle_points()), sum(p.sign < 0 for p in g.saddle_points()))
+        for g in graphs[:-4]  # the embryo and connection patterns close the stream
+    ]
+    assert signatures == sorted(signatures)
+    assert Counter(signatures) == ENUMERATE3_CLASSES
 
 
 def test_invariants_command(tmp_path, capsys):
@@ -485,22 +506,81 @@ def test_library_render_matches_cli(tmp_path, capsys):
 
 
 def test_surplus_mismatch_past_the_polygon_limit_still_decides(tmp_path, capsys):
-    # the surplus proves the verdict; only the optional polygon needs the search
+    # the surplus proves the verdict; past the subset search's face limit a
+    # Morse-Smale sphere's polygon comes from a cycle of its separatrix graphs
     rng = random.Random(22)
     g = zoo.example("overtwisted_loop_positive")
     while len(g.faces()) <= MAX_POLYGON_FACES:
         g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
-    assert point_surplus(g) != (1, 1)
+    assert point_surplus(g) != (1, 1) and is_morse_smale(g)
     path = write_doc(tmp_path, emit(g))
     code, out, err = run(capsys, "decide", "-i", path, "--json")
     assert (code, err) == (1, "")
-    assert json.loads(out) == {
+    cert = json.loads(out)
+    polygon = cert.pop("polygon")
+    assert cert == {
         "verdict": "overtwisted",
         "reason": f"point surplus {point_surplus(g)} != (1, 1)",
     }
-    code, out, err = run(capsys, "invariants", "-i", path)
+    assert polygon["embedded"] and polygon["same_sign"]
+    assert trace_polygon(g, frozenset(polygon["faces"])).describe() == polygon
+    code, out, err = run(capsys, "invariants", "-i", path, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["same_sign_polygon"] == polygon
+
+    # a sphere with an embryo is no Morse-Smale sphere: past the limit its
+    # polygon search still refuses, with exit 2
+    g = zoo.example("embryo_positive")
+    while len(g.faces()) <= MAX_POLYGON_FACES:
+        g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+    assert not is_morse_smale(g)
+    code, out, err = run(capsys, "invariants", "-i", write_doc(tmp_path, emit(g), "e.fol"))
     assert (code, out) == (2, "")
     assert f"<= {MAX_POLYGON_FACES} faces" in err
+
+
+# the first seed class of perfbench/seeds/untameable.fol: surplus (1, 1),
+# and no saddle order tames it
+UNTAMEABLE_CLASS_0 = """foliation v1
+point h0 hyperbolic +
+point h1 hyperbolic -
+point p0 elliptic +
+point p1 elliptic +
+point z0 elliptic -
+point z1 elliptic -
+sep e0 p0 h0:s0
+sep e1 h0:u0 z0
+sep e2 p0 h0:s1
+sep e3 h0:u1 z1
+sep e4 p0 h1:s0
+sep e5 h1:u0 z0
+sep e6 p1 h1:s1
+sep e7 h1:u1 z0
+rot h0: e0.tgt e1.src e2.tgt e3.src
+rot h1: e4.tgt e5.src e6.tgt e7.src
+rot p0: e0.src e2.src e4.src
+rot p1: e6.src
+rot z0: e1.tgt e7.tgt e5.tgt
+rot z1: e3.tgt
+"""
+
+
+def test_an_untameable_sphere_past_the_polygon_limit_decides_with_a_polygon(tmp_path, capsys):
+    # ten create_pair steps give 12 saddles and 24 faces; synthesis fails,
+    # and the polygon comes from a cycle of the separatrix graphs, where the
+    # subset search refused with exit 2
+    rng = random.Random(5)
+    g = parse(UNTAMEABLE_CLASS_0).graph
+    for _ in range(10):
+        g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+    assert (len(g.saddle_points()), len(g.face_table().orbits)) == (12, 24)
+    assert point_surplus(g) == (1, 1) and is_morse_smale(g)
+    code, out, err = run(capsys, "decide", "-i", write_doc(tmp_path, emit(g)), "--json")
+    assert (code, err) == (1, "")
+    cert = json.loads(out)
+    assert (cert["verdict"], cert["reason"]) == ("overtwisted", "no simple taming order exists")
+    assert trace_polygon(g, frozenset(cert["polygon"]["faces"])).describe() == cert["polygon"]
+    assert cert["polygon"]["embedded"] and cert["polygon"]["same_sign"]
 
 
 # ---------------------------------------------------------------- one parser

@@ -2,25 +2,31 @@
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from charfol import ELLIPTIC, HYPERBOLIC, FoliationGraph, GraphError
 from charfol import zoo
+from charfol import invariants
 from charfol.invariants import (
     Polygon,
     PolygonCorner,
     Region,
     enumerate_polygons,
     find_same_sign_polygon,
+    is_morse_smale,
     point_surplus,
     positive_tree,
+    separatrix_cycle,
     skeleton_decomposition,
     surplus,
     trace_polygon,
 )
-from charfol.model import end_direction
+from charfol.model import InternalCheckError, end_direction
+from charfol.moves import create_pair
+from charfol.tightness import decide_tightness
 
 ZOO_NAMES = sorted(zoo.ZOO)
 
@@ -412,3 +418,82 @@ def test_positive_tree_rejects_self_loop():
 def test_positive_tree_rejects_homoclinic_input():
     with pytest.raises(GraphError):
         positive_tree(zoo.example("tight_saddle_connection"))
+
+
+# ----------------------------------------------------- separatrix cycles (Γ±)
+
+
+def _walk_to(g: FoliationGraph, rng: random.Random, faces: int) -> FoliationGraph:
+    while len(g.face_table().orbits) < faces:
+        g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
+    return g
+
+
+@pytest.fixture(scope="module")
+def morse_smale_spheres(universe_list, walked_spheres):
+    """The spheres with no saddle connection and no embryo among the <=3
+    universe and its reversals, the zoo, the walked spheres, and seeded
+    create_pair walks to 12-16 faces from the zoo and from the universe
+    classes that no order tames."""
+    graphs = list(universe_list) + [g.reverse() for g in universe_list]
+    graphs += [zoo.example(name) for name in ZOO_NAMES] + [g for _, g in walked_spheres]
+    rng = random.Random(16)
+    starts = [zoo.example(name) for name in ZOO_NAMES]
+    starts += [
+        g
+        for g in universe_list
+        if len(g.saddle_points()) == 3 and point_surplus(g) == (1, 1) and not decide_tightness(g).tight
+    ]
+    for g in starts:
+        for faces in (12, 14, 16):
+            graphs.append(_walk_to(g, rng, faces))
+    return [g for g in graphs if is_morse_smale(g)]
+
+
+def test_the_tree_reading_equals_decide(morse_smale_spheres):
+    # Giroux's criterion: a Morse-Smale sphere is tight exactly when Γ+ and
+    # Γ- are trees
+    verdicts = set()
+    for g in morse_smale_spheres:
+        trees = positive_tree(g).is_tree() and positive_tree(g.reverse()).is_tree()
+        assert trees == decide_tightness(g).tight
+        verdicts.add(trees)
+    assert verdicts == {True, False}
+
+
+def test_every_cycle_polygon_retraces(morse_smale_spheres):
+    found = {1: 0, -1: 0}
+    for g in morse_smale_spheres:
+        for sign in (1, -1):
+            poly = separatrix_cycle(g, sign)
+            if poly is None:
+                continue
+            found[sign] += 1
+            again = trace_polygon(g, poly.face_indices)
+            assert again.describe() == poly.describe()
+            assert again.embedded and again.signs == {sign}
+            # the smaller side, the one with the least face on a tie
+            assert 2 * len(poly.face_indices) <= len(g.face_table().orbits)
+    assert found[1] > 100 and found[-1] > 100
+
+
+def test_a_cycle_polygon_exists_exactly_when_the_subset_search_finds_one(morse_smale_spheres):
+    small = [g for g in morse_smale_spheres if len(g.face_table().orbits) <= 16]
+    assert max(len(g.face_table().orbits) for g in small) == 16
+    for g in small:
+        cycle = separatrix_cycle(g, 1) or separatrix_cycle(g, -1)
+        assert (cycle is None) == (find_same_sign_polygon(g) is None)
+
+
+def test_a_cycle_that_bounds_no_polygon_fails_the_internal_check(monkeypatch):
+    g = zoo.example("double_join_cycle")
+    assert separatrix_cycle(g, 1) is not None and separatrix_cycle(g, -1) is None
+    monkeypatch.setattr(invariants, "trace_polygon", lambda g, faces: None)
+    with pytest.raises(InternalCheckError, match="bounds no embedded same-sign polygon"):
+        separatrix_cycle(g, 1)
+
+
+def test_separatrix_cycles_are_read_on_morse_smale_spheres_only():
+    for name in ("embryo_positive", "tight_saddle_connection"):
+        with pytest.raises(GraphError):
+            separatrix_cycle(zoo.example(name), 1)

@@ -76,21 +76,35 @@ def test_certificates_carry_their_evidence():
 
 
 def test_a_mismatch_past_the_polygon_limit_builds_no_faces(monkeypatch):
-    # the surplus decides it, and the face count that rules out the polygon
-    # search comes from the face table
-    g = _walk(
-        zoo.example("overtwisted_loop_positive"),
-        random.Random(7),
-        lambda h: len(h.faces()) > tightness.MAX_POLYGON_FACES,
-    )
-    expected = decide_tightness(g).to_data()
-    assert expected == {"verdict": "overtwisted", "reason": "point surplus (0, 2) != (1, 1)"}
+    # the surplus decides it; the face count that rules out the subset search
+    # and the cycle polygon that replaces it, from Γ+ on a surplus of (0, 2)
+    # and from Γ- on (2, 0), both come from the face table
+    cases = []
+    for name, sign, surplus in (
+        ("overtwisted_loop_positive", 1, (0, 2)),
+        ("overtwisted_loop_negative", -1, (2, 0)),
+    ):
+        g = _walk(
+            zoo.example(name),
+            random.Random(7),
+            lambda h: len(h.faces()) > tightness.MAX_POLYGON_FACES,
+        )
+        expected = decide_tightness(g).to_data()
+        polygon = expected["polygon"]
+        assert polygon["embedded"] and polygon["same_sign"]
+        assert {c["sign"] for c in polygon["corners"]} == {sign}
+        assert {k: v for k, v in expected.items() if k != "polygon"} == {
+            "verdict": "overtwisted",
+            "reason": f"point surplus {surplus} != (1, 1)",
+        }
+        cases.append((g, expected))
 
     def refuse(self):
         raise AssertionError("faces built for a sphere past the polygon limit")
 
     monkeypatch.setattr(FoliationGraph, "faces", refuse)
-    assert decide_tightness(from_data(g.to_data())).to_data() == expected
+    for g, expected in cases:
+        assert decide_tightness(from_data(g.to_data())).to_data() == expected
 
 
 def test_chain_certificate_assignment():
@@ -521,7 +535,11 @@ def test_reference_enumeration_matches_fast_enumeration():
     # the sink rotations — they must agree class-for-class
     for sig in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
         ref = {g.canonical_form() for g in enumerate_reference(*sig)}
-        fast = {g.canonical_form() for g in enumerate_signature(*sig)}
+        fast = {
+            g.canonical_form()
+            for g in enumerate_signature(sum(sig))
+            if sum(p.sign > 0 for p in g.saddle_points()) == sig[0]
+        }
         assert ref == fast, sig
 
 
@@ -545,7 +563,7 @@ def test_universe_faces_are_source_saddle_sink_saddle(universe3):
 
 def test_enumerate_signature_bound():
     with pytest.raises(DecisionError, match=r"^enumeration bounded to 0\.\.4 saddles, got 5$"):
-        enumerate_signature(3, 2)
+        enumerate_signature(5)
     with pytest.raises(DecisionError, match="three saddles"):
         enumerate_reference(2, 2)
 
@@ -553,13 +571,13 @@ def test_enumerate_signature_bound():
 @pytest.mark.parametrize("bound", [5, -1])
 def test_enumeration_bound_is_checked_before_any_work(monkeypatch, bound):
     built = []
-    monkeypatch.setattr(tightness, "enumerate_signature", lambda p, m: built.append((p, m)))
+    monkeypatch.setattr(tightness, "enumerate_signature", built.append)
     message = rf"^enumeration bounded to 0\.\.4 saddles, got {bound}$"
     with pytest.raises(DecisionError, match=message):
         tightness.universe(bound)
     with pytest.raises(DecisionError, match=message):
         next(enumerate_foliations(bound, allow_embryos=True, allow_homoclinics=True))
-    assert built == [] and bound not in tightness._UNIVERSE_CACHE
+    assert built == []
 
 
 def test_enumerate_foliations_counts():

@@ -210,16 +210,32 @@ def valid_graphs(universe_list, walked_spheres):
 
 
 @pytest.fixture(scope="module")
-def enumeration_candidates():
-    """Every graph that enumerate_signature assembles at <=3 saddles."""
+def accepted_rotation_systems():
+    """The graph that enumerate_signature assembles and validates for each
+    rotation system that passes its filter at <=3 saddles."""
     built = []
     assemble = tightness._assemble
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tightness, "_assemble", lambda *args: built.append(assemble(*args)) or built[-1])
-        for total in range(1, 4):
-            for plus in range(total + 1):
-                tightness.enumerate_signature(plus, total - plus)
+        for saddles in range(1, 4):
+            tightness.enumerate_signature(saddles)
     return built
+
+
+def signings(g: FoliationGraph) -> list[FoliationGraph]:
+    """Each signed copy of an assembled candidate, made as enumerate_signature
+    makes it, with empty caches."""
+    return [
+        FoliationGraph({**g.points, **signing}, g.edges, g.rotation)
+        for signing in tightness._signings(len(g.edges) // 4)
+    ]
+
+
+@pytest.fixture(scope="module")
+def enumeration_candidates(accepted_rotation_systems):
+    """Every signed candidate that enumerate_signature reads at <=3 saddles:
+    each signing of each accepted rotation system."""
+    return [signed for g in accepted_rotation_systems for signed in signings(g)]
 
 
 def test_validate_matches_the_face_building_check_on_valid_graphs(valid_graphs):
@@ -237,6 +253,22 @@ def test_validate_matches_the_face_building_check_on_enumeration_candidates(
     for g in enumeration_candidates:
         assert g.validate() == reference_check(_copy(g)) == []
         assert g._faces is None
+
+
+def test_every_signing_reads_as_the_validated_one(accepted_rotation_systems):
+    # the lemma behind enumerate_signature's one pass over the rotations: the
+    # signing that was validated speaks for all, since validity, the dart
+    # table and the face walk read no saddle's sign
+    assert len(accepted_rotation_systems) == 2 + 18 + 432  # 1786 signed candidates
+    for g in accepted_rotation_systems:
+        assert g.validate() == []
+        copies = signings(g)
+        n = len(g.edges) // 4
+        assert [sum(p.sign > 0 for p in c.saddle_points()) for c in copies] == list(range(n + 1))
+        for signed in copies:
+            assert signed.validate() == reference_check(_copy(signed)) == []
+            assert signed.dart_table() == g.dart_table()
+            assert signed.face_table() == g.face_table()
 
 
 #: the first message of each stage of the check after the key check
