@@ -587,30 +587,36 @@ class FoliationGraph:
         Rotation order is kept (reversal preserves the orientation of the
         sphere); slot names at hyperbolic points are re-normalized so the
         counterclockwise pattern reads s0,u0,s1,u1 again.
+
+        Reversal keeps validity, and it keeps the edge order, so dart ``j``
+        of the result is dart ``j ^ 1`` of this graph turned around.  A graph
+        known to be valid hands its verdict on, with its dart table mapped
+        along that correspondence; any other graph hands on nothing, and its
+        reversal is checked from scratch when validated.  Raises
+        :class:`GraphError` when a hyperbolic point's rotation lists no
+        unstable dart, since the pattern has nowhere to start.
         """
         slot_map: dict[tuple[str, str | None], str | None] = {}
         points: dict[str, SingularPoint] = {}
         for pid, p in self.points.items():
             points[pid] = SingularPoint(pid, p.kind, -p.sign)
             if p.kind == HYPERBOLIC:
-                seq = self.rotation[pid]
+                slots = [self.dart_slot(d) for d in self.rotation.get(pid, ())]
                 # old unstable slots become stable; start the pattern at one
-                start = next(
-                    i for i, d in enumerate(seq) if self.dart_slot(d) in ("u0", "u1")
-                )
-                for k in range(4):
-                    old = self.dart_slot(seq[(start + k) % 4])
-                    slot_map[(pid, old)] = HYPERBOLIC_SLOTS[k]
+                start = next((i for i, s in enumerate(slots) if s in ("u0", "u1")), None)
+                if start is None:
+                    raise GraphError(f"hyperbolic point {pid}: rotation lists no unstable dart")
+                for new, old in zip(HYPERBOLIC_SLOTS, slots[start:] + slots[:start]):
+                    slot_map[(pid, old)] = new
             elif p.kind == EMBRYO:
+                # the boundary and zone slots keep their names
                 slot_map[(pid, "in" if p.sign > 0 else "out")] = (
                     "out" if p.sign > 0 else "in"
                 )
-                slot_map[(pid, "b0")] = "b0"
-                slot_map[(pid, "b1")] = "b1"
-                slot_map[(pid, "zone")] = "zone"
 
         def flip(ref: EndRef) -> EndRef:
-            return EndRef(ref.point, slot_map.get((ref.point, ref.slot), ref.slot))
+            slot = slot_map.get((ref.point, ref.slot), ref.slot)
+            return ref if slot == ref.slot else EndRef(ref.point, slot)
 
         edges = {
             eid: Separatrix(eid, flip(e.dst), flip(e.src), e.marker)
@@ -619,7 +625,19 @@ class FoliationGraph:
         rotation = {
             pid: tuple(self.theta(d) for d in seq) for pid, seq in self.rotation.items()
         }
-        return FoliationGraph(points, edges, rotation)
+        rev = FoliationGraph(points, edges, rotation)
+        if self._problems == ():
+            rev._problems = ()
+            if self._table is not None:
+                darts, index, sigma, out, point = self._table
+                rev._table = DartTable(
+                    darts,
+                    index,
+                    [sigma[j ^ 1] ^ 1 for j in range(len(sigma))],
+                    [not out[j ^ 1] for j in range(len(out))],
+                    [point[j ^ 1] for j in range(len(point))],
+                )
+        return rev
 
     def without_edge(self, eid: str) -> "FoliationGraph":
         edges = {k: v for k, v in self.edges.items() if k != eid}
@@ -646,11 +664,15 @@ class FoliationGraph:
         then no bridge, so connectivity and V - E + F = 2 survive its
         deletion, and the merged face keeps exactly one source and one sink
         corner.  Only the single leaf of the trivial sphere stays.
+
+        So a graph known to be valid hands that verdict on to the result.
         """
         g = self
         for eid in sorted(e for e, s in self.edges.items() if s.marker):
             if len(g.edges) > 1:
                 g = g.without_edge(eid)
+        if self._problems == ():
+            g._problems = ()
         return g
 
     # ------------------------------------------------------- canonical form

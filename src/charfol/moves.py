@@ -170,7 +170,11 @@ def _conjugated(g: FoliationGraph, move, **details) -> MoveResult:
     """Run ``move`` on the time reversal of ``g`` and reverse its result back.
 
     Reversal keeps validity, degrees and marker flags, so the reversal of the
-    move's marker-reduced result is marker-reduced already.
+    move's marker-reduced result is marker-reduced already.  Both reversals
+    hand on the verdict and the dart table of a validated graph
+    (:meth:`FoliationGraph.reverse`), and the move's result carries the
+    verdict of its own check through marker reduction, so neither reversal
+    is checked again.
     """
     rev = move(g.reverse())
     return MoveResult(
@@ -346,7 +350,9 @@ def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult
     """Plant a cancelling elliptic/hyperbolic pair inside a face.
 
     The new saddle is fed by the face's source corner (for a positive pair)
-    and drains to the face's sink; inverse of :func:`eliminate_pair`.
+    and drains to the face's sink.  The new elliptic point's one separatrix
+    feeds the new saddle, so this inverts :func:`eliminate_pair` only where
+    the eliminated elliptic point fed nothing but its saddle.
     ``face_index`` counts from 0 in :meth:`FoliationGraph.faces` order and
     ``sign`` is +1 or -1; anything else raises :class:`MoveError`.
     """

@@ -320,3 +320,71 @@ def test_marker_reduce_keeps_a_leaf_with_one_face_on_both_sides():
     )
     assert bigon.validate() == []
     assert sorted(bigon.marker_reduce().edges) == ["m1"]
+
+
+# ------------------------------------------------- handed-on verdicts
+
+
+def _from_parts(g: FoliationGraph) -> FoliationGraph:
+    """A graph with ``g``'s points, edges and rotation, and nothing known."""
+    return FoliationGraph(g.points, g.edges, g.rotation)
+
+
+def _counting_checks(monkeypatch) -> list:
+    runs = []
+    check = FoliationGraph._check
+    monkeypatch.setattr(FoliationGraph, "_check", lambda g: runs.append(g) or check(g))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def lemma_sources(universe_list, walked_spheres):
+    base = list(universe_list) + [zoo.example(name) for name in ZOO_NAMES]
+    return base + [g.reverse() for g in base] + [g for _, g in walked_spheres]
+
+
+def test_reversal_and_marker_reduction_hand_on_the_fresh_verdict_and_table(
+    lemma_sources, marker_reduce_inputs, monkeypatch
+):
+    runs = _counting_checks(monkeypatch)
+    dropped = 0
+    for source in lemma_sources + marker_reduce_inputs:
+        g = _from_parts(source)
+        assert g.validate() == []
+        g.dart_table()
+        reduced = g.marker_reduce()
+        # a reduced graph carries the verdict without a dart table
+        for result in (g.reverse(), reduced, reduced.reverse()):
+            fresh = _from_parts(result)
+            runs.clear()
+            assert result.validate() == fresh.validate() == []
+            # the verdict came with the result: only the fresh graph was checked
+            assert runs == [fresh]
+            assert result.dart_table() == fresh.dart_table()
+        dropped += len(reduced.edges) < len(g.edges)
+    assert dropped >= 50
+
+
+def test_an_invalid_or_unvalidated_graph_hands_on_no_verdict(monkeypatch):
+    runs = _counting_checks(monkeypatch)
+    for name in ZOO_NAMES:
+        g = zoo.example(name)
+        # not yet validated: each result is checked when it is validated
+        for result in (g.reverse(), g.marker_reduce()):
+            runs.clear()
+            assert result.validate() == []
+            assert runs == [result]
+        # every fixture loses validity with any one of its edges
+        for eid in sorted(g.edges):
+            h = g.without_edge(eid)
+            assert h.validate() != []
+            for result in (h.reverse(), h.marker_reduce()):
+                assert result.validate() == _from_parts(result).validate() != []
+
+
+def test_reverse_names_a_saddle_whose_rotation_lists_no_unstable_dart():
+    g = zoo.example("tight_one_saddle")
+    rotation = dict(g.rotation)
+    rotation["h"] = tuple(d for d in g.rotation["h"] if d[0] not in ("f0", "f1"))
+    with pytest.raises(GraphError, match="^hyperbolic point h: rotation lists no unstable dart$"):
+        FoliationGraph(g.points, g.edges, rotation).reverse()

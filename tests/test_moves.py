@@ -1,9 +1,11 @@
 """Rewrite moves: each result validates, and local round trips close up."""
 
+import random
+
 import pytest
 
 from charfol import FoliationGraph, zoo
-from charfol.cli import emit
+from charfol.cli import emit, parse
 from charfol.moves import (
     MoveError,
     _reversed_face_index,
@@ -117,6 +119,19 @@ def test_create_pair_records_the_callers_face_for_both_signs(zoo_graph):
         # the negative planting is the positive one on the reversal, reversed back
         by_hand = create_pair(rev, _reversed_face_index_by_scan(zoo_graph, rev, f.index), 1)
         assert emit(create_pair(zoo_graph, f.index, -1).graph) == emit(by_hand.graph.reverse())
+
+
+def test_create_pair_walks_validate_from_their_text():
+    # each step's graph may carry a verdict handed on by reversal or marker
+    # reduction; read back from its document, it is checked from scratch
+    rng = random.Random(2222)
+    for name in sorted(zoo.ZOO):
+        g = zoo.example(name)
+        for _ in range(12):
+            face, sign = rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))
+            g = create_pair(g, face, sign).graph
+            text = emit(g)
+            assert parse(text).graph.validate() == [], (name, text)
 
 
 def test_create_pair_preserves_tightness_verdict():
