@@ -17,13 +17,9 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from charfol.invariants import surplus
 from charfol.model import HYPERBOLIC
-from charfol.taming import (
-    normalized_assignment,
-    regular_thresholds,
-    simplicity_check,
-    sublevel_component_surplus,
-)
+from charfol.taming import levels, normalized_assignment, simplicity_check
 from charfol.tightness import universe
 
 
@@ -48,9 +44,13 @@ def main() -> int:
                     continue
                 row[1] += 1
                 row[2] += report.circle_simple and report.component_simple
-                for t in regular_thresholds(g, a):
-                    for dp, _ in sublevel_component_surplus(g, a, t).values():
-                        row[3] += dp != 1
+                # the region below each level but the lowest is the sublevel
+                # set at one regular threshold
+                for _, region, _ in itertools.islice(levels(g, a), 1, None):
+                    members = {}
+                    for pid, root in region.components().items():
+                        members.setdefault(root, []).append(g.points[pid])
+                    row[3] += sum(surplus(ps)[0] != 1 for ps in members.values())
         print(f"{str(sig):>10}  {row[0]:>9}  {row[1]:>6}  {row[2]:>6}  {row[3]:>6}")
         totals = [x + y for x, y in zip(totals, row)]
     print(f"{'total':>10}  {totals[0]:>9}  {totals[1]:>6}  {totals[2]:>6}  {totals[3]:>6}")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import html
 import json
 import math
 import re
@@ -301,6 +302,11 @@ def emit(doc: FoliationDocument | FoliationGraph) -> str:
 _DOT_SHAPES = {ELLIPTIC: "circle", HYPERBOLIC: "diamond", EMBRYO: "doublecircle"}
 
 
+def _quoted(text: str) -> str:
+    """A DOT quoted string, with each backslash and quote inside escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def render_dot(g: FoliationGraph) -> str:
     """Graphviz text: one node per point, one arc per separatrix, basin clusters."""
     out = ["digraph foliation {", "  rankdir=LR;", '  node [fontsize=11];']
@@ -310,9 +316,10 @@ def render_dot(g: FoliationGraph) -> str:
         decomposition = skeleton_decomposition(g)
         for label, groups in (("basin", decomposition.basins), ("semibasin", decomposition.semibasins)):
             for center, members in groups:
-                out.append(f'  subgraph "cluster_{label}_{center}" {{')
-                out.append(f'    label="{label} {center} (faces {" ".join(map(str, members))})";')
-                out.append(f'    "{center}";')
+                faces = " ".join(map(str, members))
+                out.append(f"  subgraph {_quoted(f'cluster_{label}_{center}')} {{")
+                out.append(f"    label={_quoted(f'{label} {center} (faces {faces})')};")
+                out.append(f"    {_quoted(center)};")
                 out.append("  }")
                 clustered.add(center)
     for pid in sorted(g.points):
@@ -320,13 +327,13 @@ def render_dot(g: FoliationGraph) -> str:
         style = "solid" if p.sign > 0 else "dashed"
         fill = {1: "white", -1: "gray88"}[p.sign]
         out.append(
-            f'  "{pid}" [shape={_DOT_SHAPES[p.kind]}, style="{style},filled", '
-            f'fillcolor={fill}, label="{pid} {_SIGN_TOKENS[p.sign]}"];'
+            f'  {_quoted(pid)} [shape={_DOT_SHAPES[p.kind]}, style="{style},filled", '
+            f"fillcolor={fill}, label={_quoted(f'{pid} {_SIGN_TOKENS[p.sign]}')}];"
         )
     skeleton = set(decomposition.skeleton) if decomposition else set()
     for eid in sorted(g.edges):
         e = g.edges[eid]
-        attrs = [f'label="{eid}"']
+        attrs = [f"label={_quoted(eid)}"]
         if e.src.slot:
             attrs.append(f'taillabel="{e.src.slot}"')
         if e.dst.slot:
@@ -337,7 +344,7 @@ def render_dot(g: FoliationGraph) -> str:
             attrs.append("penwidth=2")
         if g.is_homoclinic(eid):
             attrs.append("color=red")
-        out.append(f'  "{e.src.point}" -> "{e.dst.point}" [{", ".join(attrs)}];')
+        out.append(f'  {_quoted(e.src.point)} -> {_quoted(e.dst.point)} [{", ".join(attrs)}];')
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -457,7 +464,7 @@ def render_svg(g: FoliationGraph) -> str:
                 cyq = round(my + dx / norm * offset, 2)
                 d = f"M {x0} {y0} Q {cxq} {cyq} {x1} {y1}"
             parts.append(
-                f'  <path id="edge-{eid}" class="{" ".join(classes)}" d="{d}" '
+                f'  <path id="edge-{html.escape(eid)}" class="{" ".join(classes)}" d="{d}" '
                 f'fill="none" stroke="{color}"{dash} marker-end="url(#arrow)"/>'
             )
     for pid in sorted(g.points):
@@ -465,12 +472,12 @@ def render_svg(g: FoliationGraph) -> str:
         x, y = pos[pid]
         fill = {1: "#ffffff", -1: "#cfd8dc"}[p.sign]
         parts.append(
-            f'  <circle id="point-{pid}" class="point kind-{p.kind}" '
+            f'  <circle id="point-{html.escape(pid)}" class="point kind-{p.kind}" '
             f'cx="{x}" cy="{y}" r="9" fill="{fill}" stroke="#111111"/>'
         )
         parts.append(
             f'  <text x="{x}" y="{round(y - 12, 2)}" text-anchor="middle" '
-            f'font-size="11">{pid} {_SIGN_TOKENS[p.sign]}</text>'
+            f'font-size="11">{html.escape(pid)} {_SIGN_TOKENS[p.sign]}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

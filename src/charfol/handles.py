@@ -26,13 +26,7 @@ from typing import ClassVar, Mapping
 
 from .invariants import Region
 from .model import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
-from .taming import (
-    check_assignment,
-    levels,
-    region_below,
-    simplicity_check,
-    stable_circles,
-)
+from .taming import check_assignment, levels, simplicity_check, stable_circles, sublevel_region
 
 
 class ExtensionError(GraphError):
@@ -231,10 +225,9 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
             if _saddle_event(below[a[pid]], pid, a[pid]) != r:
                 problems.append(f"half-handle-1 data for {pid} does not replay")
             # the record's own value, which a forgery may have moved
-            try:
-                region = region_below(g, a, r.value)
-            except GraphError as ex:
-                problems.append(f"half-handle-1 {pid}: {ex}")
+            region = sublevel_region(g, a, r.value)
+            if not region.inside:
+                problems.append(f"half-handle-1 {pid}: no assigned value lies below {r.value}")
                 return problems
             comp = region.components()
             reps = []

@@ -639,14 +639,6 @@ class FoliationGraph:
                 )
         return rev
 
-    def without_edge(self, eid: str) -> "FoliationGraph":
-        edges = {k: v for k, v in self.edges.items() if k != eid}
-        rotation = {
-            pid: tuple(d for d in seq if d[0] != eid)
-            for pid, seq in self.rotation.items()
-        }
-        return FoliationGraph(self.points, edges, rotation)
-
     def marker_reduce(self) -> "FoliationGraph":
         """Delete marker leaves in id order while another edge is left.
 
@@ -655,22 +647,29 @@ class FoliationGraph:
         rules as they were.  Every germ at a positive elliptic point or in a
         positive zone goes out and every germ at the negative kinds comes in,
         so both corners beside the leaf at its source end are source corners
-        and both at its sink end are sink corners.  An end that keeps another germ has two distinct such
-        corners, and a flow box holds only one corner of each flavor, so the
-        leaf's two darts lie on different faces.  An end that keeps no other
-        germ has one corner, which puts both darts on one face.  Hence, in a
-        connected graph with another edge, one end keeps another germ, so
-        the two faces differ, so the other end keeps one too.  The leaf is
-        then no bridge, so connectivity and V - E + F = 2 survive its
-        deletion, and the merged face keeps exactly one source and one sink
-        corner.  Only the single leaf of the trivial sphere stays.
+        and both at its sink end are sink corners.  An end that keeps another
+        germ has two distinct such corners, and a flow box holds only one
+        corner of each flavor, so the leaf's two darts lie on different
+        faces.  An end that keeps no other germ has one corner, which puts
+        both darts on one face.  Hence, in a connected graph with another
+        edge, one end keeps another germ, so the two faces differ, so the
+        other end keeps one too.  The leaf is then no bridge, so connectivity
+        and V - E + F = 2 survive its deletion, and the merged face keeps
+        exactly one source and one sink corner.  Only the single leaf of the
+        trivial sphere stays.
 
-        So a graph known to be valid hands that verdict on to the result.
+        So one construction deletes every marker but the last in id order
+        when all edges are markers, and every marker otherwise, and a graph
+        known to be valid hands that verdict on to the result.
         """
-        g = self
-        for eid in sorted(e for e, s in self.edges.items() if s.marker):
-            if len(g.edges) > 1:
-                g = g.without_edge(eid)
+        drop = sorted(e for e, s in self.edges.items() if s.marker)[: len(self.edges) - 1]
+        if not drop:
+            return self
+        edges = {k: v for k, v in self.edges.items() if k not in drop}
+        rotation = {
+            pid: tuple(d for d in seq if d[0] not in drop) for pid, seq in self.rotation.items()
+        }
+        g = FoliationGraph(self.points, edges, rotation)
         if self._problems == ():
             g._problems = ()
         return g

@@ -14,6 +14,10 @@ critical level must form a forest.  Both the circle-level reading and the
 refined component-level reading are computed; the refined one is what the
 ball-extension construction consumes.  :func:`simplicity_check` reads all
 three conditions in one edge scan and one walk of the levels.
+
+A sublevel set, the region of the points valued below a threshold, has two
+readers: :func:`levels` reads every level in one walk, lowest first, and
+:func:`sublevel_region` reads one threshold.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .invariants import Region, surplus
+from .invariants import Region
 from .model import ELLIPTIC, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
 
 Assignment = Mapping[str, Fraction]
@@ -75,7 +79,8 @@ def levels(g: FoliationGraph, a: Assignment) -> Iterator[tuple[Fraction, Region,
 
     The points are sorted by value once, so the walk reads every critical
     level of the assignment for the price of one sort; the regions come from
-    the graph's region cache (:meth:`Region.of`).
+    the graph's region cache (:meth:`Region.of`).  Past the lowest value, each
+    region is the sublevel set at the midpoint below its value.
     """
     below: list[str] = []
     for value, group in groupby(sorted(g.points, key=a.__getitem__), key=a.__getitem__):
@@ -84,30 +89,11 @@ def levels(g: FoliationGraph, a: Assignment) -> Iterator[tuple[Fraction, Region,
         below += at
 
 
-def sublevel_region(
-    g: FoliationGraph, a: Assignment, t: Fraction, *, strict: bool = False
-) -> Region:
-    """The region of the points valued at most ``t`` (below ``t`` if ``strict``).
-
-    The region comes from the graph's region cache (:meth:`Region.of`), so
-    every query about one sublevel set of one graph gets the same object and
-    shares its traced boundary circles and components.
-    """
-    if strict:
-        return Region.of(g, [pid for pid in g.points if a[pid] < t])
-    return Region.of(g, [pid for pid in g.points if a[pid] <= t])
-
-
-def region_below(g: FoliationGraph, a: Assignment, value: Fraction) -> Region:
-    """The sublevel region just below ``value``: the points valued less.
-
-    No assigned value lies strictly between ``value`` and the next one below,
-    so this is the sublevel set at every level in that gap.
-    """
-    region = sublevel_region(g, a, value, strict=True)
-    if not region.inside:
-        raise GraphError(f"no assigned value lies below {value}")
-    return region
+def sublevel_region(g: FoliationGraph, a: Assignment, t: Fraction) -> Region:
+    """The region of the points valued below ``t``.  It comes from the graph's
+    region cache (:meth:`Region.of`), so every query about one sublevel set of
+    one graph gets the same object and shares its circles and components."""
+    return Region.of(g, [pid for pid in g.points if a[pid] < t])
 
 
 def stable_circles(region: Region, hid: str) -> tuple[int, int]:
@@ -213,23 +199,3 @@ def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
                 LevelReport(v, tuple(joins), tuple(splits), region, g, tuple(links))
             )
     return SimplicityReport((), tuple(reports), tuple(sorted(mismatched)))
-
-
-# ----------------------------------------------- sublevel component bookkeeping
-
-
-def regular_thresholds(g: FoliationGraph, a: Assignment) -> list[Fraction]:
-    """Midpoints between consecutive assigned values."""
-    check_assignment(g, a)
-    values = sorted(set(a.values()))
-    return [(u + v) / 2 for u, v in zip(values, values[1:])]
-
-
-def sublevel_component_surplus(
-    g: FoliationGraph, a: Assignment, t: Fraction
-) -> dict[str, tuple[int, int]]:
-    """Elliptic-minus-saddle count per component of a sublevel set."""
-    members: dict[str, list[str]] = {}
-    for pid, root in sublevel_region(g, a, t).components().items():
-        members.setdefault(root, []).append(pid)
-    return {root: surplus(g.points[pid] for pid in pids) for root, pids in members.items()}

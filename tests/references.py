@@ -4,7 +4,7 @@ No command runs these, so they live with the tests rather than in
 ``charfol``:
 
 * :func:`relabel` and :func:`from_data` build graphs for the isomorphism
-  and round-trip tests;
+  and round-trip tests, and :func:`without_edge` builds invalid ones;
 * :func:`eq_simplicity_violations` and :func:`eq_simplicity_check` are the
   path-inequality reading of simplicity that acceptance check C6 compares
   with taming;
@@ -79,6 +79,13 @@ def from_data(data: Mapping) -> FoliationGraph:
         pid: tuple((eid, end) for eid, end in seq) for pid, seq in data["rotation"].items()
     }
     return FoliationGraph(points, edges, rotation)
+
+
+def without_edge(g: FoliationGraph, eid: str) -> FoliationGraph:
+    """``g`` with edge ``eid`` and its two darts deleted."""
+    edges = {k: v for k, v in g.edges.items() if k != eid}
+    rotation = {pid: tuple(d for d in seq if d[0] != eid) for pid, seq in g.rotation.items()}
+    return FoliationGraph(g.points, edges, rotation)
 
 
 # ---------------------------------------------- path-inequality simplicity

@@ -13,7 +13,7 @@ from fractions import Fraction
 from charfol import ELLIPTIC, EMBRYO, HYPERBOLIC, zoo
 from charfol.cli import FoliationDocument, emit, main as cli_main
 from charfol.handles import HalfHandle1, extend_to_ball, verify_decomposition
-from charfol.invariants import point_surplus, positive_tree, trace_polygon
+from charfol.invariants import point_surplus, positive_tree, surplus, trace_polygon
 from charfol.moves import (
     MoveError,
     create_pair,
@@ -25,10 +25,9 @@ from charfol.moves import (
 from charfol.taming import (
     is_lyapunov,
     is_taming,
+    levels,
     normalized_assignment,
-    regular_thresholds,
     simplicity_check,
-    sublevel_component_surplus,
 )
 from charfol.tightness import (
     allowable_candidates,
@@ -151,11 +150,16 @@ def test_c07_taming_sublevel_components_have_unit_source_surplus(universe_list):
         if not tame:
             continue
         taming += 1
-        for t in regular_thresholds(g, a):
+        # the region below each level but the lowest is the sublevel set at
+        # one regular threshold, the midpoint between two consecutive values
+        for v, region, _ in itertools.islice(levels(g, a), 1, None):
             thresholds += 1
-            for comp, (dp, _) in sublevel_component_surplus(g, a, t).items():
-                assert dp == 1, (g.canonical_form(), a, t, comp)
-    assert taming == 86
+            members = {}
+            for pid, root in region.components().items():
+                members.setdefault(root, []).append(g.points[pid])
+            for root, points in members.items():
+                assert surplus(points)[0] == 1, (g.canonical_form(), a, v, root)
+    assert (taming, thresholds) == (86, 330)
     print(
         f"\nC7 pass: d+ = 1 in every sublevel component at all {thresholds} "
         f"regular thresholds of {taming} taming assignments (exact)"

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+import xml.dom.minidom
 from collections import Counter
 from fractions import Fraction
 
@@ -487,6 +488,32 @@ def test_render_svg_draws_the_bigon_with_two_arcs(tmp_path, capsys):
         arcs[eid] = m.group(1)
     # the two separatrices share endpoints but must not overlap
     assert arcs["g0"] != arcs["g1"]
+
+
+def test_render_escapes_markup_in_ids(tmp_path, capsys):
+    # ids are any non-space token, so one may hold markup or a DOT escape
+    odd, sink = 'p<&"x', "q\\"
+    text = (
+        f"foliation v1\npoint {odd} elliptic +\npoint {sink} elliptic -\n"
+        f"sep m0 {odd} {sink} marker\nrot {odd}: m0.src\nrot {sink}: m0.tgt\n"
+    )
+    path = write_doc(tmp_path, text)
+    assert run(capsys, "validate", "-i", path)[:2] == (0, "valid\n")
+    code, out, _ = run(capsys, "render", "-i", path, "--format", "svg")
+    assert code == 0
+    svg = xml.dom.minidom.parseString(out)
+    circles = [c.getAttribute("id") for c in svg.getElementsByTagName("circle")]
+    assert circles == [f"point-{odd}", f"point-{sink}"]
+    labels = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert labels == [f"{odd} +", f"{sink} -"]
+    code, out, _ = run(capsys, "render", "-i", path, "--format", "dot")
+    assert code == 0
+    # every quoted string closes on its line, and the node ids read back
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    for line in out.splitlines():
+        assert '"' not in re.sub(quoted, "", line), line
+    names = [re.sub(r"\\(.)", r"\1", m) for m in re.findall(quoted + r" \[shape=", out)]
+    assert names == [odd, sink]
 
 
 def test_render_rejects_invalid_documents(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from charfol import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, build
 from charfol import zoo
 from charfol.tightness import decide_tightness
-from references import from_data, relabel
+from references import from_data, relabel, without_edge
 from test_moves_golden import GOLDEN, transcript
 
 ZOO_NAMES = sorted(zoo.ZOO)
@@ -210,7 +210,7 @@ def test_build_rejects_bad_kind():
 
 def test_without_edge_and_relabel_validate():
     g = zoo.example("tight_one_saddle")
-    h = g.without_edge("f1")
+    h = without_edge(g, "f1")
     # dropping one unstable separatrix leaves a dangling saddle slot
     assert h.validate() != []
 
@@ -225,7 +225,7 @@ def reference_marker_reduce(g: FoliationGraph) -> FoliationGraph:
     while changed:
         changed = False
         for eid in sorted(e for e, s in g.edges.items() if s.marker):
-            candidate = g.without_edge(eid)
+            candidate = without_edge(g, eid)
             if candidate.is_valid:
                 g = candidate
                 changed = True
@@ -322,6 +322,22 @@ def test_marker_reduce_keeps_a_leaf_with_one_face_on_both_sides():
     assert sorted(bigon.marker_reduce().edges) == ["m1"]
 
 
+def test_marker_reduce_keeps_the_last_of_three_parallel_leaves():
+    # the trivial sphere with three marker leaves: the last in id order stays
+    g = build(
+        points=[("p", "elliptic", 1), ("q", "elliptic", -1)],
+        edges=[(f"m{i}", "p", None, "q", None, True) for i in range(3)],
+        rotation={
+            "p": [(f"m{i}", "src") for i in range(3)],
+            "q": [(f"m{i}", "tgt") for i in (2, 1, 0)],
+        },
+    )
+    assert g.validate() == []
+    reduced = g.marker_reduce()
+    assert sorted(reduced.edges) == sorted(reference_marker_reduce(g).edges) == ["m2"]
+    assert reduced.validate() == []
+
+
 # ------------------------------------------------- handed-on verdicts
 
 
@@ -376,7 +392,7 @@ def test_an_invalid_or_unvalidated_graph_hands_on_no_verdict(monkeypatch):
             assert runs == [result]
         # every fixture loses validity with any one of its edges
         for eid in sorted(g.edges):
-            h = g.without_edge(eid)
+            h = without_edge(g, eid)
             assert h.validate() != []
             for result in (h.reverse(), h.marker_reduce()):
                 assert result.validate() == _from_parts(result).validate() != []

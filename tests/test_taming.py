@@ -19,10 +19,7 @@ from charfol.taming import (
     levels,
     lyapunov_violations,
     normalized_assignment,
-    region_below,
-    regular_thresholds,
     simplicity_check,
-    sublevel_component_surplus,
     sublevel_region,
 )
 from charfol.tightness import decide_tightness, verify_taming_order
@@ -183,41 +180,20 @@ def test_a_lone_source_may_split_at_the_very_bottom():
     assert is_taming(g, a)  # a lone source component may split immediately
 
 
-def test_regular_thresholds_are_midpoints():
-    g = zoo.example("tight_one_saddle")
-    assert regular_thresholds(g, eh2_assignment()) == [F(1, 4), F(3, 4)]
-
-
-def test_sublevel_component_surplus_below_the_saddle():
-    g = zoo.example("tight_one_saddle")
-    tally = sorted(sublevel_component_surplus(g, eh2_assignment(), F(1, 4)).values())
-    assert tally == [(1, 0), (1, 0)]
-    # above the saddle the two discs have merged; the sink is still higher
-    above = list(sublevel_component_surplus(g, eh2_assignment(), F(3, 4)).values())
-    assert above == [(1, 0)]
-
-
 def test_one_sublevel_set_is_one_region_per_graph():
     g = zoo.example("tight_one_saddle")
     a = eh2_assignment()
     region = sublevel_region(g, a, F(1, 4))
     assert region.inside == {"a", "b"}
-    assert sublevel_region(g, a, F(0)) is region
-    assert sublevel_region(g, a, F(1, 2), strict=True) is region
-    assert region_below(g, a, F(1, 2)) is region
-    assert sublevel_region(g, a, F(1, 2)) is not region
-    assert region_below(zoo.example("tight_one_saddle"), a, F(1, 2)) is not region
+    assert sublevel_region(g, a, F(1, 2)) is region
+    assert sublevel_region(g, a, F(3, 4)) is not region
+    assert sublevel_region(zoo.example("tight_one_saddle"), a, F(1, 2)) is not region
+    assert not sublevel_region(g, a, F(0)).inside
 
 
-def test_nothing_lies_below_the_lowest_value():
-    g = zoo.example("tight_one_saddle")
-    with pytest.raises(GraphError, match="no assigned value lies below 0"):
-        region_below(g, eh2_assignment(), F(0))
-
-
-def reference_sublevel(g, a, t, strict):
+def reference_sublevel(g, a, t):
     """The sublevel set by one comparison per point."""
-    return frozenset(pid for pid in g.points if (a[pid] < t if strict else a[pid] <= t))
+    return frozenset(pid for pid in g.points if a[pid] < t)
 
 
 def test_sublevel_sets_and_the_level_walk_match_the_per_point_comparison(
@@ -233,28 +209,29 @@ def test_sublevel_sets_and_the_level_walk_match_the_per_point_comparison(
             values = sorted(set(a.values()))
             between = [(u + v) / 2 for u, v in zip(values, values[1:])]
             for t in [values[0] - 1, *values, *between, values[-1] + 1]:
-                for strict in (False, True):
-                    want = reference_sublevel(g, a, t, strict)
-                    assert sublevel_region(g, a, t, strict=strict).inside == want
-                    checked += 1
+                assert sublevel_region(g, a, t).inside == reference_sublevel(g, a, t)
+                checked += 1
             walked = list(levels(g, a))
             assert [v for v, _, _ in walked] == values
             for v, region, at in walked:
-                assert region is sublevel_region(g, a, v, strict=True)
-                assert region.inside == reference_sublevel(g, a, v, True)
+                assert region is sublevel_region(g, a, v)
+                assert region.inside == reference_sublevel(g, a, v)
                 assert at == tuple(sorted(pid for pid in g.points if a[pid] == v))
-    assert checked > 4000
+            # past the lowest level, the walk reads the sublevel set at each
+            # regular threshold
+            for (_, region, _), t in zip(walked[1:], between):
+                assert region is sublevel_region(g, a, t)
+    assert checked > 2000
 
 
 def test_a_changed_assignment_changes_its_sublevel_sets():
     g = zoo.example("double_join_cycle")
     a = {"p0": F(0), "p1": F(0), "h0": F(1, 2), "h1": F(1, 2), "z0": F(1), "z1": F(1)}
-    assert region_below(g, a, F(1, 2)).inside == {"p0", "p1"}
+    assert sublevel_region(g, a, F(1, 2)).inside == {"p0", "p1"}
     assert is_taming(g, a) and reading(g, a, "h1") == 1
     # h1 now comes after the join at h0, which it can only split
     a["h1"] = F(3, 4)
-    assert region_below(g, a, F(3, 4)).inside == {"p0", "p1", "h0"}
-    assert sublevel_region(g, a, F(1, 2)).inside == {"p0", "p1", "h0"}
+    assert sublevel_region(g, a, F(3, 4)).inside == {"p0", "p1", "h0"}
     assert reading(g, a, "h1") == -1 and not is_taming(g, a)
     assert [level.value for level in simplicity_check(g, a).levels] == [F(1, 2), F(3, 4)]
 

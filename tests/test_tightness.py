@@ -23,7 +23,7 @@ from charfol.tightness import (
     synthesize_taming,
     verify_taming_order,
 )
-from references import enumerate_reference, from_data
+from references import enumerate_reference, from_data, without_edge
 
 F = Fraction
 
@@ -126,7 +126,7 @@ def test_saddle_connection_decision_branches():
 
 
 def test_decision_rejects_invalid_input():
-    bad = zoo.example("tight_one_saddle").without_edge("f1")
+    bad = without_edge(zoo.example("tight_one_saddle"), "f1")
     with pytest.raises(GraphError):
         decide_tightness(bad)
 

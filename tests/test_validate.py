@@ -23,7 +23,7 @@ from charfol import FoliationGraph, GraphError, SingularPoint, zoo
 from charfol import tightness
 from charfol.cli import emit
 from charfol.model import EMBRYO, HYPERBOLIC, HYPERBOLIC_SLOTS, Dart, end_direction
-from references import relabel
+from references import relabel, without_edge
 
 
 def reference_check(self: FoliationGraph) -> list[str]:
@@ -198,7 +198,7 @@ def corruptions(g: FoliationGraph):
     for eid, e in g.edges.items():
         toggled = replace(e, marker=not e.marker)
         yield FoliationGraph(g.points, {**g.edges, eid: toggled}, g.rotation)
-        yield g.without_edge(eid)
+        yield without_edge(g, eid)
 
 
 @pytest.fixture(scope="module")
