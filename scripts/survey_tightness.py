@@ -43,7 +43,7 @@ def main() -> int:
                 if not report.taming:
                     continue
                 row[1] += 1
-                row[2] += report.circle_simple and report.component_simple
+                row[2] += report.circle_simple
                 # the region below each level but the lowest is the sublevel
                 # set at one regular threshold
                 for _, region, _ in itertools.islice(levels(g, a), 1, None):

@@ -637,7 +637,7 @@ def cmd_tame(args: argparse.Namespace) -> int:
         payload = {"mode": "verify", "lyapunov": lyapunov, "taming": report.taming}
         if lyapunov:  # simplicity is read for Lyapunov assignments only
             payload["circle_simple"] = report.circle_simple
-            payload["component_simple"] = report.component_simple
+            payload["component_simple"] = report.circle_simple  # one reading on the sphere
         payload["tames_simply"] = report.taming and report.circle_simple
         if args.json:
             _write_text(args.output, _emit_json(payload))

@@ -6,9 +6,10 @@ boundary critical point contributes one half-handle:
 
 * positive elliptic point — ``ZeroCell``: a new ball component appears,
   bounded by one level circle;
-* joining saddle — ``HalfHandle1``: bridges two level circles that belong
-  to *distinct* components (simplicity is exactly what rules out a bridge
-  within one component, which would force an interior critical point);
+* joining saddle — ``HalfHandle1``: bridges two level circles that bound
+  *distinct* components; on the sphere a bridge within one component,
+  which would force an interior critical point, never occurs, and
+  simplicity rules out a cycle of bridges (:mod:`charfol.taming`);
 * splitting saddle — ``HalfHandle2``: pinches one level circle into two,
   keeping the component connected;
 * negative elliptic point — ``Cap``: fills one level circle;
@@ -124,13 +125,8 @@ def _saddle_event(region: Region, hid: str, value: Fraction) -> Record:
     circles = region.boundary_circles()
     i0, i1 = stable_circles(region, hid)
     r0 = roots[g.edge_at_slot(hid, "s0").src.point]
-    r1 = roots[g.edge_at_slot(hid, "s1").src.point]
     if i0 != i1:  # a join, as simplicity_check reads it
-        if r0 == r1:
-            raise ExtensionError(
-                f"joining saddle {hid} bridges one ball component; the "
-                "extension would need an interior critical point"
-            )
+        r1 = roots[g.edge_at_slot(hid, "s1").src.point]
         tags = (_circle_tag(circles[i0].key()), _circle_tag(circles[i1].key()))
         return HalfHandle1(hid, value, tags, (r0, r1))
     return HalfHandle2(hid, value, _circle_tag(circles[i0].key()), r0)
@@ -232,17 +228,11 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
             comp = region.components()
             reps = []
             for root in r.components:
-                members = [
-                    q
-                    for q in region.inside
-                    if comp.get(q) == comp.get(root)
-                    and g.points[q].kind == ELLIPTIC
-                    and g.points[q].sign > 0
-                ]
-                if not members:
-                    problems.append(f"component {root} holds no source point")
+                cells = [q for q in region.inside if q in zero_cells and comp[q] == comp.get(root)]
+                if not cells:
+                    problems.append(f"component {root} holds no zero-cell")
                     return problems
-                reps.append(min(members))
+                reps.append(min(cells))
             if zero_cells.union(*reps):
                 components -= 1
             else:

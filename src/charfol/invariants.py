@@ -262,7 +262,14 @@ class SkeletonDecomposition:
 
 
 def skeleton_decomposition(g: FoliationGraph) -> SkeletonDecomposition:
-    """Cut along saddle-emitted separatrices and group the faces that merge."""
+    """Cut along saddle-emitted separatrices and group the faces that merge.
+
+    Each group's centre, the point of its faces' one source corner, is a
+    positive elliptic point or a positive embryo, the only points with
+    source corners.  An edge outside the skeleton leaves a positive
+    elliptic point or a positive embryo's zone, where both corners beside
+    it are source corners, so faces merged across it share their centre.
+    """
     g.require_valid()
     skeleton = set()
     for eid, e in g.edges.items():
@@ -285,24 +292,9 @@ def skeleton_decomposition(g: FoliationGraph) -> SkeletonDecomposition:
 
     basins, semibasins = [], []
     for members in groups.values():
-        # a valid graph gives every face exactly one source corner
-        centers = {point[source[i]] for i in members}
-        if len(centers) != 1:
-            raise GraphError(
-                f"faces {sorted(members)} form a basin with centers "
-                f"{sorted(centers)}; expected exactly one emitting point"
-            )
-        (center,) = centers
-        p = g.points[center]
+        center = point[source[members[0]]]
         entry = (center, tuple(sorted(members)))
-        if p.kind == ELLIPTIC and p.sign > 0:
-            basins.append(entry)
-        elif p.kind == EMBRYO and p.sign > 0:
-            semibasins.append(entry)
-        else:
-            raise GraphError(
-                f"basin center {center} is a {p.kind} of sign {p.sign}"
-            )
+        (basins if g.points[center].kind == ELLIPTIC else semibasins).append(entry)
     return SkeletonDecomposition(
         tuple(sorted(skeleton)), tuple(sorted(basins)), tuple(sorted(semibasins))
     )

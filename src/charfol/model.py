@@ -57,6 +57,9 @@ class UnionFind:
     def add(self, x: Hashable) -> None:
         self._up[x] = x
 
+    def __contains__(self, x: Hashable) -> bool:
+        return x in self._up
+
     def find(self, x: Hashable) -> Hashable:
         up = self._up
         while up[x] != x:

@@ -453,7 +453,20 @@ def resolve_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
 
 
 def eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
-    """Let an embryo die: its separatrices become ordinary through-leaves."""
+    """Let an embryo die: its separatrices become ordinary through-leaves.
+
+    The inbound leaf's source ``w`` takes over the zone leaves, plus a new
+    leaf into the far end of each boundary leaf that needs one
+    (:func:`_reattachments`), so ``w`` is never stranded.  Say the zone is
+    empty and ``w`` emits only the inbound leaf.  The face through both
+    sides of that leaf has its source corner at ``w`` and its sink corner at
+    the end ``z`` of ``b0``, then walks against the flow back along ``b1``.
+    So ``b1`` ends in a named slot beside an outgoing germ, or ``b0`` and
+    ``b1`` end in consecutive incoming slots of ``z``; then the face between
+    them on the embryo's other side has a second sink corner unless ``z``
+    holds nothing else.  A named slot needs a replacement and a point with
+    no other germ needs markers, so a fate always exists.
+    """
     p = g.points.get(embryo_id)
     if p is None or p.kind != EMBRYO:
         raise MoveError(f"{embryo_id} is not an embryo")
@@ -465,18 +478,7 @@ def eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
             raise MoveError("a separatrix would close into a leaf")
 
     w_ref = e_in.src
-    # the face at the first parabolic corner supplies the drain for strays
-    par_face = _face_of(g, (b0e.id, "tgt"))
-    kappa_ref, kappa_anchor = _insertion(g, par_face, "sink")
-    if kappa_ref.point == embryo_id:
-        raise MoveError("parabolic drain dies with the embryo")
-
     fates = _reattachments(g, w_ref, zone_darts, (b0e, b1e), e_in, "inbound leaf")
-    w_others = [d for d in g.rotation[w_ref.point] if d[0] != e_in.id]
-    # the source is stranded only when nothing gets re-attached to it
-    stranded = not zone_darts and not fates and not w_others
-    if stranded and g.points[w_ref.point].kind != ELLIPTIC:
-        raise MoveError("stranded non-elliptic source")
 
     s = _Surgeon(g)
     details: dict = {
@@ -491,16 +493,6 @@ def eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
     fan += zone_darts + s.reattach(b1e, fates.get(b1e.id), w_ref, details)
     if fan:
         s.insert_after(w_ref.point, (e_in.id, "src"), fan)
-    if stranded:
-        # keep the source on the map with a marker into the parabolic drain;
-        # no fan means the drain's corner is still intact here
-        mid = s.fresh_edge_id("m")
-        s.edges[mid] = Separatrix(
-            mid, EndRef(w_ref.point, None), kappa_ref, marker=True
-        )
-        s.insert_after(kappa_ref.point, kappa_anchor, [(mid, "tgt")])
-        s.insert_after(w_ref.point, (e_in.id, "src"), [(mid, "src")])
-        details["markers"].append(mid)
     for e in (b0e, b1e):
         if e.id in s.edges:
             s.delete_edge(e.id)

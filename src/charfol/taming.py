@@ -10,10 +10,21 @@ one (a split).  Embryos are neutral and only participate through the
 Lyapunov condition.
 
 *Simplicity* is a per-level condition on ties: the joins performed at one
-critical level must form a forest.  Both the circle-level reading and the
-refined component-level reading are computed; the refined one is what the
-ball-extension construction consumes.  :func:`simplicity_check` reads all
-three conditions in one edge scan and one walk of the levels.
+critical level must form a forest on the boundary circles of the region
+below that level.  :func:`simplicity_check` reads all three conditions in
+one edge scan and one walk of the levels.
+
+On the sphere that forest is also the forest on the region's components,
+which the ball extension consumes.  A saddle at a level lies in one
+component R of the complement of the region X below it, and its stable
+separatrices enter R through circles that bound R.  A component of X is a
+connected subsurface of the sphere, so the component of its complement
+holding R is a disc bounded by one of its circles.  Hence a join's two
+circles bound distinct components, and a cycle of circles, whose joins all
+lie in R, is a cycle of components.  Conversely, the components and the
+complement's regions form a tree whose edges are circles, so a cycle of
+joins through components leaves and re-enters each component by one
+circle: it lifts to a cycle of circles.
 
 A sublevel set, the region of the points valued below a threshold, has two
 readers: :func:`levels` reads every level in one walk, lowest first, and
@@ -22,11 +33,10 @@ readers: :func:`levels` reads every level in one walk, lowest first, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .invariants import Region
 from .model import ELLIPTIC, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
@@ -114,40 +124,16 @@ def is_taming(g: FoliationGraph, a: Assignment) -> bool:
 # ------------------------------------------------------------------ simplicity
 
 
-def _forest_ok(nodes: Iterable, links: Iterable[tuple]) -> bool:
-    sets = UnionFind(nodes)
-    return all(sets.union(u, v) for u, v in links)
-
-
 @dataclass(frozen=True)
 class LevelReport:
-    """The saddles at one critical level and the region just below it.  The
-    forest readings of the joins are computed on first use, from the two
-    circles each join's stable separatrices cross (``links``, in ``joins``
-    order).  The report holds the graph, which the region only refers to."""
+    """The saddles at one critical level, read on the region just below it,
+    and whether the level's joins form a forest on that region's boundary
+    circles."""
 
     value: Fraction
     joins: tuple[str, ...]
     splits: tuple[str, ...]
-    region: Region = field(repr=False, compare=False)
-    graph: FoliationGraph = field(repr=False, compare=False)
-    links: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
-
-    @cached_property
-    def circle_forest(self) -> bool:
-        return _forest_ok(range(len(self.region.boundary_circles())), self.links)
-
-    @cached_property
-    def component_forest(self) -> bool:
-        # refined reading: collapse circles to the component they bound
-        g = self.graph
-        comp = self.region.components()
-        comp_of_circle = [
-            comp[g.edges[circle.crossed_edges()[0]].src.point]
-            for circle in self.region.boundary_circles()
-        ]
-        comp_links = [(comp_of_circle[u], comp_of_circle[v]) for u, v in self.links]
-        return _forest_ok(set(comp_of_circle), comp_links)
+    circle_forest: bool
 
 
 @dataclass(frozen=True)
@@ -166,10 +152,6 @@ class SimplicityReport:
     @property
     def circle_simple(self) -> bool:
         return not self.lyapunov_violations and all(l.circle_forest for l in self.levels)
-
-    @property
-    def component_simple(self) -> bool:
-        return not self.lyapunov_violations and all(l.component_forest for l in self.levels)
 
 
 def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
@@ -195,7 +177,7 @@ def simplicity_check(g: FoliationGraph, a: Assignment) -> SimplicityReport:
             if joined != (g.points[hid].sign > 0):
                 mismatched.append(hid)
         if joins or splits:
-            reports.append(
-                LevelReport(v, tuple(joins), tuple(splits), region, g, tuple(links))
-            )
+            sets = UnionFind(range(len(region.boundary_circles())))
+            forest = all(sets.union(c0, c1) for c0, c1 in links)
+            reports.append(LevelReport(v, tuple(joins), tuple(splits), forest))
     return SimplicityReport((), tuple(reports), tuple(sorted(mismatched)))

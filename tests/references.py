@@ -8,6 +8,9 @@ No command runs these, so they live with the tests rather than in
 * :func:`eq_simplicity_violations` and :func:`eq_simplicity_check` are the
   path-inequality reading of simplicity that acceptance check C6 compares
   with taming;
+* :func:`component_simple` reads simplicity as a forest on sublevel
+  components, which on the sphere is the circle forest that
+  :func:`charfol.taming.simplicity_check` reads;
 * :func:`enumerate_reference` is the slow, independent assembly of the
   connection-free universe up to three saddles that ``enumerate_signature``
   is checked against.
@@ -31,8 +34,15 @@ from charfol.model import (
     FoliationGraph,
     Separatrix,
     SingularPoint,
+    UnionFind,
 )
-from charfol.taming import Assignment, check_assignment
+from charfol.taming import (
+    Assignment,
+    check_assignment,
+    levels,
+    lyapunov_violations,
+    stable_circles,
+)
 from charfol.tightness import DecisionError
 
 # ------------------------------------------------------------------- graphs
@@ -145,6 +155,31 @@ def eq_simplicity_violations(g: FoliationGraph, a: Assignment) -> list[str]:
 
 def eq_simplicity_check(g: FoliationGraph, a: Assignment) -> bool:
     return not eq_simplicity_violations(g, a)
+
+
+# ------------------------------------------------------ component simplicity
+
+
+def component_simple(g: FoliationGraph, a: Assignment) -> bool:
+    """Simplicity read on components: at every level, the joins form a
+    forest when each links the sublevel components whose boundary circles
+    its stable separatrices cross.  A non-Lyapunov assignment is not simple."""
+    if lyapunov_violations(g, a):
+        return False
+    for _, region, at in levels(g, a):
+        comp = region.components()
+        comp_of_circle = [
+            comp[g.edges[circle.crossed_edges()[0]].src.point]
+            for circle in region.boundary_circles()
+        ]
+        sets = UnionFind(set(comp_of_circle))
+        for hid in at:
+            if g.points[hid].kind != HYPERBOLIC:
+                continue
+            c0, c1 = stable_circles(region, hid)
+            if c0 != c1 and not sets.union(comp_of_circle[c0], comp_of_circle[c1]):
+                return False
+    return True
 
 
 # -------------------------------------------------------------- enumeration

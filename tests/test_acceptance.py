@@ -117,7 +117,6 @@ def test_c05_taming_implies_simplicity(universe_list):
         taming += 1
         report = simplicity_check(g, a)
         assert report.circle_simple, (g.canonical_form(), a)
-        assert report.component_simple, (g.canonical_form(), a)
     assert (orderings, taming) == (559, 86)
     print(
         f"\nC5 pass: every one of the {taming} taming orderings (of {orderings} "
@@ -250,7 +249,6 @@ def test_c10_duality_under_flow_reversal(universe_list):
                 taming += 1
                 r0, r1 = simplicity_check(g, a), simplicity_check(rev, dual)
                 assert r0.circle_simple == r1.circle_simple
-                assert r0.component_simple == r1.component_simple
     assert (checked, taming) == (559, 86)
     print(
         f"\nC10 pass: verdict, taming and simplicity invariant under reversal "

@@ -294,6 +294,18 @@ def test_extend_outputs_records(tmp_path, capsys):
     assert code == 1 and "no simple taming order" in out
 
 
+def test_a_rejected_fresh_decomposition_exits_3(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, emit(zoo.example("tight_one_saddle")))
+    monkeypatch.setattr(cli, "verify_decomposition", lambda dec: ["forged", "twice"])
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "extend", "-i", path, *flags)
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal check failed: replay rejected a freshly built "
+            "decomposition: forged; twice\n"
+        )
+
+
 def test_oracle_command(tmp_path, capsys):
     path = write_doc(tmp_path, emit(zoo.example("tight_one_saddle")))
     code, out, _ = run(capsys, "oracle", "-i", path, "--json")

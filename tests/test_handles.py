@@ -8,6 +8,7 @@ import pytest
 from charfol import zoo
 from charfol.handles import (
     Cap,
+    EmbryoStep,
     ExtensionError,
     HalfHandle1,
     HalfHandle2,
@@ -171,6 +172,57 @@ def test_verify_names_each_forged_record(name, index, forge, problems):
     records[index] = forge(records[index])
     forged = HandleDecomposition(dec.graph, dec.assignment, tuple(records))
     assert verify_decomposition(forged) == problems
+
+
+@pytest.mark.parametrize(
+    "kind, forge, problems",
+    [
+        (
+            "zero-cell", lambda r, _: Cap(r.point, r.value, "x:e0"),
+            ["cap at non-sink p0", "component p0 holds no zero-cell"],
+        ),
+        (
+            "half-handle-2", lambda r, _: dataclasses.replace(r, circle=r.circle + "|x:e0"),
+            ["half-handle-2 data for w11 does not replay"],
+        ),
+        (
+            "half-handle-1", lambda r, _: EmbryoStep(r.point, r.value),
+            [
+                "embryo step at non-embryo h0",
+                "replay ends with 2 ball components",
+                "replay ends with 1 open circles",
+            ],
+        ),
+        (
+            "half-handle-1",
+            lambda r, records: dataclasses.replace(
+                r, components=(r.components[0], next(c.point for c in records if c.kind == "cap"))
+            ),
+            ["half-handle-1 data for h0 does not replay", "component v11 holds no zero-cell"],
+        ),
+    ],
+    ids=["zero-cell-as-cap", "split-circle", "join-as-embryo-step", "join-to-a-sink"],
+)
+def test_verify_names_each_forged_record_of_a_walked_sphere(
+    walked_spheres, kind, forge, problems
+):
+    # the first record of the kind is forged; each forgery keeps every
+    # point listed once, so the replay reaches it
+    g = dict(walked_spheres)["three_basin_chain+14"]
+    dec = extend_to_ball(g, decide_tightness(g).assignment)
+    i = next(i for i, r in enumerate(dec.records) if r.kind == kind)
+    records = dec.records[:i] + (forge(dec.records[i], dec.records),) + dec.records[i + 1 :]
+    assert sorted(r.point for r in records) == sorted(g.points)
+    forged = HandleDecomposition(g, dec.assignment, records)
+    assert verify_decomposition(forged) == problems
+
+
+def test_verify_names_a_point_the_assignment_misses(walked_spheres):
+    g = dict(walked_spheres)["three_basin_chain+14"]
+    dec = extend_to_ball(g, decide_tightness(g).assignment)
+    partial = {pid: v for pid, v in dec.assignment.items() if pid != "h0"}
+    forged = HandleDecomposition(g, partial, dec.records)
+    assert verify_decomposition(forged) == ["assignment misses points ['h0']"]
 
 
 # ------------------------------------------------------------------- duality

@@ -384,6 +384,28 @@ def test_basins_partition_faces_and_count_sources(universe_list):
         assert len(sk.basins) == len(positive_sources)
 
 
+def test_every_face_of_a_basin_has_its_source_corner_at_the_centre(
+    universe_list, walked_spheres
+):
+    # the lemma of skeleton_decomposition: faces merged across an edge
+    # outside the skeleton share their one source corner's point
+    spheres = universe_list + [zoo.example(n) for n in ZOO_NAMES]
+    spheres += [g for _, g in walked_spheres]
+    semibasins = 0
+    for g in spheres + [g.reverse() for g in spheres]:
+        sk = skeleton_decomposition(g)
+        point = g.dart_table().point
+        source = g.face_table().source
+        for kind, groups in ((ELLIPTIC, sk.basins), ("embryo", sk.semibasins)):
+            for center, faces in groups:
+                assert g.points[center].kind == kind and g.points[center].sign > 0
+                assert {point[source[f]] for f in faces} == {center}, g.canonical_form()
+        semibasins += len(sk.semibasins)
+        covered = sorted(f for _, faces in sk.basins + sk.semibasins for f in faces)
+        assert covered == list(range(len(g.face_table().orbits)))
+    assert semibasins >= 2
+
+
 # ------------------------------------------------------------ positive tree
 
 

@@ -8,6 +8,8 @@ from charfol import FoliationGraph, zoo
 from charfol.cli import emit, parse
 from charfol.moves import (
     MoveError,
+    _embryo_parts,
+    _reattachments,
     _reversed_face_index,
     create_pair,
     eliminate_embryo,
@@ -163,6 +165,59 @@ def test_eliminate_embryo_is_a_death_moment():
     assert res.graph.validate() == []
     assert res.record.details["eliminated"] == ["B"]
     assert res.graph.is_isomorphic(zoo.trivial())
+
+
+# a leaf source feeds an embryo whose b0 leaf is a connection into a saddle
+EMBRYO_INTO_SADDLE = """foliation v1
+point B embryo +
+point h hyperbolic {sign}
+point q elliptic +
+point w elliptic +
+point z elliptic -
+sep a w B:in
+sep c0 B:b0 h:s0
+sep c1 B:b1 z
+sep d q h:s1
+sep u0 h:u0 z
+sep u1 h:u1 z
+rot B: a.tgt c0.src c1.src
+rot h: c0.tgt u0.src d.tgt u1.src
+rot q: d.src
+rot w: a.src
+rot z: c1.tgt u1.tgt u0.tgt
+"""
+
+
+def test_an_embryo_death_never_strands_its_source():
+    # the lemma of eliminate_embryo: where the zone is empty and the inbound
+    # leaf's source emits nothing else, a boundary leaf needs a new leaf
+    rng = random.Random(4747)
+    starts = [zoo.example("embryo_positive"), zoo.example("embryo_negative")]
+    starts += [parse(EMBRYO_INTO_SADDLE.format(sign=sign)).graph for sign in "+-"]
+    spheres = list(starts)
+    for start in starts:
+        for _ in range(60):
+            g = start
+            for _ in range(rng.randrange(1, 6)):
+                g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
+            spheres.append(g)
+    sites, fates_seen = 0, set()
+    for g in spheres + [g.reverse() for g in spheres]:
+        for p in g.points.values():
+            if p.kind != "embryo" or p.sign < 0:
+                continue
+            _, e_in, b0e, b1e, zone = _embryo_parts(g, p.id)
+            w = e_in.src
+            if zone or any(eid != e_in.id for eid, _ in g.rotation[w.point]):
+                continue
+            sites += 1
+            fates = _reattachments(g, w, zone, (b0e, b1e), e_in, "inbound leaf")
+            assert fates, (emit(g), p.id)
+            fates_seen.add(tuple(sorted(fates.values())))
+            assert eliminate_embryo(g, p.id).graph.validate() == []
+    # markers into a sink that holds nothing else, and a replacement into a
+    # saddle's slot
+    assert sites > 20 and fates_seen == {(True, True), (False,)}
 
 
 def test_embryo_moves_reject_non_embryos():

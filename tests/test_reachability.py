@@ -15,6 +15,10 @@ reached; annotations are not references.
 Every definition must be reached.  Code that only tests call, such as the
 reference implementations the tests compare the library with, belongs in
 ``tests/``.
+
+A second scan holds every library module to its imports: each name an
+import binds must be read in the module, in an annotation or through
+``__all__`` at least.
 """
 
 from __future__ import annotations
@@ -245,3 +249,47 @@ def test_self_attributes_reach_only_their_class_family():
     defined, reached = _scan({"m": ast.parse(SHADOWED_METHOD)}, [])
     assert sorted(defined - reached) == ["m.B.helper"]
     assert {"m.A.helper", "m.C.helper", "m.Base.base"} <= reached
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names that a module's imports bind and nothing in it reads.
+
+    A read is any ``Name``, annotations included, or an entry of the
+    module's ``__all__``; ``from __future__`` imports bind no name.
+    """
+    bound = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_library_import_is_used():
+    unused = {
+        path.name: names
+        for path in LIBRARY
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert unused == {}, f"imported but never read: {unused}"
+
+
+def test_the_import_scan_reads_annotations_and_all():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Mapping, Sequence\n"
+        "from .m import A, B as C, D\n"
+        "__all__ = ['D']\n"
+        "def f(x: Mapping) -> C:\n"
+        "    return x\n"
+    )
+    assert _unused_imports(tree) == ["os", "Sequence", "A"]

@@ -1,6 +1,7 @@
 """Lyapunov and taming checks, simplicity reports, the path inequality."""
 
 import gc
+import graphlib
 import json
 import random
 import weakref
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charfol import GraphError, zoo
+from charfol import HYPERBOLIC, GraphError, zoo
 from charfol.handles import extend_to_ball, verify_decomposition
 from charfol.invariants import Region, positive_tree
 from charfol.taming import (
@@ -20,10 +21,11 @@ from charfol.taming import (
     lyapunov_violations,
     normalized_assignment,
     simplicity_check,
+    stable_circles,
     sublevel_region,
 )
 from charfol.tightness import decide_tightness, verify_taming_order
-from references import eq_simplicity_check, eq_simplicity_violations, from_data
+from references import component_simple, eq_simplicity_check, eq_simplicity_violations, from_data
 
 F = Fraction
 
@@ -52,7 +54,7 @@ def test_one_saddle_assignment_is_taming_and_simple():
     rep = simplicity_check(g, a)
     assert rep.lyapunov_violations == () and rep.mismatched == ()
     assert rep.taming and is_taming(g, a)
-    assert rep.circle_simple and rep.component_simple
+    assert rep.circle_simple
     assert reading(g, a, "h") == 1
 
 
@@ -117,7 +119,6 @@ def test_tie_level_breaks_simplicity_but_not_taming():
     assert is_taming(g, a)
     rep = simplicity_check(g, a)
     assert not rep.circle_simple
-    assert not rep.component_simple
     level = rep.levels[0]
     assert level.value == F(1, 2)
     assert level.joins == ("h0", "h1") and level.splits == ()
@@ -139,7 +140,7 @@ def test_simplicity_requires_lyapunov():
     rep = simplicity_check(g, a)
     assert rep.lyapunov_violations == tuple(lyapunov_violations(g, a)) != ()
     assert rep.levels == () and rep.mismatched == ()
-    assert not (rep.taming or rep.circle_simple or rep.component_simple)
+    assert not (rep.taming or rep.circle_simple)
 
 
 @settings(max_examples=50, deadline=None)
@@ -167,7 +168,56 @@ def test_taming_is_invariant_under_monotone_reparametrization(data):
     assert is_taming(g, a) == is_taming(g, base)
     rep0, rep1 = simplicity_check(g, base), simplicity_check(g, a)
     assert rep0.circle_simple == rep1.circle_simple
-    assert rep0.component_simple == rep1.component_simple
+
+
+def tied_lyapunov(g, rng):
+    """A Lyapunov assignment with many ties: sources at 0, sinks at the top,
+    and each saddle-type point on a level drawn from 1..3, raised above
+    every saddle-type point that feeds it."""
+    feeders = {pid: set() for pid in g.points}
+    for e in g.edges.values():
+        feeders[e.dst.point].add(e.src.point)
+    level = {}
+    for pid in graphlib.TopologicalSorter(feeders).static_order():
+        p = g.points[pid]
+        if p.kind == "elliptic":
+            level[pid] = 0 if p.sign > 0 else None
+        else:
+            below = [level[q] for q in feeders[pid] if level[q]]
+            level[pid] = max([rng.randrange(1, 4)] + [l + 1 for l in below])
+    top = max(l for l in level.values() if l is not None) + 1
+    return {pid: F(top if l is None else l, top) for pid, l in level.items()}
+
+
+def test_on_the_sphere_the_circle_forest_is_the_component_forest(
+    universe_list, walked_spheres
+):
+    # the lemma of the taming module: a join's stable separatrices come from
+    # two distinct sublevel components, and a level's joins form a forest on
+    # circles exactly when they form one on components
+    rng = random.Random(2525)
+    spheres = universe_list + [zoo.example(n) for n in sorted(zoo.ZOO)]
+    spheres += [g for _, g in walked_spheres]
+    joins = levels_read = not_simple = 0
+    for g in spheres + [g.reverse() for g in spheres]:
+        for _ in range(3):
+            a = tied_lyapunov(g, rng)
+            report = simplicity_check(g, a)
+            assert report.lyapunov_violations == ()
+            assert report.circle_simple == component_simple(g, a), (g.canonical_form(), a)
+            not_simple += not report.circle_simple
+            for _, region, at in levels(g, a):
+                comp = region.components()
+                for hid in at:
+                    if g.points[hid].kind != HYPERBOLIC:
+                        continue
+                    c0, c1 = stable_circles(region, hid)
+                    if c0 != c1:
+                        joins += 1
+                        s0, s1 = (g.edge_at_slot(hid, s).src.point for s in ("s0", "s1"))
+                        assert comp[s0] != comp[s1], (g.canonical_form(), hid, a)
+                levels_read += 1
+    assert joins > 1000 and levels_read > 2500 and not_simple > 40
 
 
 # ------------------------------------------------------------- sublevel sets
@@ -260,15 +310,15 @@ def test_decide_and_extend_free_their_graph_without_the_cycle_collector(walked_s
         gc.enable()
 
 
-def test_a_kept_simplicity_report_holds_its_graph(walked_spheres):
+def test_a_kept_simplicity_report_holds_no_graph(walked_spheres):
     g = fresh_copy(walked_spheres, "three_basin_chain+14")
     report = simplicity_check(g, verify_taming_order(g, decide_tightness(g).saddle_order))
     graph_ref = weakref.ref(g)
     del g
     gc.collect()
-    assert graph_ref() is not None
-    # neither forest reading has been computed yet
-    assert report.circle_simple and report.component_simple
+    assert graph_ref() is None
+    # the forest of every level was read when the report was built
+    assert report.circle_simple and all(level.circle_forest for level in report.levels)
 
 
 # -------------------------------------------- path-inequality characterization

@@ -8,7 +8,8 @@ import pytest
 
 from charfol import ELLIPTIC, FoliationGraph, GraphError
 from charfol import handles, taming, tightness, zoo
-from charfol.cli import emit, parse
+from charfol.cli import emit, main, parse
+from charfol.invariants import point_surplus
 from charfol.model import EMBRYO
 from charfol.moves import MoveError, create_pair, eliminate_embryo, eliminate_pair
 from charfol.tightness import (
@@ -134,6 +135,42 @@ def test_decision_rejects_invalid_input():
 def test_internal_check_error_is_a_decision_error():
     assert issubclass(InternalCheckError, DecisionError)
     assert issubclass(DecisionError, GraphError)
+
+
+def _no_synthesis_and_no_polygon(monkeypatch):
+    monkeypatch.setattr(tightness, "synthesize_taming", lambda g: None)
+    monkeypatch.setattr(tightness, "witness_polygon", lambda g: None)
+
+
+def test_a_missed_taming_order_is_an_internal_check_error(monkeypatch, tmp_path, capsys):
+    # the oracle finds the order that synthesis missed
+    _no_synthesis_and_no_polygon(monkeypatch)
+    g = zoo.example("tight_one_saddle")
+    with pytest.raises(InternalCheckError, match="synthesis missed a taming order"):
+        decide_tightness(g)
+    path = tmp_path / "one.fol"
+    path.write_text(emit(g))
+    assert main(["decide", "-i", str(path), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal check failed: synthesis missed a taming order the exhaustive search found\n"
+    )
+
+
+def test_without_synthesis_or_polygon_the_oracle_is_the_evidence(monkeypatch, universe_list):
+    g = next(
+        g
+        for g in universe_list
+        if point_surplus(g) == (1, 1) and g.saddle_points() and not decide_tightness(g).tight
+    )
+    tried = oracle_tightness(g)["orders_tried"]
+    _no_synthesis_and_no_polygon(monkeypatch)
+    cert = decide_tightness(g)
+    assert cert.verdict == "overtwisted" and cert.polygon is None
+    assert cert.reason == (
+        f"no simple taming order exists (all {tried} orderings exhausted, no polygon found)"
+    )
 
 
 # --------------------------------------------------------- allowable vertices
