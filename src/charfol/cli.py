@@ -24,6 +24,14 @@ to a point.  A ``transcript`` line may carry one canonical-JSON payload
 Exit codes: 0 success (``decide``: Tight), 1 negative verdict
 (``decide``: Overtwisted; ``tame``/``extend``/``oracle``: no taming), 2
 invalid input, 3 internal cross-check failure.
+
+Every command but ``render`` takes ``--json``.  Under it, exits 0 and 1
+print one JSON value (a list for ``enumerate``, an object otherwise); a
+refusal of ``extend`` is ``{"extendable": false, "reason": ...}``.  A
+document that parses but breaks the structural rules exits 2 with
+``{"valid": false, "problems": [...]}`` (text: ``invalid`` and one problem
+a line).  A syntax or domain error exits 2, and exit 3 follows a failed
+cross-check; each prints one line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -62,8 +70,7 @@ from .tightness import (
     decide_tightness,
     enumerate_foliations,
     oracle_tightness,
-    synthesize_taming,
-    verify_taming_order,
+    simple_taming,
 )
 
 HEADER = "foliation v1"
@@ -485,6 +492,12 @@ def render_svg(g: FoliationGraph) -> str:
 
 # ----------------------------------------------------------------- commands
 
+#: what a command returns, given the parsed arguments and the document,
+#: parsed and valid (``None`` for ``enumerate``): the exit code, the payload
+#: ``--json`` prints, and the text printed without it.  Only main() reads the
+#: document and writes the report.
+Report = tuple[int, object, str]
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -505,44 +518,20 @@ def _emit_json(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class _InvalidDocument(Exception):
-    """A parsed document whose graph breaks the structural rules, listed in ``args[0]``."""
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
-def _load(args: argparse.Namespace) -> FoliationDocument:
-    """Read and parse the input document; raises unless its graph is valid."""
-    doc = parse(_read_text(args.input))
-    problems = doc.graph.validate()
-    if problems:
-        raise _InvalidDocument(problems)
-    return doc
+def _invalid(problems: list[str]) -> Report:
+    text = _text(["invalid"] + [f"  {p}" for p in problems])
+    return 2, {"valid": False, "problems": problems}, text
 
 
-def _assignment_from(doc: FoliationDocument) -> dict[str, Fraction] | None:
-    return dict(doc.values) if doc.values else None
+def cmd_validate(args: argparse.Namespace, doc: FoliationDocument) -> Report:
+    return 0, {"valid": True, "problems": []}, "valid\n"
 
 
-def _fail_invalid(args: argparse.Namespace, problems: list[str]) -> int:
-    payload = {"valid": False, "problems": problems}
-    if args.json:
-        _write_text(args.output, _emit_json(payload))
-    else:
-        lines = ["invalid"] + [f"  {p}" for p in problems]
-        _write_text(args.output, "\n".join(lines) + "\n")
-    return 2
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    _load(args)
-    if args.json:
-        _write_text(args.output, _emit_json({"valid": True, "problems": []}))
-    else:
-        _write_text(args.output, "valid\n")
-    return 0
-
-
-def cmd_invariants(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def cmd_invariants(args: argparse.Namespace, doc: FoliationDocument) -> Report:
     g = doc.graph
     decomposition = skeleton_decomposition(g)
     dp, dm = point_surplus(g)
@@ -565,19 +554,15 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             "links": [list(l) for l in tree.links],
             "is_tree": tree.is_tree(),
         }
-    if args.json:
-        _write_text(args.output, _emit_json(payload))
-        return 0
     lines = [
         f"points: {payload['points']}  separatrices: {payload['separatrices']}  "
         f"faces: {payload['faces']}",
         f"surplus: d+ = {dp}, d- = {dm}",
         f"skeleton: {' '.join(payload['skeleton']) or '(empty)'}",
     ]
-    for center, members in decomposition.basins:
-        lines.append(f"basin {center}: faces {' '.join(map(str, members))}")
-    for center, members in decomposition.semibasins:
-        lines.append(f"semibasin {center}: faces {' '.join(map(str, members))}")
+    for label, groups in (("basin", decomposition.basins), ("semibasin", decomposition.semibasins)):
+        for center, members in groups:
+            lines.append(f"{label} {center}: faces {' '.join(map(str, members))}")
     if payload["homoclinic"]:
         lines.append(f"connections: {' '.join(payload['homoclinic'])}")
     if "positive_tree" in payload:
@@ -586,16 +571,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             f"positive tree: {len(t['nodes'])} nodes, {len(t['links'])} links, "
             f"{'a tree' if t['is_tree'] else 'not a tree'}"
         )
-    lines.append(
-        "same-sign polygon: "
-        + (
-            f"faces {' '.join(map(str, polygon.describe()['faces']))}"
-            if polygon
-            else "none"
-        )
-    )
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    faces = " ".join(map(str, payload["same_sign_polygon"]["faces"])) if polygon else ""
+    lines.append(f"same-sign polygon: faces {faces}" if polygon else "same-sign polygon: none")
+    return 0, payload, _text(lines)
 
 
 def _describe_certificate(cert) -> list[str]:
@@ -617,94 +595,68 @@ def _describe_certificate(cert) -> list[str]:
     return lines
 
 
-def cmd_decide(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def cmd_decide(args: argparse.Namespace, doc: FoliationDocument) -> Report:
     cert = decide_tightness(doc.graph)
-    if args.json:
-        _write_text(args.output, _emit_json(cert.to_data()))
-    else:
-        _write_text(args.output, "\n".join(_describe_certificate(cert)) + "\n")
-    return 0 if cert.tight else 1
+    return (0 if cert.tight else 1), cert.to_data(), _text(_describe_certificate(cert))
 
 
-def cmd_tame(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def cmd_tame(args: argparse.Namespace, doc: FoliationDocument) -> Report:
     g = doc.graph
-    values = _assignment_from(doc)
-    if values is not None:
-        report = simplicity_check(g, values)
+    if doc.values:
+        report = simplicity_check(g, doc.values)
         lyapunov = not report.lyapunov_violations
         payload = {"mode": "verify", "lyapunov": lyapunov, "taming": report.taming}
         if lyapunov:  # simplicity is read for Lyapunov assignments only
             payload["circle_simple"] = report.circle_simple
             payload["component_simple"] = report.circle_simple  # one reading on the sphere
         payload["tames_simply"] = report.taming and report.circle_simple
-        if args.json:
-            _write_text(args.output, _emit_json(payload))
-        else:
-            lines = [f"{k}: {'yes' if v else 'no'}" for k, v in payload.items() if k != "mode"]
-            _write_text(args.output, "\n".join(lines) + "\n")
-        return 0 if payload["tames_simply"] else 1
+        lines = [f"{k}: {'yes' if v else 'no'}" for k, v in payload.items() if k != "mode"]
+        return (0 if payload["tames_simply"] else 1), payload, _text(lines)
 
-    order = synthesize_taming(g)
-    assignment = verify_taming_order(g, order) if order is not None else None
-    if assignment is None:
-        message = "no simple taming order exists"
-        if args.json:
-            _write_text(args.output, _emit_json({"mode": "synthesize", "order": None}))
-        else:
-            _write_text(args.output, message + "\n")
-        return 1
-    if args.json:
-        payload = {
-            "mode": "synthesize",
-            "order": list(order),
-            "assignment": {k: _frac(v) for k, v in sorted(assignment.items())},
-        }
-        _write_text(args.output, _emit_json(payload))
-    else:
-        _write_text(args.output, emit(FoliationDocument(g, dict(assignment))))
-    return 0
+    tamed = simple_taming(g)
+    if tamed is None:
+        return 1, {"mode": "synthesize", "order": None}, "no simple taming order exists\n"
+    order, assignment = tamed
+    payload = {
+        "mode": "synthesize",
+        "order": list(order),
+        "assignment": {k: _frac(v) for k, v in sorted(assignment.items())},
+    }
+    return 0, payload, emit(FoliationDocument(g, assignment))
 
 
-def cmd_extend(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def cmd_extend(args: argparse.Namespace, doc: FoliationDocument) -> Report:
     g = doc.graph
-    values = _assignment_from(doc)
-    if values is None:
-        order = synthesize_taming(g)
-        values = verify_taming_order(g, order) if order is not None else None
-        if values is None:
-            _write_text(args.output, "no simple taming order exists\n")
-            return 1
+    values = doc.values
+    if not values:
+        tamed = simple_taming(g)
+        if tamed is None:
+            reason = "no simple taming order exists"
+            return 1, {"extendable": False, "reason": reason}, reason + "\n"
+        values = tamed[1]
     try:
         decomposition = extend_to_ball(g, values)
     except ExtensionError as exc:
-        _write_text(args.output, f"not extendable: {exc}\n")
-        return 1
+        return 1, {"extendable": False, "reason": str(exc)}, f"not extendable: {exc}\n"
     failures = verify_decomposition(decomposition)
     if failures:
         raise InternalCheckError(
             "replay rejected a freshly built decomposition: " + "; ".join(failures)
         )
-    if args.json:
-        _write_text(args.output, _emit_json(decomposition.to_data()))
-    else:
-        lines = []
-        for r in decomposition.records:
-            d = r.to_data()
-            extras = ", ".join(
-                f"{k}={v}" for k, v in sorted(d.items()) if k not in ("kind", "point", "value")
-            )
-            lines.append(
-                f"{d['value']:>6}  {d['kind']:<14} {d['point']}"
-                + (f"  ({extras})" if extras else "")
-            )
-        _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    lines = []
+    for r in decomposition.records:
+        d = r.to_data()
+        extras = ", ".join(
+            f"{k}={v}" for k, v in sorted(d.items()) if k not in ("kind", "point", "value")
+        )
+        lines.append(
+            f"{d['value']:>6}  {d['kind']:<14} {d['point']}"
+            + (f"  ({extras})" if extras else "")
+        )
+    return 0, decomposition.to_data(), _text(lines)
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace, doc: None) -> Report:
     instances = list(
         enumerate_foliations(
             args.max_saddles,
@@ -712,15 +664,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             allow_homoclinics=args.homoclinics,
         )
     )
-    if args.json:
-        _write_text(args.output, _emit_json([g.to_data() for g in instances]))
-    else:
-        _write_text(args.output, "\n".join(emit(g) for g in instances))
-    return 0
+    return 0, [g.to_data() for g in instances], "\n".join(emit(g) for g in instances)
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def cmd_oracle(args: argparse.Namespace, doc: FoliationDocument) -> Report:
     result = oracle_tightness(doc.graph)
     payload = {
         "tight": result["tight"],
@@ -732,24 +679,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             else None
         ),
     }
-    if args.json:
-        _write_text(args.output, _emit_json(payload))
-    else:
-        lines = [
-            f"tight: {'yes' if payload['tight'] else 'no'}",
-            f"orders tried: {payload['orders_tried']}",
-        ]
-        if payload["order"]:
-            lines.append(f"order: {' '.join(payload['order'])}")
-        _write_text(args.output, "\n".join(lines) + "\n")
-    return 0 if payload["tight"] else 1
+    lines = [
+        f"tight: {'yes' if payload['tight'] else 'no'}",
+        f"orders tried: {payload['orders_tried']}",
+    ]
+    if payload["order"]:
+        lines.append(f"order: {' '.join(payload['order'])}")
+    return (0 if payload["tight"] else 1), payload, _text(lines)
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    doc = _load(args)
-    text = render_dot(doc.graph) if args.format == "dot" else render_svg(doc.graph)
-    _write_text(args.output, text)
-    return 0
+def cmd_render(args: argparse.Namespace, doc: FoliationDocument) -> Report:
+    render = render_dot if args.format == "dot" else render_svg
+    return 0, None, render(doc.graph)
 
 
 # --------------------------------------------------------------- entry point
@@ -770,11 +711,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, needs_input: bool = True, takes_json: bool = True) -> None:
         if needs_input:
             p.add_argument("--input", "-i", default="-", help="document path or - for stdin")
         p.add_argument("--output", "-o", default="-", help="output path or - for stdout")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if takes_json:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        else:
+            p.set_defaults(json=False)
 
     for name, fn, blurb in (
         ("validate", cmd_validate, "check the structural rules"),
@@ -797,7 +741,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw the instance")
     p.add_argument("--format", choices=("dot", "svg"), default="dot")
-    common(p)
+    common(p, takes_json=False)
     p.set_defaults(fn=cmd_render)
 
     return parser
@@ -806,10 +750,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        try:
-            return args.fn(args)
-        except _InvalidDocument as exc:
-            return _fail_invalid(args, exc.args[0])
+        doc = None if args.command == "enumerate" else parse(_read_text(args.input))
+        problems = doc.graph.validate() if doc else []
+        code, payload, text = _invalid(problems) if problems else args.fn(args, doc)
+        _write_text(args.output, _emit_json(payload) if args.json else text)
+        return code
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

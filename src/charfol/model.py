@@ -477,10 +477,10 @@ class FoliationGraph:
             seq = rotation[pid]
             slots = [slot[index[d]] for d in seq]
             if p.kind == HYPERBOLIC:
-                if len(seq) != 4:
-                    problems.append(f"hyperbolic {pid}: degree {len(seq)} != 4")
-                    continue
-                # s0 is occupied and listed, by the checks above
+                # the degree is 4: every end here has a direction, so its
+                # slot is one of s0, u0, s1, u1; each of those is occupied
+                # exactly once, and the rotation lists exactly the incident
+                # darts with no repeat.  So s0 is occupied and listed
                 i = slots.index("s0")
                 if tuple(slots[i:] + slots[:i]) != HYPERBOLIC_SLOTS:
                     problems.append(f"hyperbolic {pid}: rotation must read s0,u0,s1,u1")

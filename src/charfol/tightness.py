@@ -345,6 +345,13 @@ def verify_taming_order(g: FoliationGraph, order: tuple[str, ...]) -> dict | Non
     return a if report.taming and report.circle_simple else None
 
 
+def simple_taming(g: FoliationGraph) -> tuple[tuple[str, ...], dict] | None:
+    """A synthesized saddle order and its verified assignment, or None."""
+    order = synthesize_taming(g)
+    assignment = verify_taming_order(g, order) if order is not None else None
+    return (order, assignment) if assignment is not None else None
+
+
 # ------------------------------------------------------------------- decide
 
 
@@ -431,16 +438,11 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
             polygon=poly,
         )
 
-    order = synthesize_taming(g)
-    if order is not None:
-        assignment = verify_taming_order(g, order)
-        if assignment is not None:
-            return TightnessCertificate(
-                "tight",
-                "simple taming order synthesized and verified",
-                saddle_order=order,
-                assignment=assignment,
-            )
+    tamed = simple_taming(g)
+    if tamed is not None:
+        order, assignment = tamed
+        reason = "simple taming order synthesized and verified"
+        return TightnessCertificate("tight", reason, saddle_order=order, assignment=assignment)
     poly = witness_polygon(g)
     if poly is not None:
         return TightnessCertificate(

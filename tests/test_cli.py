@@ -15,6 +15,7 @@ from charfol import FoliationGraph, cli, zoo
 from charfol.cli import FoliationDocument, ParseError, emit, main, parse, render_dot, render_svg
 from charfol.invariants import MAX_POLYGON_FACES, is_morse_smale, point_surplus, trace_polygon
 from charfol.moves import create_pair
+from charfol.taming import normalized_assignment
 from charfol.tightness import universe
 from references import from_data
 
@@ -172,6 +173,84 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert payload["valid"] is False and payload["problems"]
 
 
+ONE_POINT = "foliation v1\npoint p elliptic +\n"
+ONE_SADDLE = emit(zoo.example("tight_one_saddle"))
+
+
+@pytest.mark.parametrize(
+    "text, out, err",
+    [
+        (ONE_POINT + "sep e0 :s0 p\n", "", "line 3, column 8: empty point id in ':s0'"),
+        (ONE_POINT + "sep e0 p h:\n", "", "line 3, column 10: empty slot in 'h:'"),
+        (
+            "foliation v1\nsep e0 p q marker\nsep e0 p q marker\n",
+            "",
+            "line 3, column 5: duplicate separatrix e0",
+        ),
+        (
+            ONE_POINT + "rot p: m0.src\nrot p: m0.src\n",
+            "",
+            "line 4, column 5: duplicate rotation for p",
+        ),
+        (
+            ONE_POINT + "rot p: m0.mid\n",
+            "",
+            "line 3, column 8: edge end must look like <edge-id>.src or .tgt, got 'm0.mid'",
+        ),
+        (
+            ONE_POINT + "value p 1 2\n",
+            "",
+            "line 3, column 1: value line needs: point-id numerator/denominator",
+        ),
+        (ONE_POINT + "value p 0\nvalue p 1\n", "", "line 4, column 7: duplicate value for p"),
+        (
+            "foliation v1\ntranscript {}\ntranscript []\n",
+            "",
+            "line 3, column 1: duplicate transcript line",
+        ),
+        ("", "", "line 1, column 1: empty document (missing 'foliation v1' header)"),
+        (
+            "# only a comment\n\n",
+            "",
+            "line 1, column 1: empty document (missing 'foliation v1' header)",
+        ),
+        (
+            ONE_SADDLE.replace("sep eb b h:s1", "sep eb b h:s0"),
+            "invalid\n  slot h.s0 occupied 2 times\n  slot h.s1 is vacant\n",
+            None,
+        ),
+        (ONE_SADDLE + "rot r:\n", "invalid\n  rotation for unknown point r\n", None),
+    ],
+    ids=[
+        "empty-point-id", "empty-slot", "duplicate-separatrix", "duplicate-rotation",
+        "malformed-edge-end", "value-line-length", "duplicate-value", "duplicate-transcript",
+        "empty-document", "comment-only-document", "slot-occupied-twice",
+        "rotation-for-unknown-point",
+    ],
+)
+def test_validate_pins_each_refusal(tmp_path, capsys, text, out, err):
+    stderr = "" if err is None else f"syntax error: {err}\n"
+    assert run(capsys, "validate", "-i", write_doc(tmp_path, text)) == (2, out, stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("decide",), ONE_SADDLE),
+        (("decide", "--json"), ONE_SADDLE),
+        (("validate", "--json"), ONE_SADDLE + "rot r:\n"),
+    ],
+    ids=["text", "json", "invalid"],
+)
+def test_output_file_gets_what_stdout_gets(tmp_path, capsys, argv, text):
+    path = write_doc(tmp_path, text)
+    code, out, err = run(capsys, *argv, "-i", path)
+    assert out and err == ""
+    target = tmp_path / "report.out"
+    assert run(capsys, *argv, "-i", path, "-o", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode()
+
+
 def test_decide_exit_codes_and_json(tmp_path, capsys):
     tight = write_doc(tmp_path, emit(zoo.example("tight_one_saddle")))
     code, out, _ = run(capsys, "decide", "-i", tight)
@@ -260,7 +339,8 @@ TAMING_NOT_SIMPLE = emit(zoo.example("double_join_cycle")) + (
 )
 def test_tame_and_extend_on_values_that_do_not_tame_simply(tmp_path, capsys, text, verdict, reason):
     # outputs pinned from the commit that read Lyapunov, taming and
-    # simplicity in three separate passes
+    # simplicity in three separate passes; under --json, extend refuses
+    # with one JSON object that carries the reason
     path = write_doc(tmp_path, text)
     keys = ("lyapunov", "taming", "circle_simple", "component_simple")
     code, out, err = run(capsys, "tame", "-i", path)
@@ -272,9 +352,11 @@ def test_tame_and_extend_on_values_that_do_not_tame_simply(tmp_path, capsys, tex
     assert (code, err) == (1, "")
     assert json.loads(out) == {"mode": "verify", **dict(zip(keys, verdict)), "tames_simply": False}
 
-    for flags in ((), ("--json",)):
-        code, out, err = run(capsys, "extend", "-i", path, *flags)
-        assert (code, out, err) == (1, f"not extendable: assignment is {reason}\n", "")
+    code, out, err = run(capsys, "extend", "-i", path)
+    assert (code, out, err) == (1, f"not extendable: assignment is {reason}\n", "")
+    code, out, err = run(capsys, "extend", "-i", path, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"extendable": False, "reason": f"assignment is {reason}"}
 
 
 def test_extend_outputs_records(tmp_path, capsys):
@@ -460,6 +542,82 @@ def test_unknown_file_is_an_io_error(capsys):
     assert code == 2 and "io error" in err
 
 
+def _mutate(text: str, rng: random.Random) -> str:
+    """Zero to three seeded edits: a line dropped or duplicated, two rotation
+    darts swapped or one deleted, a sign flipped, a kind changed, an end retargeted."""
+    lines = text.splitlines()
+    points = [line.split()[1] for line in lines if line.startswith("point ")]
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(1, len(lines))
+        words = lines[i].split()
+        edit = rng.choice(("drop", "duplicate", "swap", "delete", "sign", "kind", "retarget"))
+        if edit == "drop" and len(lines) > 2:
+            del lines[i]
+            continue
+        if edit == "duplicate":
+            lines.insert(i, lines[i])
+            continue
+        if edit in ("swap", "delete") and words[0] == "rot" and len(words) > 3:
+            j, k = rng.sample(range(2, len(words)), 2)
+            if edit == "swap":
+                words[j], words[k] = words[k], words[j]
+            else:
+                del words[j]
+        elif edit == "sign" and words[0] == "point":
+            words[3] = "-" if words[3] == "+" else "+"
+        elif edit == "kind" and words[0] == "point":
+            words[2] = rng.choice(("elliptic", "hyperbolic", "embryo"))
+        elif edit == "retarget" and words[0] == "sep":
+            j = rng.choice((2, 3))
+            _, colon, slot = words[j].partition(":")
+            words[j] = rng.choice(points) + colon + slot
+        lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def _mutants() -> list[str]:
+    graphs = [zoo.example(name) for name in ZOO_NAMES]
+    graphs += [g for gs in universe(2).values() for g in gs]
+    rng = random.Random(0)
+    docs = []
+    for g in graphs:
+        order = sorted(p.id for p in g.saddle_points())
+        for k in range(14):
+            # every other copy carries value lines, for the verifying walks
+            values = normalized_assignment(g, order) if k % 2 else None
+            docs.append(_mutate(emit(FoliationDocument(g, values)), rng))
+    return docs
+
+
+def test_every_command_keeps_the_json_contract_on_edited_documents(tmp_path, capsys):
+    # under --json, exits 0 and 1 print one JSON object; exit 2 prints the
+    # invalid-document object, or nothing and one line on stderr
+    refusal = re.compile(r"(syntax error|error): [^\n]*\n")
+    commands = ("validate", "invariants", "decide", "tame", "extend", "oracle")
+    seen = Counter()
+    for n, text in enumerate(_mutants()):
+        path = write_doc(tmp_path, text, f"m{n}.fol")
+        for command in commands:
+            code, out, err = run(capsys, command, "-i", path, "--json")
+            seen[command, code] += 1
+            assert code in (0, 1, 2), (command, text, err)
+            if code == 2 and not out:
+                assert refusal.fullmatch(err), (command, text, err)
+                continue
+            payload = json.loads(out)
+            assert isinstance(payload, dict) and err == "", (command, text)
+            assert (code == 2) == (payload.get("valid") is False), (command, text, payload)
+        code, out, err = run(capsys, "render", "-i", path)
+        assert code in (0, 2), (text, err)
+        if code == 2 and out:
+            assert out.startswith("invalid\n") and err == "", (text, out, err)
+        elif code == 2:
+            assert refusal.fullmatch(err), (text, err)
+    # every exit code of every command is reached, refusals of extend included
+    assert all(seen[c, 0] and seen[c, 2] for c in commands)
+    assert all(seen[c, 1] for c in ("decide", "tame", "extend", "oracle"))
+
+
 # ----------------------------------------------------------------- rendering
 
 
@@ -628,9 +786,10 @@ COMMANDS = ("validate", "invariants", "decide", "tame", "extend", "oracle", "enu
 HELP_ARGVS = [("--help",)] + [(name, "--help") for name in COMMANDS]
 
 # sha256 of the texts of HELP_ARGVS joined in order at 80 columns, taken while
-# every main() call built its own parser; the texts are the same on Python
-# 3.10 to 3.12, and 3.13's argparse reformats options
-HELP_GOLDEN = "0c2d5cf25fb57b5b9fa6f4164a6d8e7a28afc576013412a0d3561828ed73222a"
+# every main() call built its own parser and re-taken when render lost its
+# --json flag; the texts are the same on Python 3.10 to 3.12, and 3.13's
+# argparse reformats options
+HELP_GOLDEN = "3d4611de048d4256752182a30519b036d511ae90e7c5e7749ed848af5e89b556"
 
 
 def call(capsys, argv):

@@ -5,10 +5,11 @@ saddles go through both commands with four value sets: none (so the command
 synthesizes), the values of the synthesized order (of the sorted saddle ids
 when there is none), every saddle tied at one level, and that order
 reversed.  The overtwisted fixtures and the last two value sets reach the
-refusals of the taming, simplicity and extension checks.  A run contributes
-its exit code, stdout and stderr; the transcript of each sphere is pinned by
-one sha256, so any change in the circles, components or verdicts these
-commands read off the sublevel sets shows up here.
+refusals of the taming, simplicity and extension checks; ``extend --json``
+refuses with one ``{"extendable": false, "reason": ...}`` object.  A run
+contributes its exit code, stdout and stderr; the transcript of each sphere
+is pinned by one sha256, so any change in the circles, components or
+verdicts these commands read off the sublevel sets shows up here.
 """
 
 import contextlib
@@ -89,13 +90,13 @@ def transcript(g, tmp_path) -> str:
 
 
 GOLDEN = {
-    "chained_saddles": "b358ac933fcf50b0d1de828063de77b1e3f1dc55adb90655db8f966c532eb6cc",
-    "double_join_cycle": "fe813aa238fbd9f45017eadf9ff805bd061094ec71cc4061950888e737575174",
+    "chained_saddles": "44b57f62eb7bf66b4d7d2bb83ed1541b9535eb644525381d0e0e4c21a0f0ef80",
+    "double_join_cycle": "8e33b38a6814c9db7e12dce0c422d2f85b87bc68f6e8e9afe0ccf47e4de3047b",
     "embryo_negative": "091a0f5433ece5e293bf184a3c1c6ac2ca55aff26e25cf2787cea86fb39b62b7",
     "embryo_positive": "8bbd53554da712cfda22787c01862d6999c6f40268295b67899e5fa583a9e438",
-    "embryo_positive+13": "202508d0b6f787e6a66b25254051eb1cc11b3b730ddfc132760b05ee8948918b",
-    "overtwisted_loop_negative": "c3ef5cb798ba96a8d6249f295288e62f4f3c9b28bba037d3a58cb91ff829a1ca",
-    "overtwisted_loop_positive": "c3ef5cb798ba96a8d6249f295288e62f4f3c9b28bba037d3a58cb91ff829a1ca",
+    "embryo_positive+13": "30ff5a1d53f04f99761d842a30d6e8d577fcf49a84fe89b2bc5ff8804b8893a7",
+    "overtwisted_loop_negative": "7de1867cec629b3a07fa74d572d15ba17f12ff06a99adea918ab3e6d0f5ed545",
+    "overtwisted_loop_positive": "7de1867cec629b3a07fa74d572d15ba17f12ff06a99adea918ab3e6d0f5ed545",
     "three_basin_chain": "3001b77ad256a33b74d37b8f5b33bc417cb8f72c1d3eb931ed1a737d642e2045",
     "three_basin_chain+11": "4a25489e34d4a8f240226bebfe616cc2c0fc6fff0ba947e137c46e46ad2b2bc8",
     "three_basin_chain+16": "dd99bfd205ab4bc714a7617899a89f38b766a21165e8eb4fe56b930477031c69",
@@ -105,8 +106,8 @@ GOLDEN = {
     "tight_one_saddle_negative": "169a544b60a0b5265188e7558a074306d81279841dc522244da9206472734da5",
     "tight_one_saddle_negative+12": "74e5dcda41095f8c0b877925b0e6e75df4ebbf04a8dd56acb72705c6226084b8",
     "tight_one_saddle_negative+16": "43469a55dc6489b0347bc36208151014428dc84cac56f80080e80baa03ce5f61",
-    "tight_saddle_connection": "1eabcf0654d98a324ede0e38f9049eaa44134de095c30fd331d67efb65ed0cb3",
-    "tight_saddle_connection+14": "b912d812c5fa5018f677e42ecb9bb69e325f8b3e7a841097081c481999f5665d",
+    "tight_saddle_connection": "fce4d6a87f86d19cb31e59583d23cf4f3500d1fe99ebc89760674de7e9d1cabc",
+    "tight_saddle_connection+14": "d0b58e3d4b12a570968b3f77f1e54d2f8ecd57aac26f275a7d7fa06496615907",
     "trivial": "7788a65a95ddcdd5a1736dbc9e1b7cd9bacacf188e740f1aa7c896b4b4eb8d17",
 }
 
