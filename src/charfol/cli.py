@@ -93,16 +93,20 @@ class FoliationDocument:
 # ------------------------------------------------------------------ parsing
 
 
-def _column(raw: str, token: str) -> int:
-    i = raw.find(token)
-    return i + 1 if i >= 0 else 1
+def _column(raw: str, tokens: Sequence[str], k: int) -> int:
+    """The column of ``tokens[k]``, the k-th whitespace-split token of ``raw``."""
+    end = 0
+    for tok in tokens[: k + 1]:
+        end = raw.index(tok, end) + len(tok)
+    return end - len(tokens[k]) + 1
 
 
 #: an optionally signed run of ASCII digits, then optionally ``/`` and another
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
-def _parse_fraction(token: str, lineno: int, raw: str) -> Fraction:
+def _parse_fraction(lineno: int, raw: str, tokens: Sequence[str], k: int) -> Fraction:
+    token = tokens[k]
     m = _RATIONAL.fullmatch(token)
     try:
         if m is None:
@@ -110,19 +114,20 @@ def _parse_fraction(token: str, lineno: int, raw: str) -> Fraction:
         n, d = int(m[1]), int(m[2] or 1)
     except ValueError:  # not a rational, or more digits than int() converts
         raise ParseError(
-            f"malformed rational {token!r}", lineno, _column(raw, token)
+            f"malformed rational {token!r}", lineno, _column(raw, tokens, k)
         ) from None
     if d == 0:
-        raise ParseError("zero denominator", lineno, _column(raw, token))
+        raise ParseError("zero denominator", lineno, _column(raw, tokens, k))
     return Fraction(n, d)
 
 
-def _parse_endpoint(token: str, lineno: int, raw: str) -> EndRef:
+def _parse_endpoint(lineno: int, raw: str, tokens: Sequence[str], k: int) -> EndRef:
+    token = tokens[k]
     pid, colon, slot = token.partition(":")
     if not pid:
-        raise ParseError(f"empty point id in {token!r}", lineno, _column(raw, token))
+        raise ParseError(f"empty point id in {token!r}", lineno, _column(raw, tokens, k))
     if colon and not slot:
-        raise ParseError(f"empty slot in {token!r}", lineno, _column(raw, token))
+        raise ParseError(f"empty slot in {token!r}", lineno, _column(raw, tokens, k))
     return EndRef(pid, slot if colon else None)
 
 
@@ -135,9 +140,9 @@ def parse(text: str) -> FoliationDocument:
     edges: dict[str, Separatrix] = {}
     rotation: dict[str, tuple] = {}
     values: dict[str, Fraction] = {}
-    value_lines: dict[str, int] = {}
+    value_lines: dict[str, tuple[int, str, list[str]]] = {}
     transcript: object | None = None
-    claimed_connections: list[tuple[str, int, str]] = []
+    claimed_connections: list[tuple[str, int, str, list[str], int]] = []
     seen_header = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -158,37 +163,35 @@ def parse(text: str) -> FoliationDocument:
             _, pid, kind, sign_tok = tokens
             if sign_tok not in _SIGNS:
                 raise ParseError(
-                    f"sign must be + or -, got {sign_tok!r}",
-                    lineno,
-                    _column(raw, sign_tok),
+                    f"sign must be + or -, got {sign_tok!r}", lineno, _column(raw, tokens, 3)
                 )
             if pid in points:
-                raise ParseError(f"duplicate point {pid}", lineno, _column(raw, pid))
+                raise ParseError(f"duplicate point {pid}", lineno, _column(raw, tokens, 1))
             try:
                 points[pid] = SingularPoint(pid, kind, _SIGNS[sign_tok])
             except GraphError as exc:
-                raise ParseError(str(exc), lineno, _column(raw, kind)) from None
+                raise ParseError(str(exc), lineno, _column(raw, tokens, 2)) from None
 
         elif key == "sep":
             if len(tokens) < 4:
                 raise ParseError("sep line needs: id src dst [marker] [homoclinic]", lineno)
-            _, eid, src_tok, dst_tok, *flags = tokens
+            _, eid, _, _, *flags = tokens
             if eid in edges:
-                raise ParseError(f"duplicate separatrix {eid}", lineno, _column(raw, eid))
+                raise ParseError(f"duplicate separatrix {eid}", lineno, _column(raw, tokens, 1))
             marker = False
-            for flag in flags:
+            for k, flag in enumerate(flags, start=4):
                 if flag == "marker":
                     marker = True
                 elif flag == "homoclinic":
-                    claimed_connections.append((eid, lineno, raw))
+                    claimed_connections.append((eid, lineno, raw, tokens, k))
                 else:
                     raise ParseError(
-                        f"unknown separatrix flag {flag!r}", lineno, _column(raw, flag)
+                        f"unknown separatrix flag {flag!r}", lineno, _column(raw, tokens, k)
                     )
             edges[eid] = Separatrix(
                 eid,
-                _parse_endpoint(src_tok, lineno, raw),
-                _parse_endpoint(dst_tok, lineno, raw),
+                _parse_endpoint(lineno, raw, tokens, 2),
+                _parse_endpoint(lineno, raw, tokens, 3),
                 marker,
             )
 
@@ -198,18 +201,18 @@ def parse(text: str) -> FoliationDocument:
             pid = tokens[1][:-1]
             if not pid:
                 raise ParseError(
-                    f"empty point id in {tokens[1]!r}", lineno, _column(raw, tokens[1])
+                    f"empty point id in {tokens[1]!r}", lineno, _column(raw, tokens, 1)
                 )
             if pid in rotation:
-                raise ParseError(f"duplicate rotation for {pid}", lineno, _column(raw, pid))
+                raise ParseError(f"duplicate rotation for {pid}", lineno, _column(raw, tokens, 1))
             darts = []
-            for tok in tokens[2:]:
+            for k, tok in enumerate(tokens[2:], start=2):
                 eid, dot, end = tok.rpartition(".")
                 if not dot or end not in ("src", "tgt"):
                     raise ParseError(
                         f"edge end must look like <edge-id>.src or .tgt, got {tok!r}",
                         lineno,
-                        _column(raw, tok),
+                        _column(raw, tokens, k),
                     )
                 darts.append((eid, end))
             rotation[pid] = tuple(darts)
@@ -217,11 +220,11 @@ def parse(text: str) -> FoliationDocument:
         elif key == "value":
             if len(tokens) != 3:
                 raise ParseError("value line needs: point-id numerator/denominator", lineno)
-            _, pid, frac_tok = tokens
+            pid = tokens[1]
             if pid in values:
-                raise ParseError(f"duplicate value for {pid}", lineno, _column(raw, pid))
-            values[pid] = _parse_fraction(frac_tok, lineno, raw)
-            value_lines[pid] = lineno
+                raise ParseError(f"duplicate value for {pid}", lineno, _column(raw, tokens, 1))
+            values[pid] = _parse_fraction(lineno, raw, tokens, 2)
+            value_lines[pid] = (lineno, raw, tokens)
 
         elif key == "transcript":
             if transcript is not None:
@@ -233,13 +236,13 @@ def parse(text: str) -> FoliationDocument:
                 raise ParseError(f"bad transcript JSON: {exc.msg}", lineno) from None
 
         else:
-            raise ParseError(f"unknown key {key!r}", lineno, _column(raw, key))
+            raise ParseError(f"unknown key {key!r}", lineno, _column(raw, tokens, 0))
 
     if not seen_header:
         raise ParseError(f"empty document (missing {HEADER!r} header)", 1)
 
     graph = FoliationGraph(points, edges, rotation)
-    for eid, lineno, raw in claimed_connections:
+    for eid, lineno, raw, tokens, k in claimed_connections:
         both_saddle = all(
             points.get(ref.point) is not None
             and points[ref.point].kind in (HYPERBOLIC, EMBRYO)
@@ -250,11 +253,11 @@ def parse(text: str) -> FoliationDocument:
                 f"separatrix {eid} is flagged homoclinic but does not join "
                 "two saddle-type points",
                 lineno,
-                _column(raw, "homoclinic"),
+                _column(raw, tokens, k),
             )
-    for pid, lineno in value_lines.items():
+    for pid, (lineno, raw, tokens) in value_lines.items():
         if pid not in points:
-            raise ParseError(f"value for unknown point {pid}", lineno)
+            raise ParseError(f"value for unknown point {pid}", lineno, _column(raw, tokens, 1))
     return FoliationDocument(graph, values or None, transcript)
 
 

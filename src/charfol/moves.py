@@ -13,13 +13,15 @@ right):
   order right after it;
 * a surviving separatrix that loses its saddle is re-routed to the sink of
   the face flanking the dead connection on its rotation-successor side;
-* negative-sign cases go through time reversal of the positive case.
+* a birth of either sign is planted directly in its face: the negative
+  pair is the mirror of the positive one (:func:`create_pair`); the other
+  negative-sign moves go through time reversal of the positive case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Container, Sequence
 
 from .model import (
     ELLIPTIC,
@@ -51,7 +53,7 @@ class MoveResult:
     record: MoveRecord
 
 
-def _fresh(existing: set[str], prefix: str) -> str:
+def _fresh(existing: Container[str], prefix: str) -> str:
     n = 0
     while f"{prefix}{n}" in existing:
         n += 1
@@ -69,10 +71,10 @@ class _Surgeon:
         }
 
     def fresh_edge_id(self, prefix: str = "r") -> str:
-        return _fresh(set(self.edges), prefix)
+        return _fresh(self.edges, prefix)
 
     def fresh_point_id(self, prefix: str = "v") -> str:
-        return _fresh(set(self.points), prefix)
+        return _fresh(self.points, prefix)
 
     def delete_edge(self, eid: str) -> None:
         del self.edges[eid]
@@ -166,7 +168,7 @@ def _insertion(g: FoliationGraph, face: int, flavor: str) -> tuple[EndRef, Dart]
     return EndRef(point[enter], slot), darts[enter]
 
 
-def _conjugated(g: FoliationGraph, move, **details) -> MoveResult:
+def _conjugated(g: FoliationGraph, move) -> MoveResult:
     """Run ``move`` on the time reversal of ``g`` and reverse its result back.
 
     Reversal keeps validity, degrees and marker flags, so the reversal of the
@@ -179,7 +181,7 @@ def _conjugated(g: FoliationGraph, move, **details) -> MoveResult:
     rev = move(g.reverse())
     return MoveResult(
         rev.graph.reverse(),
-        MoveRecord(rev.record.kind, {**rev.record.details, "conjugated": True, **details}),
+        MoveRecord(rev.record.kind, {**rev.record.details, "conjugated": True}),
     )
 
 
@@ -340,63 +342,70 @@ def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveR
 # ----------------------------------------------------------------- create_pair
 
 
-def _reversed_face_index(g: FoliationGraph, g_rev: FoliationGraph, index: int) -> int:
-    """Faces of the reversed graph are the theta-images of the original ones."""
-    first = g.dart_table().darts[g.face_table().orbits[index][0]]
-    return _face_of(g_rev, FoliationGraph.theta(first))
-
-
 def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult:
     """Plant a cancelling elliptic/hyperbolic pair inside a face.
 
-    The new saddle is fed by the face's source corner (for a positive pair)
-    and drains to the face's sink.  The new elliptic point's one separatrix
-    feeds the new saddle, so this inverts :func:`eliminate_pair` only where
-    the eliminated elliptic point fed nothing but its saddle.
+    A positive saddle ``chi`` is fed by the face's source corner along ``o``
+    and by the new source ``eps`` along ``gamma``, and drains to the face's
+    sink along ``n0`` and ``n1``.  The new elliptic point's one separatrix
+    touches only the new saddle, so this inverts :func:`eliminate_pair`
+    only where the eliminated elliptic point fed nothing but its saddle.
     ``face_index`` counts from 0 in :meth:`FoliationGraph.faces` order and
     ``sign`` is +1 or -1; anything else raises :class:`MoveError`.
+
+    A negative pair is the conjugate of a positive one.  Working "reverse
+    the sphere, plant a positive pair in the matching face, reverse back"
+    out by hand gives the mirrored pair, which is planted in place: the
+    saddle drains along ``o`` to the sink corner and along ``gamma`` into
+    the new sink ``eps``, and the source corner feeds it along ``n0`` and
+    ``n1``.  Every new dart is turned around, and the record says
+    ``conjugated``.
+
+    Call a graph *normal* when, at every hyperbolic point, the first stable
+    dart in its rotation tuple sits in slot ``s0``.  On a normal graph two
+    reversals are the identity: signs flip twice, ends swap twice, theta is
+    an involution, and the slot renaming returns each label.  Every output
+    of :meth:`FoliationGraph.reverse` is normal, and births keep a graph
+    normal, since ``chi`` reads ``s0`` first for both signs.  So on a normal
+    graph the planted mirror is, byte for byte, what the two reversals
+    around the positive move give.  On any other graph those reversals
+    would also swap the slot labels of saddles the birth never touched; the
+    planted mirror keeps every old edge as it was, as a positive birth does.
     """
     if sign not in (1, -1):
         raise MoveError(f"pair sign must be +1 or -1, got {sign}")
     g.require_valid()
     if not 0 <= face_index < len(g.face_table().orbits):
         raise MoveError(f"no face with index {face_index}")
-    if sign < 0:
-        return _conjugated(
-            g,
-            lambda r: create_pair(r, _reversed_face_index(g, r, face_index), 1),
-            face=face_index,
-            sign=-1,
-        )
     s = _Surgeon(g)
     eps = s.fresh_point_id()
     chi = s.fresh_point_id("w" if eps[0] == "v" else "v")
-    s.points[eps] = SingularPoint(eps, ELLIPTIC, 1)
-    s.points[chi] = SingularPoint(chi, HYPERBOLIC, 1)
-    s.rotation[eps] = []
-    s.rotation[chi] = []
-
+    s.points[eps] = SingularPoint(eps, ELLIPTIC, sign)
+    s.points[chi] = SingularPoint(chi, HYPERBOLIC, sign)
     src_ref, src_anchor = _insertion(g, face_index, "source")
     snk_ref, snk_anchor = _insertion(g, face_index, "sink")
-
-    o_id = s.fresh_edge_id("o")
-    s.edges[o_id] = Separatrix(o_id, src_ref, EndRef(chi, "s0"))
-    gamma_id = s.fresh_edge_id("g")
-    s.edges[gamma_id] = Separatrix(gamma_id, EndRef(eps, None), EndRef(chi, "s1"))
-    n0_id = s.fresh_edge_id("n")
-    s.edges[n0_id] = Separatrix(n0_id, EndRef(chi, "u0"), snk_ref)
-    n1_id = s.fresh_edge_id("n")
-    s.edges[n1_id] = Separatrix(n1_id, EndRef(chi, "u1"), snk_ref)
-
-    s.rotation[chi] = [(o_id, "tgt"), (n0_id, "src"), (gamma_id, "tgt"), (n1_id, "src")]
-    s.rotation[eps] = [(gamma_id, "src")]
-    s.insert_after(src_ref.point, src_anchor, [(o_id, "src")])
-    # interior-on-the-right: the u1 leaf lands closer to the sink corner's enter germ
-    s.insert_after(snk_ref.point, snk_anchor, [(n1_id, "tgt"), (n0_id, "tgt")])
-    return s.finish(
-        "create_pair",
-        {"face": face_index, "created": [eps, chi], "sign": sign},
-    )
+    e, (s0, u0, s1, u1) = EndRef(eps, None), [EndRef(chi, slot) for slot in HYPERBOLIC_SLOTS]
+    # the (src, dst) of o, gamma, n0 and n1; where o and where n0, n1 meet
+    # the face; the end of o and of gamma at chi (a), and of n0 and n1 (b)
+    if sign > 0:
+        ends = ((src_ref, s0), (e, s1), (u0, snk_ref), (u1, snk_ref))
+        o_at, n_at, a, b = (src_ref.point, src_anchor), (snk_ref.point, snk_anchor), "tgt", "src"
+    else:
+        ends = ((u1, snk_ref), (u0, e), (src_ref, s0), (src_ref, s1))
+        o_at, n_at, a, b = (snk_ref.point, snk_anchor), (src_ref.point, src_anchor), "src", "tgt"
+    ids = []
+    for prefix, (src, dst) in zip("ognn", ends):
+        ids.append(s.fresh_edge_id(prefix))
+        s.edges[ids[-1]] = Separatrix(ids[-1], src, dst)
+    o_id, gamma_id, n0_id, n1_id = ids
+    s.rotation[eps] = [(gamma_id, b)]
+    s.rotation[chi] = [(o_id, a), (n0_id, b), (gamma_id, a), (n1_id, b)]
+    s.insert_after(*o_at, [(o_id, b)])
+    # interior-on-the-right: the u1 leaf (the s1 leaf when negative) sits
+    # closer to the corner's enter germ
+    s.insert_after(*n_at, [(n1_id, a), (n0_id, a)])
+    details = {"face": face_index, "created": [eps, chi], "sign": sign}
+    return s.finish("create_pair", details if sign > 0 else {**details, "conjugated": True})
 
 
 # ------------------------------------------------------------- embryo moves

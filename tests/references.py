@@ -5,6 +5,9 @@ No command runs these, so they live with the tests rather than in
 
 * :func:`relabel` and :func:`from_data` build graphs for the isomorphism
   and round-trip tests, and :func:`without_edge` builds invalid ones;
+* :func:`create_pair_by_conjugation` is the negative birth as the positive
+  one on the time reversal, reversed back, which
+  :func:`charfol.moves.create_pair` plants in place;
 * :func:`eq_simplicity_violations` and :func:`eq_simplicity_check` are the
   path-inequality reading of simplicity that acceptance check C6 compares
   with taming;
@@ -36,6 +39,7 @@ from charfol.model import (
     SingularPoint,
     UnionFind,
 )
+from charfol.moves import MoveRecord, MoveResult, create_pair
 from charfol.taming import (
     Assignment,
     check_assignment,
@@ -96,6 +100,21 @@ def without_edge(g: FoliationGraph, eid: str) -> FoliationGraph:
     edges = {k: v for k, v in g.edges.items() if k != eid}
     rotation = {pid: tuple(d for d in seq if d[0] != eid) for pid, seq in g.rotation.items()}
     return FoliationGraph(g.points, edges, rotation)
+
+
+def create_pair_by_conjugation(g: FoliationGraph, face_index: int) -> MoveResult:
+    """A negative pair planted in face ``face_index`` of ``g`` by conjugation.
+
+    The faces of the reversal are the theta-images of the faces of ``g``,
+    so the matching face is found by its dart set.  The record is the
+    positive one's, marked ``conjugated``, with the caller's face and sign.
+    """
+    rev = g.reverse()
+    target = {FoliationGraph.theta(d) for d in g.faces()[face_index].darts}
+    (rev_face,) = [f.index for f in rev.faces() if set(f.darts) == target]
+    res = create_pair(rev, rev_face, 1)
+    details = {**res.record.details, "conjugated": True, "face": face_index, "sign": -1}
+    return MoveResult(res.graph.reverse(), MoveRecord(res.record.kind, details))
 
 
 # ---------------------------------------------- path-inequality simplicity

@@ -220,17 +220,42 @@ ONE_SADDLE = emit(zoo.example("tight_one_saddle"))
             None,
         ),
         (ONE_SADDLE + "rot r:\n", "invalid\n  rotation for unknown point r\n", None),
+        # a column names the token itself, also where its text occurs earlier
+        (
+            "foliation v1\npoint o elliptic +\nrot o: m0.src\nrot o: m0.src\n",
+            "",
+            "line 4, column 5: duplicate rotation for o",
+        ),
+        (
+            "foliation v1\npoint e elliptic +\nvalue e 1\nvalue e 2\n",
+            "",
+            "line 4, column 7: duplicate value for e",
+        ),
+        (ONE_POINT + "value q 1/2\n", "", "line 3, column 7: value for unknown point q"),
+        (
+            ONE_SADDLE.replace("rot a: ea.src", "rot a: ea.src ea.src"),
+            "invalid\n  point a: repeated dart in rotation\n",
+            None,
+        ),
     ],
     ids=[
         "empty-point-id", "empty-slot", "duplicate-separatrix", "duplicate-rotation",
         "malformed-edge-end", "value-line-length", "duplicate-value", "duplicate-transcript",
         "empty-document", "comment-only-document", "slot-occupied-twice",
-        "rotation-for-unknown-point",
+        "rotation-for-unknown-point", "duplicate-rotation-for-o", "duplicate-value-for-e",
+        "value-for-unknown-point", "repeated-dart",
     ],
 )
 def test_validate_pins_each_refusal(tmp_path, capsys, text, out, err):
     stderr = "" if err is None else f"syntax error: {err}\n"
     assert run(capsys, "validate", "-i", write_doc(tmp_path, text)) == (2, out, stderr)
+
+
+def test_validate_json_reports_a_repeated_dart(tmp_path, capsys):
+    text = ONE_SADDLE.replace("rot a: ea.src", "rot a: ea.src ea.src")
+    code, out, err = run(capsys, "validate", "--json", "-i", write_doc(tmp_path, text))
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"valid": False, "problems": ["point a: repeated dart in rotation"]}
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,18 @@
 """Rewrite moves: each result validates, and local round trips close up."""
 
+import pathlib
 import random
+from dataclasses import replace
 
 import pytest
+from references import create_pair_by_conjugation
 
-from charfol import FoliationGraph, zoo
+from charfol import HYPERBOLIC, FoliationGraph, zoo
 from charfol.cli import emit, parse
 from charfol.moves import (
     MoveError,
     _embryo_parts,
     _reattachments,
-    _reversed_face_index,
     create_pair,
     eliminate_embryo,
     eliminate_pair,
@@ -96,31 +98,80 @@ def test_create_pair_rejects_a_sign_other_than_one(sign):
         create_pair(zoo.trivial(), 0, sign)
 
 
-def _reversed_face_index_by_scan(g, g_rev, index):
-    """The face of ``g_rev`` whose darts are the theta-images of face ``index``."""
-    target = {FoliationGraph.theta(d) for d in g.faces()[index].darts}
-    (match,) = [f.index for f in g_rev.faces() if set(f.darts) == target]
-    return match
-
-
-def test_reversed_face_index_matches_the_dart_set_scan(walked_spheres):
-    graphs = [zoo.example(name) for name in sorted(zoo.ZOO)] + [g for _, g in walked_spheres]
-    for g in graphs:
-        rev = g.reverse()
-        for f in g.faces():
-            expected = _reversed_face_index_by_scan(g, rev, f.index)
-            assert _reversed_face_index(g, rev, f.index) == expected
-
-
 def test_create_pair_records_the_callers_face_for_both_signs(zoo_graph):
-    rev = zoo_graph.reverse()
     for f in zoo_graph.faces():
         for sign in (1, -1):
             details = create_pair(zoo_graph, f.index, sign).record.details
             assert (details["face"], details["sign"]) == (f.index, sign)
-        # the negative planting is the positive one on the reversal, reversed back
-        by_hand = create_pair(rev, _reversed_face_index_by_scan(zoo_graph, rev, f.index), 1)
-        assert emit(create_pair(zoo_graph, f.index, -1).graph) == emit(by_hand.graph.reverse())
+
+
+def _with_slots_renamed(g, pid, names):
+    """``g`` with the slot labels at point ``pid`` renamed by ``names``."""
+
+    def ref(r):
+        return replace(r, slot=names[r.slot]) if r.point == pid else r
+
+    edges = {eid: replace(e, src=ref(e.src), dst=ref(e.dst)) for eid, e in g.edges.items()}
+    return FoliationGraph(g.points, edges, g.rotation)
+
+
+def _is_normal(g):
+    """At every saddle the first stable dart in rotation order sits in slot s0."""
+    return all(
+        next(g.dart_slot(d) for d in g.rotation[p.id] if g.dart_slot(d) in ("s0", "s1")) == "s0"
+        for p in g.points.values()
+        if p.kind == HYPERBOLIC
+    )
+
+
+def test_a_negative_birth_is_the_conjugated_positive_one(universe_list, walked_spheres):
+    graphs = universe_list + [zoo.example(n) for n in sorted(zoo.ZOO)]
+    graphs += [g for _, g in walked_spheres]
+    for g in graphs + [g.reverse() for g in graphs]:
+        for f in range(len(g.face_table().orbits)):
+            planted, reference = create_pair(g, f, -1), create_pair_by_conjugation(g, f)
+            assert emit(planted.graph) == emit(reference.graph), (emit(g), f)
+            assert planted.record == reference.record
+
+
+SEEDS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "seeds"
+
+
+def test_every_zoo_fixture_and_seed_class_is_normal():
+    graphs = [zoo.example(n) for n in sorted(zoo.ZOO)]
+    for path in sorted(SEEDS.glob("*.fol")):
+        docs = path.read_text(encoding="utf-8").split("foliation v1\n")[1:]
+        graphs += [parse("foliation v1\n" + doc).graph for doc in docs]
+    assert len(graphs) == len(zoo.ZOO) + 36
+    assert all(_is_normal(g) for g in graphs)
+
+
+def test_a_negative_birth_keeps_the_labels_of_a_saddle_that_is_not_normal():
+    # swapping both pairs keeps the rotation pattern but puts s1 first at h0
+    g = _with_slots_renamed(
+        zoo.example("three_basin_chain"), "h0", {"s0": "s1", "s1": "s0", "u0": "u1", "u1": "u0"}
+    )
+    assert g.validate() == [] and not _is_normal(g)
+    for f in range(len(g.face_table().orbits)):
+        planted, reference = create_pair(g, f, -1), create_pair_by_conjugation(g, f)
+        assert {eid: planted.graph.edges[eid] for eid in g.edges} == g.edges
+        assert planted.graph.canonical_form() == reference.graph.canonical_form()
+        # two reversals relabel the saddle the birth never touched
+        assert reference.graph.edges != planted.graph.edges
+
+
+def test_a_walk_of_both_signs_never_reverses_the_sphere_and_stays_normal(monkeypatch):
+    calls = []
+    reverse = FoliationGraph.reverse
+    monkeypatch.setattr(FoliationGraph, "reverse", lambda g: calls.append(g) or reverse(g))
+    rng = random.Random(2727)
+    g, signs = zoo.example("three_basin_chain"), set()
+    for _ in range(20):
+        sign = rng.choice((1, -1))
+        g = create_pair(g, rng.randrange(len(g.face_table().orbits)), sign).graph
+        signs.add(sign)
+        assert _is_normal(g)
+    assert signs == {1, -1} and calls == []
 
 
 def test_create_pair_walks_validate_from_their_text():
