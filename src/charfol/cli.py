@@ -31,7 +31,10 @@ refusal of ``extend`` is ``{"extendable": false, "reason": ...}``.  A
 document that parses but breaks the structural rules exits 2 with
 ``{"valid": false, "problems": [...]}`` (text: ``invalid`` and one problem
 a line).  A syntax or domain error exits 2, and exit 3 follows a failed
-cross-check; each prints one line on stderr and nothing on stdout.
+cross-check; each prints one line on stderr, and under ``--json`` also one
+object on stdout: ``{"error": "syntax", "message", "line", "column"}``, or
+``{"error": kind, "message"}`` with kind ``domain``, ``io`` or
+``internal``.
 """
 
 from __future__ import annotations
@@ -759,17 +762,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         _write_text(args.output, _emit_json(payload) if args.json else text)
         return code
     except ParseError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(args.json, "syntax", "syntax error", exc, line=exc.line, column=exc.column)
     except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 3
+        return _refuse(args.json, "internal", "internal check failed", exc, code=3)
     except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(args.json, "domain", "error", exc)
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(args.json, "io", "io error", exc)
+
+
+def _refuse(
+    as_json: bool, kind: str, prefix: str, exc: Exception, code: int = 2, **where: int
+) -> int:
+    """Print the refusal's line on stderr and, under ``--json``, one object
+    ``{"error": kind, "message": ...}`` (with ``where``) on stdout."""
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    if as_json:
+        sys.stdout.write(_emit_json({"error": kind, "message": str(exc), **where}))
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ Edge ends are addressed as *darts* ``(edge_id, "src"|"tgt")``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 ELLIPTIC = "elliptic"
@@ -151,8 +151,7 @@ _SLOT_CLASS = {
 _KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
 
 
-@dataclass(frozen=True)
-class Corner:
+class Corner(NamedTuple):
     """An angular sector of a face at one of its boundary points.
 
     ``enter`` is the dart along which the face walk arrives at ``point``,
@@ -169,14 +168,26 @@ class Corner:
 
 @dataclass(frozen=True)
 class Face:
+    """A face of the sphere as :meth:`FoliationGraph.faces` builds it.
+
+    ``index`` is its place among the faces, ``darts`` its darts in walk order
+    from its least one, and ``corners`` the corner at each of them, in the
+    same order.  ``source_corners`` and ``sink_corners`` are the source and
+    the sink corners among ``corners``, in walk order, derived on each read.
+    Equality compares the three fields.
+    """
+
     index: int
     darts: tuple[Dart, ...]
     corners: tuple[Corner, ...]
 
-    # the source and the sink corners among ``corners``, in walk order, filled
-    # in by the face walk; equality compares only the three fields above
-    source_corners: tuple[Corner, ...] = field(repr=False, compare=False)
-    sink_corners: tuple[Corner, ...] = field(repr=False, compare=False)
+    @property
+    def source_corners(self) -> tuple[Corner, ...]:
+        return tuple([c for c in self.corners if c.flavor == "source"])
+
+    @property
+    def sink_corners(self) -> tuple[Corner, ...]:
+        return tuple([c for c in self.corners if c.flavor == "sink"])
 
 
 class DartTable(NamedTuple):
@@ -351,15 +362,7 @@ class FoliationGraph:
                     leave = sigma[enter]
                     flavor = flavors.get((out[enter], out[leave]), "through")
                     corners.append(Corner(point[enter], darts[enter], darts[leave], flavor))
-                faces.append(
-                    Face(
-                        len(faces),
-                        tuple(darts[d] for d in orbit),
-                        tuple(corners),
-                        tuple(c for c in corners if c.flavor == "source"),
-                        tuple(c for c in corners if c.flavor == "sink"),
-                    )
-                )
+                faces.append(Face(len(faces), tuple([darts[d] for d in orbit]), tuple(corners)))
             self._faces = tuple(faces)
         return self._faces
 
@@ -440,20 +443,34 @@ class FoliationGraph:
         if problems:
             return problems
 
-        # rotation tuples are exactly the incident darts, each point nonempty
-        incident: dict[str, set[Dart]] = {pid: set() for pid in points}
-        for eid, e in edges.items():
-            incident[e.src.point].add((eid, "src"))
-            incident[e.dst.point].add((eid, "tgt"))
+        # rotation tuples are exactly the incident darts, each point nonempty;
+        # sigma is filled as they are read, and only a point that fails is
+        # read again with sets, for its messages
+        darts = self.darts()
+        index = {d: i for i, d in enumerate(darts)}
+        degree = dict.fromkeys(points, 0)
+        for q in point:
+            degree[q] += 1
+        sigma = [-1] * len(darts)
         for pid in points:
             seq = rotation.get(pid)
+            ok = bool(seq) and len(seq) == degree[pid]
+            if ok:
+                ids = [index.get(d, -1) for d in seq]
+                for i, succ in zip(ids, ids[1:] + ids[:1]):
+                    if i < 0 or point[i] != pid or sigma[i] >= 0:
+                        ok = False
+                        break
+                    sigma[i] = succ
+            if ok:
+                continue
             if seq is None:
                 problems.append(f"point {pid}: missing rotation")
                 continue
             listed = set(seq)
             if len(listed) != len(seq):
                 problems.append(f"point {pid}: repeated dart in rotation")
-            if listed != incident[pid]:
+            if listed != {d for d, q in zip(darts, point) if q == pid}:
                 problems.append(f"point {pid}: rotation does not list its incident ends")
             if not seq:
                 problems.append(f"point {pid}: isolated (no incident ends)")
@@ -463,11 +480,10 @@ class FoliationGraph:
         if problems:
             return problems
 
-        # the checks above make the rotation system a permutation of the
-        # darts, so the dart table builds, with the directions read above
+        # every point placed its own darts, each once, so sigma is a
+        # permutation of the darts, and the directions were read above
         if self._table is None:
-            self._table = DartTable(*self._rotation_permutation(), out, point)
-        index, sigma = self._table.index, self._table.sigma
+            self._table = DartTable(darts, index, sigma, out, point)
 
         # local cyclic patterns at saddle-type points; an elliptic end with a
         # slot has no direction, which the slot discipline above reports

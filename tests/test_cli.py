@@ -404,13 +404,14 @@ def test_extend_outputs_records(tmp_path, capsys):
 def test_a_rejected_fresh_decomposition_exits_3(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, emit(zoo.example("tight_one_saddle")))
     monkeypatch.setattr(cli, "verify_decomposition", lambda dec: ["forged", "twice"])
+    message = "replay rejected a freshly built decomposition: forged; twice"
     for flags in ((), ("--json",)):
         code, out, err = run(capsys, "extend", "-i", path, *flags)
-        assert (code, out) == (3, "")
-        assert err == (
-            "internal check failed: replay rejected a freshly built "
-            "decomposition: forged; twice\n"
-        )
+        assert (code, err) == (3, f"internal check failed: {message}\n")
+        if flags:
+            assert json.loads(out) == {"error": "internal", "message": message}
+        else:
+            assert out == ""
 
 
 def test_oracle_command(tmp_path, capsys):
@@ -462,11 +463,14 @@ CORNER_DOCUMENT = (
 )
 def test_corner_remnants_are_refused_by_every_command_alike(tmp_path, capsys, argv, values):
     path = write_doc(tmp_path, CORNER_DOCUMENT + values)
-    assert run(capsys, *argv, "-i", path) == (
-        2,
-        "",
-        "syntax error: line 3, column 16: sign must be + or -, got '0'\n",
-    )
+    message = "line 3, column 16: sign must be + or -, got '0'"
+    code, out, err = run(capsys, *argv, "-i", path)
+    assert (code, err) == (2, f"syntax error: {message}\n")
+    if "--json" in argv:
+        error = {"error": "syntax", "message": message, "line": 3, "column": 16}
+        assert json.loads(out) == error
+    else:
+        assert out == ""
 
 
 def test_enumerate_streams_documents(capsys):
@@ -565,6 +569,9 @@ def test_polygons_and_basins_build_no_faces(tmp_path, capsys, monkeypatch):
 def test_unknown_file_is_an_io_error(capsys):
     code, _, err = run(capsys, "decide", "-i", "/nonexistent/only/in/tests.fol")
     assert code == 2 and "io error" in err
+    code, out, err = run(capsys, "decide", "-i", "/nonexistent/only/in/tests.fol", "--json")
+    assert code == 2 and err.startswith("io error: ")
+    assert json.loads(out) == {"error": "io", "message": err[len("io error: ") : -1]}
 
 
 def _mutate(text: str, rng: random.Random) -> str:
@@ -615,9 +622,10 @@ def _mutants() -> list[str]:
 
 
 def test_every_command_keeps_the_json_contract_on_edited_documents(tmp_path, capsys):
-    # under --json, exits 0 and 1 print one JSON object; exit 2 prints the
-    # invalid-document object, or nothing and one line on stderr
-    refusal = re.compile(r"(syntax error|error): [^\n]*\n")
+    # under --json, every exit prints one JSON object: exit 2 prints the
+    # invalid-document object, or a syntax or domain error object beside its
+    # one line on stderr
+    refusal = re.compile(r"(syntax error|error): ([^\n]*)\n")
     commands = ("validate", "invariants", "decide", "tame", "extend", "oracle")
     seen = Counter()
     for n, text in enumerate(_mutants()):
@@ -626,10 +634,16 @@ def test_every_command_keeps_the_json_contract_on_edited_documents(tmp_path, cap
             code, out, err = run(capsys, command, "-i", path, "--json")
             seen[command, code] += 1
             assert code in (0, 1, 2), (command, text, err)
-            if code == 2 and not out:
-                assert refusal.fullmatch(err), (command, text, err)
-                continue
             payload = json.loads(out)
+            if code == 2 and err:
+                match = refusal.fullmatch(err)
+                assert match, (command, text, err)
+                kind = "syntax" if match[1] == "syntax error" else "domain"
+                where = {"line", "column"} if kind == "syntax" else set()
+                assert payload["error"] == kind and payload["message"] == match[2], (command, text)
+                assert set(payload) == {"error", "message"} | where, (command, text, payload)
+                seen[kind] += 1
+                continue
             assert isinstance(payload, dict) and err == "", (command, text)
             assert (code == 2) == (payload.get("valid") is False), (command, text, payload)
         code, out, err = run(capsys, "render", "-i", path)
@@ -638,9 +652,11 @@ def test_every_command_keeps_the_json_contract_on_edited_documents(tmp_path, cap
             assert out.startswith("invalid\n") and err == "", (text, out, err)
         elif code == 2:
             assert refusal.fullmatch(err), (text, err)
-    # every exit code of every command is reached, refusals of extend included
+    # every exit code of every command is reached, refusals of extend
+    # included, and exit 2 prints both kinds of error object
     assert all(seen[c, 0] and seen[c, 2] for c in commands)
     assert all(seen[c, 1] for c in ("decide", "tame", "extend", "oracle"))
+    assert seen["syntax"] and seen["domain"]
 
 
 # ----------------------------------------------------------------- rendering

@@ -174,6 +174,24 @@ def test_a_walk_of_both_signs_never_reverses_the_sphere_and_stays_normal(monkeyp
     assert signs == {1, -1} and calls == []
 
 
+def test_a_walk_of_both_signs_reads_each_rotation_system_once(monkeypatch):
+    # validation builds the dart table while it reads the rotation system,
+    # so neither the parsed sphere, validated as the CLI validates it, nor a
+    # step reads it a second time to fill the table
+    calls = []
+    permutation = FoliationGraph._rotation_permutation
+    monkeypatch.setattr(
+        FoliationGraph, "_rotation_permutation", lambda g: calls.append(g) or permutation(g)
+    )
+    rng = random.Random(2828)
+    g, signs = parse(emit(zoo.example("three_basin_chain"))).graph.require_valid(), set()
+    for _ in range(20):
+        sign = rng.choice((1, -1))
+        g = create_pair(g, rng.randrange(len(g.faces())), sign).graph
+        signs.add(sign)
+    assert signs == {1, -1} and calls == []
+
+
 def test_create_pair_walks_validate_from_their_text():
     # each step's graph may carry a verdict handed on by reversal or marker
     # reduction; read back from its document, it is checked from scratch

@@ -1,6 +1,7 @@
 """Decision procedure, allowable vertices, enumeration, the oracle."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -152,10 +153,9 @@ def test_a_missed_taming_order_is_an_internal_check_error(monkeypatch, tmp_path,
     path.write_text(emit(g))
     assert main(["decide", "-i", str(path), "--json"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "internal check failed: synthesis missed a taming order the exhaustive search found\n"
-    )
+    message = "synthesis missed a taming order the exhaustive search found"
+    assert json.loads(captured.out) == {"error": "internal", "message": message}
+    assert captured.err == f"internal check failed: {message}\n"
 
 
 def test_without_synthesis_or_polygon_the_oracle_is_the_evidence(monkeypatch, universe_list):

@@ -6,8 +6,9 @@ rule traced every face (``faces()``) to count its corners.  ``validate()``
 must return exactly its problem list, message by message and in order, on
 every graph below: the <=3-saddle universe and its reversals, the zoo, the
 seeded walks, every enumeration candidate at <=3 saddles, and systematic
-corruptions of them (each adjacent transposition in each rotation, each
-sign flipped, each marker flag flipped, each edge dropped).
+corruptions of them (each adjacent transposition in each rotation, the
+rotation edits of :func:`rotation_edits`, each sign flipped, each marker
+flag flipped, each edge dropped).
 """
 
 import os
@@ -181,9 +182,39 @@ def _copy(g: FoliationGraph) -> FoliationGraph:
     return FoliationGraph(g.points, g.edges, g.rotation)
 
 
+def rotation_edits(g: FoliationGraph):
+    """For each point: its first dart listed twice, its first dart dropped,
+    its first dart listed again in place of its second, its first dart
+    moved into the next point's rotation, its first dart swapped with the
+    next point's first dart, each of its darts replaced by a dart of an
+    unknown edge, its rotation deleted and its rotation emptied; and one
+    rotation for an unknown point."""
+    rotation = g.rotation
+    pids = list(rotation)
+    for k, pid in enumerate(pids):
+        seq = rotation[pid]
+        if seq:
+            yield {**rotation, pid: seq + seq[:1]}
+            yield {**rotation, pid: seq[1:]}
+            if len(seq) > 1:
+                yield {**rotation, pid: seq[:1] + seq[:1] + seq[2:]}
+            nxt = pids[(k + 1) % len(pids)]
+            theirs = rotation[nxt]
+            if nxt != pid:
+                yield {**rotation, pid: seq[1:], nxt: theirs + seq[:1]}
+                if theirs:
+                    yield {**rotation, pid: theirs[:1] + seq[1:], nxt: seq[:1] + theirs[1:]}
+        for j in range(len(seq)):
+            yield {**rotation, pid: seq[:j] + (("no such edge", "src"),) + seq[j + 1 :]}
+        yield {q: v for q, v in rotation.items() if q != pid}
+        yield {**rotation, pid: ()}
+    yield {**rotation, "no such point": ()}
+
+
 def corruptions(g: FoliationGraph):
-    """Each adjacent transposition in each rotation, each sign flipped, each
-    marker flag flipped and each edge dropped, one at a time."""
+    """Each adjacent transposition in each rotation, each rotation edit of
+    :func:`rotation_edits`, each sign flipped, each marker flag flipped and
+    each edge dropped, one at a time."""
     for pid, seq in g.rotation.items():
         if len(seq) < 2:
             continue
@@ -192,6 +223,8 @@ def corruptions(g: FoliationGraph):
             swapped = list(seq)
             swapped[i], swapped[j] = seq[j], seq[i]
             yield FoliationGraph(g.points, g.edges, {**g.rotation, pid: swapped})
+    for rotation in rotation_edits(g):
+        yield FoliationGraph(g.points, g.edges, rotation)
     for pid, p in g.points.items():
         flipped = SingularPoint(pid, p.kind, -p.sign)
         yield FoliationGraph({**g.points, pid: flipped}, g.edges, g.rotation)
@@ -283,6 +316,16 @@ STAGES = {
 }
 
 
+#: every message of the stage that reads the rotation system
+ROTATION_MESSAGES = [
+    re.compile(r"^point \S+: missing rotation$"),
+    re.compile(r"^point \S+: repeated dart in rotation$"),
+    re.compile(r"^point \S+: rotation does not list its incident ends$"),
+    re.compile(r"^point \S+: isolated \(no incident ends\)$"),
+    re.compile(r"^rotation for unknown point "),
+]
+
+
 def _stages_reached(problem_lists) -> set[str]:
     return {
         stage
@@ -314,6 +357,10 @@ def test_validate_matches_the_face_building_check_on_corruptions(valid_graphs):
     # and between them they reach every stage of the check
     assert sum(not problems for problems in problem_lists) < len(problem_lists) // 10
     assert _stages_reached(problem_lists) == set(STAGES)
+    # and the rotation edits reach every message of the rotation stage
+    reached = {msg for problems in problem_lists for msg in problems}
+    for message in ROTATION_MESSAGES:
+        assert any(message.search(msg) for msg in reached), message.pattern
 
 
 def test_a_bad_face_is_named_by_its_index_among_faces():
