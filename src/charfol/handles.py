@@ -27,7 +27,7 @@ from typing import ClassVar, Mapping
 
 from .invariants import Region
 from .model import ELLIPTIC, EMBRYO, HYPERBOLIC, FoliationGraph, GraphError, UnionFind
-from .taming import check_assignment, levels, simplicity_check, stable_circles, sublevel_region
+from .taming import levels, lyapunov_violations, simplicity_check, stable_circles, sublevel_region
 
 
 class ExtensionError(GraphError):
@@ -177,11 +177,14 @@ def verify_decomposition(dec: HandleDecomposition) -> list[str]:
     decomposition builds the ball."""
     g = dec.graph
     a = dec.assignment
-    problems: list[str] = []
+    # the replay reads regions, which need every edge to climb: a forged
+    # assignment that is not Lyapunov is reported, not replayed
     try:
-        check_assignment(g, a)
-    except GraphError as ex:
+        problems = lyapunov_violations(g, a)
+    except GraphError as ex:  # a point the assignment misses
         return [str(ex)]
+    if problems:
+        return problems
     below = {value: region for value, region, _ in levels(g, a)}
 
     def joins(hid: str) -> bool:

@@ -8,11 +8,11 @@ Three layers live here:
   boundary circles: cycles of cut edges, each passage from one crossing to
   the next found by one walk over the darts of a face;
 * polygons: unions of faces whose closure is a disc, with their boundary
-  corners classified and signed.  An embedded polygon all of whose signed
-  corners agree is the overtwistedness certificate used elsewhere.  Up to
-  :data:`MAX_POLYGON_FACES` faces a subset search finds one; past that, on
-  a Morse–Smale sphere, a cycle of the positive or the negative separatrix
-  graph bounds one.
+  corners classified and signed.  Every polygon is embedded, and one all of
+  whose signed corners agree is the overtwistedness certificate used
+  elsewhere.  Up to :data:`MAX_POLYGON_FACES` faces a subset search finds
+  one; past that, on a Morse–Smale sphere, a cycle of the positive or the
+  negative separatrix graph bounds one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .model import (
     ELLIPTIC,
@@ -280,18 +280,9 @@ def skeleton_decomposition(g: FoliationGraph) -> SkeletonDecomposition:
             skeleton.add(eid)
 
     point = g.dart_table().point
-    face, orbits, source, _ = g.face_table()
-    sets = UnionFind(range(len(orbits)))
-    for k, eid in enumerate(g.edges):
-        if eid not in skeleton:
-            sets.union(face[2 * k], face[2 * k + 1])
-
-    groups: dict[int, list[int]] = {}
-    for f in range(len(orbits)):
-        groups.setdefault(sets.find(f), []).append(f)
-
+    source = g.face_table().source
     basins, semibasins = [], []
-    for members in groups.values():
+    for members in face_classes(g, skeleton):
         center = point[source[members[0]]]
         entry = (center, tuple(sorted(members)))
         (basins if g.points[center].kind == ELLIPTIC else semibasins).append(entry)
@@ -300,16 +291,32 @@ def skeleton_decomposition(g: FoliationGraph) -> SkeletonDecomposition:
     )
 
 
-# -------------------------------------------------- positive-separatrix graph
+def face_classes(g: FoliationGraph, cut: Container[str]) -> list[list[int]]:
+    """The faces joined across every edge not in ``cut``: each class in
+    index order, the classes in the order of their least faces."""
+    face, orbits, _, _ = g.face_table()
+    sets = UnionFind(range(len(orbits)))
+    for k, eid in enumerate(g.edges):
+        if eid not in cut:
+            sets.union(face[2 * k], face[2 * k + 1])
+    classes: dict[int, list[int]] = {}
+    for f in range(len(orbits)):
+        classes.setdefault(sets.find(f), []).append(f)
+    return list(classes.values())
+
+
+# ------------------------------------------------------ separatrix graphs Γ±
 
 
 @dataclass(frozen=True)
 class PositiveTree:
-    """Positive elliptic points linked through the positive saddles they feed.
+    """Γ+ or Γ−: the elliptic points of one sign linked through the saddles
+    of that sign.
 
-    A link ``(p, q, saddle)`` records that the two stable separatrices of a
-    positive hyperbolic point come from the basins of ``p`` and ``q``
-    (possibly ``p == q``: a self-loop, the overtwisted pseudovertex shape).
+    In Γ+ a link ``(p, q, saddle)`` records that the two stable separatrices
+    of a positive hyperbolic point come from the basins of ``p`` and ``q``
+    (possibly ``p == q``: a self-loop, the overtwisted pseudovertex shape),
+    and in Γ− that the unstable ones of a negative point end at ``p``, ``q``.
     """
 
     nodes: tuple[str, ...]
@@ -318,36 +325,67 @@ class PositiveTree:
     def is_tree(self) -> bool:
         if not self.nodes:
             return not self.links
-        if len(self.links) != len(self.nodes) - 1:
-            return False
+        return len(self.links) == len(self.nodes) - 1 and self.cycle() is None
+
+    def cycle(self) -> tuple[str, ...] | None:
+        """The saddles of the first cycle, or None when the links make a forest.
+
+        A union-find over the links, in order, stops at the first link whose
+        ends are already joined; the cycle is that link and the forest path
+        between its ends.  Neither step reads the order of a link's two ends.
+        """
         sets = UnionFind(self.nodes)
-        return all(sets.union(u, v) for u, v, _ in self.links)
+        forest: dict[str, list[tuple[str, str]]] = {v: [] for v in self.nodes}
+        for u, v, hid in self.links:
+            if sets.union(u, v):
+                forest[u].append((v, hid))
+                forest[v].append((u, hid))
+                continue
+            via: dict[str, tuple[str, str] | None] = {u: None}
+            stack = [u]
+            while stack:
+                x = stack.pop()
+                for y, link in forest[x]:
+                    if y not in via:
+                        via[y] = (x, link)
+                        stack.append(y)
+            saddles = [hid]
+            while v != u:
+                v, link = via[v]
+                saddles.append(link)
+            return tuple(saddles)
+        return None
 
 
-def elliptic_feeders(g: FoliationGraph, hid: str) -> tuple[str, str] | None:
-    """The positive elliptic points whose leaves fill the stable slots
-    ``s0`` and ``s1`` of ``hid`` directly, or None if another point feeds one."""
-    feeders = []
-    for slot in ("s0", "s1"):
-        ref = g.edge_at_slot(hid, slot).src
-        if not g.is_elliptic_source(ref):
+def elliptic_feeders(g: FoliationGraph, hid: str, sign: int = 1) -> tuple[str, str] | None:
+    """For ``sign`` 1, the positive elliptic points whose leaves fill the
+    stable slots ``s0`` and ``s1`` of ``hid`` directly; for ``sign`` -1, the
+    negative elliptic points that its unstable slots ``u0`` and ``u1`` reach
+    directly.  None if another point is at one of them."""
+    ends = []
+    for slot in ("s0", "s1") if sign > 0 else ("u0", "u1"):
+        e = g.edge_at_slot(hid, slot)
+        ref = e.src if sign > 0 else e.dst
+        p = g.points[ref.point]
+        if ref.slot is not None or p.kind != ELLIPTIC or p.sign != sign:
             return None
-        feeders.append(ref.point)
-    return feeders[0], feeders[1]
+        ends.append(ref.point)
+    return ends[0], ends[1]
 
 
-def positive_tree(g: FoliationGraph) -> PositiveTree:
-    """The graph of positive elliptic points joined by positive saddles,
-    its links in saddle id order."""
+def positive_tree(g: FoliationGraph, sign: int = 1) -> PositiveTree:
+    """Γ+ (``sign`` 1) or Γ− (``sign`` -1) of ``g``, its links in saddle id
+    order.  Time reversal swaps the two, so Γ− is Γ+ of ``g.reverse()`` up to
+    the order of each link's two ends."""
     g.require_valid()
     if g.homoclinic_edges():
         raise GraphError("positive-separatrix graph requires a connection-free instance")
-    nodes = tuple(sorted(p.id for p in g.points_of_kind(ELLIPTIC) if p.sign > 0))
+    nodes = tuple(sorted(p.id for p in g.points_of_kind(ELLIPTIC) if p.sign == sign))
     links = []
-    for hid in sorted(p.id for p in g.points_of_kind(HYPERBOLIC) if p.sign > 0):
-        feeders = elliptic_feeders(g, hid)
-        if feeders is not None:
-            links.append((*feeders, hid))
+    for hid in sorted(p.id for p in g.points_of_kind(HYPERBOLIC) if p.sign == sign):
+        ends = elliptic_feeders(g, hid, sign)
+        if ends is not None:
+            links.append((*ends, hid))
     return PositiveTree(nodes, tuple(links))
 
 
@@ -368,9 +406,13 @@ class Polygon:
     """A union of faces whose closure is a disc."""
 
     face_indices: frozenset[int]
-    boundary_points: tuple[str, ...]  # every point visit along the walk
     corners: tuple[PolygonCorner, ...]  # signed corners only
-    embedded: bool
+
+    @property
+    def embedded(self) -> bool:
+        """Always true: the boundary of every polygon that
+        :func:`trace_polygon` returns passes each point once."""
+        return True
 
     @property
     def sides(self) -> int:
@@ -398,6 +440,22 @@ class Polygon:
 
 def trace_polygon(g: FoliationGraph, face_set: frozenset[int]) -> Polygon | None:
     """Build the polygon on this face set, or None if it is not a disc.
+
+    The set is a disc when it is nonempty and proper, joined across edges,
+    and its closure X has Euler count 1.  Then the boundary is one simple
+    circle, so every polygon is embedded:
+
+    * X is connected and proper, so by Alexander duality its complement is
+      connected: it has ``2 - χ(X) = 1`` component.
+    * If the set's corners at a point p formed two runs in the rotation, a
+      closed curve in X could leave p through one run, come back through
+      faces and edges of the set, and enter p through the other.  It would
+      separate the two runs of outside corners at p, whose faces lie in the
+      connected complement.  So each point has one run of corners in the
+      set, and X is a connected planar surface with boundary and Euler
+      count 1: a disc, whose one boundary circle passes each point once.
+    * The faces of the sphere are joined across edges, so a nonempty proper
+      set has a boundary dart.
 
     Reads the dart and face tables.  The boundary walk arrives at a point
     along a dart ``e`` whose face is outside the set, and leaves along the
@@ -428,37 +486,21 @@ def trace_polygon(g: FoliationGraph, face_set: frozenset[int]) -> Polygon | None
     if len({point[d ^ 1] for d in sides}) - len({d >> 1 for d in sides}) + len(face_set) != 1:
         return None
 
-    boundary = [d for d in sides if face[d ^ 1] not in face_set]
-    if not boundary:
-        return None
-    start = min(boundary, key=darts.__getitem__)
-    # (enter, leave) of every point visit; the walk is a permutation of the
-    # boundary darts, so it covers them all exactly when there is one circle
-    visits: list[tuple[int, int]] = []
+    start = min((d for d in sides if face[d ^ 1] not in face_set), key=darts.__getitem__)
+    corners: list[PolygonCorner] = []
     d = start
     while True:
         enter = d ^ 1
         d = sigma[enter]
         while face[d ^ 1] in face_set:  # an interior edge: turn past it
             d = sigma[d]
-        visits.append((enter, d))
+        if out[enter] == out[d]:  # else the boundary passes through smoothly
+            p = g.points[point[enter]]
+            role = "pseudovertex" if p.kind == HYPERBOLIC else "vertex"
+            corners.append(PolygonCorner(p.id, darts[enter], darts[d], role, p.sign))
         if d == start:
             break
-    if len(visits) != len(boundary):
-        return None  # more than one boundary circle (pinched or worse)
-
-    corners: list[PolygonCorner] = []
-    for enter, leave in visits:
-        if out[enter] != out[leave]:
-            continue  # boundary passes through smoothly
-        q = point[enter]
-        p = g.points[q]
-        role = "pseudovertex" if p.kind == HYPERBOLIC else "vertex"
-        corners.append(PolygonCorner(q, darts[enter], darts[leave], role, p.sign))
-
-    points_visited = tuple(point[enter] for enter, _ in visits)
-    embedded = len(set(points_visited)) == len(points_visited)
-    return Polygon(face_set, points_visited, tuple(corners), embedded)
+    return Polygon(face_set, tuple(corners))
 
 
 # the face-subset search below tries 2^F sets; past this many faces it refuses
@@ -489,7 +531,7 @@ def find_same_sign_polygon(g: FoliationGraph) -> Polygon | None:
     its corners yields a closed leaf bounding the disc.
     """
     for poly in enumerate_polygons(g):
-        if poly.embedded and poly.same_sign:
+        if poly.same_sign:
             return poly
     return None
 
@@ -500,62 +542,30 @@ def is_morse_smale(g: FoliationGraph) -> bool:
 
 
 def separatrix_cycle(g: FoliationGraph, sign: int) -> Polygon | None:
-    """The polygon bounded by a cycle of Γ+ (``sign > 0``) or of Γ− on a
-    Morse–Smale sphere, or None when that graph has no cycle.
+    """The polygon bounded by a cycle of Γ+ (``sign`` 1) or of Γ− (``sign``
+    -1) on a Morse–Smale sphere, or None when that graph has no cycle.
 
-    Γ+ is :func:`positive_tree`, and Γ− the same graph on ``g.reverse()``.
-    A union-find over its links, in saddle id order, stops at the first
-    link whose ends are already joined; the cycle is that link and the
-    forest path between its ends.  On the sphere the cycle is a simple
-    closed curve of separatrices through distinct points, so each of its
-    two sides is a disc, and it turns at every point it passes: both its
-    leaves leave a source of Γ+ and both enter a saddle of Γ+, and the other
-    way round for Γ−.  So either side is an embedded polygon whose corners
-    all have the sign ``sign``.  A flood fill over the face table that does
-    not cross the curve finds the sides, and the one with fewer faces is
-    taken, the one holding the least face on a tie.  :func:`trace_polygon`
-    must accept it as embedded and same-sign, or
-    :class:`~charfol.model.InternalCheckError` is raised.
+    The cycle is :meth:`PositiveTree.cycle` of ``positive_tree(g, sign)``.
+    On the sphere it is a simple closed curve of separatrices through
+    distinct points, so each of its two sides is a disc, and it turns at
+    every point it passes: both its leaves leave a source of Γ+ and both
+    enter a saddle of Γ+, and the other way round for Γ−.  So either side is
+    a polygon whose corners all have the sign ``sign``.  The sides are the
+    face classes joined across every edge off the curve
+    (:func:`face_classes`), and the one with fewer faces is taken, the one
+    holding the least face on a tie.  :func:`trace_polygon` must accept it
+    as same-sign, or :class:`~charfol.model.InternalCheckError` is raised.
     """
     if not is_morse_smale(g):
         raise GraphError("separatrix cycles are read on Morse-Smale spheres only")
-    oriented = g if sign > 0 else g.reverse()
-    tree = positive_tree(oriented)
-    sets = UnionFind(tree.nodes)
-    forest: dict[str, list[tuple[str, str]]] = {v: [] for v in tree.nodes}
-    for u, v, hid in tree.links:
-        if sets.union(u, v):
-            forest[u].append((v, hid))
-            forest[v].append((u, hid))
-            continue
-        # the saddles on the forest path from v back to u close the cycle
-        via: dict[str, tuple[str, str] | None] = {u: None}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y, link in forest[x]:
-                if y not in via:
-                    via[y] = (x, link)
-                    stack.append(y)
-        saddles = [hid]
-        while v != u:
-            v, link = via[v]
-            saddles.append(link)
-        break
-    else:
+    saddles = positive_tree(g, sign).cycle()
+    if saddles is None:
         return None
-    cycle = {oriented.edge_at_slot(hid, slot).id for hid in saddles for slot in ("s0", "s1")}
-    face, orbits, _, _ = g.face_table()
-    sides = UnionFind(range(len(orbits)))
-    for k, eid in enumerate(g.edges):
-        if eid not in cycle:
-            sides.union(face[2 * k], face[2 * k + 1])
-    by_side: dict[int, list[int]] = {}
-    for f in range(len(orbits)):
-        by_side.setdefault(sides.find(f), []).append(f)
-    side = min(by_side.values(), key=lambda faces: (len(faces), faces[0]))
+    slots = ("s0", "s1") if sign > 0 else ("u0", "u1")
+    classes = face_classes(g, {g.edge_at_slot(hid, slot).id for hid in saddles for slot in slots})
+    side = min(classes, key=lambda faces: (len(faces), faces[0]))
     poly = trace_polygon(g, frozenset(side))
-    if len(by_side) != 2 or poly is None or not poly.embedded or poly.signs != {sign}:
+    if len(classes) != 2 or poly is None or poly.signs != {sign}:
         raise InternalCheckError(
             f"the cycle through saddles {' '.join(sorted(saddles))} bounds no "
             "embedded same-sign polygon"

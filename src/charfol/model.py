@@ -281,35 +281,66 @@ class FoliationGraph:
     def dart_table(self) -> DartTable:
         """The integer dart table, built on first use.
 
-        Raises :class:`GraphError` unless every dart of every edge appears in
-        exactly one rotation tuple, exactly once: only then is the rotation
-        system a permutation of the darts, and the face walk well defined.
+        Raises :class:`GraphError` unless every point's rotation tuple lists
+        exactly its own darts, each once: only then is the rotation system a
+        permutation of the darts, and the face walk well defined.
         """
         if self._table is None:
-            darts, index, sigma = self._rotation_permutation()
             out: list[bool] = []
             point: list[str] = []
             for e in self.edges.values():
                 for ref in (e.src, e.dst):
                     out.append(end_direction(self.points[ref.point], ref.slot) == "out")
                     point.append(ref.point)
-            self._table = DartTable(darts, index, sigma, out, point)
+            if self._read_rotation(point, out):
+                raise GraphError("rotation system is not a permutation of darts")
         return self._table
 
-    def _rotation_permutation(self) -> tuple[list[Dart], dict[Dart, int], list[int]]:
-        """``(darts, index, sigma)`` of the dart table; raises as it does."""
+    def _read_rotation(self, point: list[str], out: list[bool]) -> list[str]:
+        """Read every rotation tuple once; the messages of the points that fail.
+
+        ``point`` and ``out`` give each dart's point and direction in dart
+        order.  ``sigma`` is filled as the tuples are read, and only a point
+        that fails is read again, with sets, for its messages.  When none
+        fails, every point placed its own darts, each once, so ``sigma`` is a
+        permutation of the darts, and the dart table is set.
+        """
+        points, rotation = self.points, self.rotation
         darts = self.darts()
         index = {d: i for i, d in enumerate(darts)}
+        degree = dict.fromkeys(points, 0)
+        for q in point:
+            degree[q] += 1
         sigma = [-1] * len(darts)
-        for seq in self.rotation.values():
-            ids = [index.get(d, -1) for d in seq]
-            for i, succ in zip(ids, ids[1:] + ids[:1]):
-                if i < 0 or sigma[i] >= 0:
-                    raise GraphError("rotation system is not a permutation of darts")
-                sigma[i] = succ
-        if -1 in sigma:
-            raise GraphError("rotation system is not a permutation of darts")
-        return darts, index, sigma
+        problems: list[str] = []
+        for pid in points:
+            seq = rotation.get(pid)
+            ok = bool(seq) and len(seq) == degree[pid]
+            if ok:
+                ids = [index.get(d, -1) for d in seq]
+                for i, succ in zip(ids, ids[1:] + ids[:1]):
+                    if i < 0 or point[i] != pid or sigma[i] >= 0:
+                        ok = False
+                        break
+                    sigma[i] = succ
+            if ok:
+                continue
+            if seq is None:
+                problems.append(f"point {pid}: missing rotation")
+                continue
+            listed = set(seq)
+            if len(listed) != len(seq):
+                problems.append(f"point {pid}: repeated dart in rotation")
+            if listed != {d for d, q in zip(darts, point) if q == pid}:
+                problems.append(f"point {pid}: rotation does not list its incident ends")
+            if not seq:
+                problems.append(f"point {pid}: isolated (no incident ends)")
+        for pid in rotation:
+            if pid not in points:
+                problems.append(f"rotation for unknown point {pid}")
+        if not problems:
+            self._table = DartTable(darts, index, sigma, out, point)
+        return problems
 
     # ----------------------------------------------------------------- faces
 
@@ -444,46 +475,12 @@ class FoliationGraph:
             return problems
 
         # rotation tuples are exactly the incident darts, each point nonempty;
-        # sigma is filled as they are read, and only a point that fails is
-        # read again with sets, for its messages
-        darts = self.darts()
-        index = {d: i for i, d in enumerate(darts)}
-        degree = dict.fromkeys(points, 0)
-        for q in point:
-            degree[q] += 1
-        sigma = [-1] * len(darts)
-        for pid in points:
-            seq = rotation.get(pid)
-            ok = bool(seq) and len(seq) == degree[pid]
-            if ok:
-                ids = [index.get(d, -1) for d in seq]
-                for i, succ in zip(ids, ids[1:] + ids[:1]):
-                    if i < 0 or point[i] != pid or sigma[i] >= 0:
-                        ok = False
-                        break
-                    sigma[i] = succ
-            if ok:
-                continue
-            if seq is None:
-                problems.append(f"point {pid}: missing rotation")
-                continue
-            listed = set(seq)
-            if len(listed) != len(seq):
-                problems.append(f"point {pid}: repeated dart in rotation")
-            if listed != {d for d, q in zip(darts, point) if q == pid}:
-                problems.append(f"point {pid}: rotation does not list its incident ends")
-            if not seq:
-                problems.append(f"point {pid}: isolated (no incident ends)")
-        for pid in rotation:
-            if pid not in points:
-                problems.append(f"rotation for unknown point {pid}")
-        if problems:
-            return problems
-
-        # every point placed its own darts, each once, so sigma is a
-        # permutation of the darts, and the directions were read above
+        # a table built before validation has read them already
         if self._table is None:
-            self._table = DartTable(darts, index, sigma, out, point)
+            problems = self._read_rotation(point, out)
+            if problems:
+                return problems
+        index, sigma = self._table.index, self._table.sigma
 
         # local cyclic patterns at saddle-type points; an elliptic end with a
         # slot has no direction, which the slot discipline above reports
@@ -607,11 +604,10 @@ class FoliationGraph:
         sphere); slot names at hyperbolic points are re-normalized so the
         counterclockwise pattern reads s0,u0,s1,u1 again.
 
-        Reversal keeps validity, and it keeps the edge order, so dart ``j``
-        of the result is dart ``j ^ 1`` of this graph turned around.  A graph
-        known to be valid hands its verdict on, with its dart table mapped
-        along that correspondence; any other graph hands on nothing, and its
-        reversal is checked from scratch when validated.  Raises
+        Reversal keeps validity, so a graph known to be valid hands its
+        verdict on, and the result reads its own rotation system when its
+        dart table is first asked for; any other graph hands on nothing, and
+        its reversal is checked from scratch when validated.  Raises
         :class:`GraphError` when a hyperbolic point's rotation lists no
         unstable dart, since the pattern has nowhere to start.
         """
@@ -647,15 +643,6 @@ class FoliationGraph:
         rev = FoliationGraph(points, edges, rotation)
         if self._problems == ():
             rev._problems = ()
-            if self._table is not None:
-                darts, index, sigma, out, point = self._table
-                rev._table = DartTable(
-                    darts,
-                    index,
-                    [sigma[j ^ 1] ^ 1 for j in range(len(sigma))],
-                    [not out[j ^ 1] for j in range(len(out))],
-                    [point[j ^ 1] for j in range(len(point))],
-                )
         return rev
 
     def marker_reduce(self) -> "FoliationGraph":
@@ -703,8 +690,8 @@ class FoliationGraph:
         labels on stable/unstable/boundary slots are erased) and the
         counterclockwise rotation order.  Defined for connected graphs, which
         every valid graph is; raises :class:`GraphError` where the dart table
-        does (a rotation system that is not a permutation of the darts, or a
-        slot its point does not have).
+        does (a rotation tuple that does not list exactly its point's darts,
+        or a slot its point does not have).
 
         Each dart gets a small integer label (point kind and sign, slot kind,
         src/tgt end, marker flag).  A breadth-first walk from a start dart,

@@ -173,10 +173,10 @@ def _conjugated(g: FoliationGraph, move) -> MoveResult:
 
     Reversal keeps validity, degrees and marker flags, so the reversal of the
     move's marker-reduced result is marker-reduced already.  Both reversals
-    hand on the verdict and the dart table of a validated graph
-    (:meth:`FoliationGraph.reverse`), and the move's result carries the
-    verdict of its own check through marker reduction, so neither reversal
-    is checked again.
+    hand on the verdict of a validated graph (:meth:`FoliationGraph.reverse`),
+    and the move's result carries the verdict of its own check through
+    marker reduction, so neither reversal is checked again; each reads its
+    own rotation system when its dart table is first asked for.
     """
     rev = move(g.reverse())
     return MoveResult(
@@ -301,11 +301,10 @@ def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveR
     fates = _reattachments(g, w_ref, site.orphans, dying, site.gamma, "surviving separatrix")
 
     # canonical re-route target: sink of the face flanking the dead connection
-    # on its rotation-successor side
+    # on its rotation-successor side.  Only negative points have sink
+    # corners, and the pair is positive here, so the target outlives it
     target_face = _face_of(g, (site.gamma.id, "src"))
     kappa_ref, kappa_anchor = _insertion(g, target_face, "sink")
-    if kappa_ref.point in (elliptic_id, saddle_id):
-        raise MoveError("re-route target dies with the pair")
 
     s = _Surgeon(g)
     details: dict = {

@@ -130,19 +130,16 @@ def classify_allowable(g: FoliationGraph, pid: str) -> AllowabilityVerdict:
         if p.sign < 0 and feeders[0] == feeders[1]:
             return AllowabilityVerdict(pid, "NegHypSameSource", feeders[:1])
         return nope
-    if p.kind == EMBRYO:
-        if p.sign > 0:
-            src = g.edge_at_slot(pid, "in").src
-            if g.is_elliptic_source(src):
-                return AllowabilityVerdict(pid, "PosEmbryoEllipticSource", (src.point,))
-            return nope
-        refs = [e.src for e in g.edges.values() if e.dst.point == pid]
-        feeds = {r.point for r in refs}
-        if len(feeds) == 1 and refs and all(g.is_elliptic_source(r) for r in refs):
-            return AllowabilityVerdict(
-                pid, "NegEmbryoAllFromOneElliptic", (refs[0].point,)
-            )
+    # the kinds are exhausted: p is an embryo
+    if p.sign > 0:
+        src = g.edge_at_slot(pid, "in").src
+        if g.is_elliptic_source(src):
+            return AllowabilityVerdict(pid, "PosEmbryoEllipticSource", (src.point,))
         return nope
+    refs = [e.src for e in g.edges.values() if e.dst.point == pid]
+    feeds = {r.point for r in refs}
+    if len(feeds) == 1 and refs and all(g.is_elliptic_source(r) for r in refs):
+        return AllowabilityVerdict(pid, "NegEmbryoAllFromOneElliptic", (refs[0].point,))
     return nope
 
 
@@ -304,14 +301,12 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
             if child in dead:
                 continue
             if cand.case == "PosHypDistinctSources":
-                e_a, e_b = cand.witnesses
-                try:
-                    collapsed = eliminate_pair(h, e_a, cand.point).graph
-                except MoveError:
-                    try:
-                        collapsed = eliminate_pair(h, e_b, cand.point).graph
-                    except MoveError:
-                        continue
+                # the site passes every guard of eliminate_pair: the pair is
+                # positive, the witness feeds one stable slot since the
+                # feeders differ, the other feeder is the anchor and an
+                # elliptic source, and the re-route sink is a negative point;
+                # so a MoveError here is a bug and is not caught
+                collapsed = eliminate_pair(h, cand.witnesses[0], cand.point).graph
                 sub = recurse(collapsed, child)
                 if sub is not None:
                     return [cand.point] + sub

@@ -170,6 +170,10 @@ def _one_saddle(rotation_z):
             [("f0", "tgt"), ("f1", "tgt"), ("ghost", "tgt")],
             "point z: rotation does not list its incident ends",
         ),
+        (
+            [("f0", "tgt"), ("ea", "tgt")],
+            "point z: rotation does not list its incident ends",
+        ),
     ],
 )
 def test_a_rotation_that_is_no_permutation_raises(rotation_z, problem):
@@ -179,3 +183,18 @@ def test_a_rotation_that_is_no_permutation_raises(rotation_z, problem):
     for query in (g.dart_table, g.face_table, g.faces, g.canonical_form):
         with pytest.raises(GraphError, match="^rotation system is not a permutation of darts$"):
             query()
+
+
+def test_a_permutation_that_puts_a_dart_at_another_point_raises():
+    # h and z swap ea.tgt and f1.tgt: the rotation system is a permutation of
+    # the darts, but neither point lists its own incident ends
+    g = _one_saddle([("f0", "tgt"), ("ea", "tgt")])
+    h = [("f1", "tgt"), ("f0", "src"), ("eb", "tgt"), ("f1", "src")]
+    g = FoliationGraph(g.points, g.edges, {**g.rotation, "h": h})
+    assert sorted(d for seq in g.rotation.values() for d in seq) == sorted(g.darts())
+    assert g.validate() == [
+        "point h: rotation does not list its incident ends",
+        "point z: rotation does not list its incident ends",
+    ]
+    with pytest.raises(GraphError, match="^rotation system is not a permutation of darts$"):
+        g.dart_table()

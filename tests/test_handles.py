@@ -225,6 +225,20 @@ def test_verify_names_a_point_the_assignment_misses(walked_spheres):
     assert verify_decomposition(forged) == ["assignment misses points ['h0']"]
 
 
+def test_verify_reports_an_assignment_that_is_not_lyapunov():
+    # the replay reads sublevel regions, which an edge that does not climb
+    # makes invalid; such a forgery is reported, not raised
+    dec = decomposition_of("tight_one_saddle")
+    flipped = {pid: 1 - v for pid, v in dec.assignment.items()}
+    forged = HandleDecomposition(dec.graph, flipped, dec.records)
+    assert verify_decomposition(forged) == [
+        "edge ea: value must increase (a=1 -> h=1/2)",
+        "edge eb: value must increase (b=1 -> h=1/2)",
+        "edge f0: value must increase (h=1/2 -> z=0)",
+        "edge f1: value must increase (h=1/2 -> z=0)",
+    ]
+
+
 # ------------------------------------------------------------------- duality
 
 

@@ -278,8 +278,7 @@ def reference_trace_polygon(g, face_set):
     boundary_sides = sorted(
         d for f in closure for d in f.darts if face_of[theta(d)] not in face_set
     )
-    if not boundary_sides:
-        return None
+    assert boundary_sides, "a nonempty proper face set has a boundary"
 
     def next_side(d):
         """Departure dart at the point reached by d, hopping interior edges."""
@@ -304,8 +303,10 @@ def reference_trace_polygon(g, face_set):
         d = leave
         if d == start:
             break
-    if walked != set(boundary_sides):
-        return None  # more than one boundary circle (pinched or worse)
+    # every disc has one boundary circle, and it passes each point once
+    assert walked == set(boundary_sides), (g.canonical_form(), sorted(face_set))
+    points_visited = [q for q, _, _ in visits]
+    assert len(set(points_visited)) == len(points_visited), (g.canonical_form(), sorted(face_set))
 
     corners = []
     for q, enter, leave in visits:
@@ -314,9 +315,7 @@ def reference_trace_polygon(g, face_set):
         p = g.points[q]
         role = "pseudovertex" if p.kind == HYPERBOLIC else "vertex"
         corners.append(PolygonCorner(q, enter, leave, role, p.sign))
-    points_visited = tuple(q for q, _, _ in visits)
-    embedded = len(set(points_visited)) == len(points_visited)
-    return Polygon(face_set, points_visited, tuple(corners), embedded)
+    return Polygon(face_set, tuple(corners))
 
 
 def test_trace_polygon_matches_the_face_walk(universe_list):
@@ -328,9 +327,8 @@ def test_trace_polygon_matches_the_face_walk(universe_list):
                 face_set = frozenset(combo)
                 want = reference_trace_polygon(g, face_set)
                 got = trace_polygon(g, face_set)
-                # equal polygons: faces, point visits, corners with their
-                # tuple darts, roles and signs, and embeddedness, so equal
-                # describe() output too
+                # equal polygons: faces, and corners with their tuple darts,
+                # roles and signs, so equal describe() output too
                 assert got == want, (g.canonical_form(), sorted(face_set))
                 traced += 1
                 discs += want is not None
@@ -472,12 +470,29 @@ def morse_smale_spheres(universe_list, walked_spheres):
     return [g for g in graphs if is_morse_smale(g)]
 
 
+def test_negative_tree_on_the_sphere_is_the_reversal_s_positive_tree(morse_smale_spheres):
+    # Γ- read on the sphere itself against Γ+ of its time reversal: reversal
+    # renames unstable slots by rotation order, so a link's ends may swap
+    cycles = 0
+    for g in morse_smale_spheres:
+        neg, ref = positive_tree(g, -1), positive_tree(g.reverse())
+        assert neg.nodes == ref.nodes
+        assert {h: {u, v} for u, v, h in neg.links} == {h: {u, v} for u, v, h in ref.links}
+        assert neg.is_tree() == ref.is_tree()
+        got, want = neg.cycle(), ref.cycle()
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert set(got) == set(want)
+            cycles += 1
+    assert cycles > 100
+
+
 def test_the_tree_reading_equals_decide(morse_smale_spheres):
     # Giroux's criterion: a Morse-Smale sphere is tight exactly when Γ+ and
     # Γ- are trees
     verdicts = set()
     for g in morse_smale_spheres:
-        trees = positive_tree(g).is_tree() and positive_tree(g.reverse()).is_tree()
+        trees = positive_tree(g).is_tree() and positive_tree(g, -1).is_tree()
         assert trees == decide_tightness(g).tight
         verdicts.add(trees)
     assert verdicts == {True, False}

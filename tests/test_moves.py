@@ -175,13 +175,14 @@ def test_a_walk_of_both_signs_never_reverses_the_sphere_and_stays_normal(monkeyp
 
 
 def test_a_walk_of_both_signs_reads_each_rotation_system_once(monkeypatch):
-    # validation builds the dart table while it reads the rotation system,
-    # so neither the parsed sphere, validated as the CLI validates it, nor a
-    # step reads it a second time to fill the table
+    # validation and the dart table share one reader of the rotation system,
+    # and a table built while validating is kept, so no graph, neither the
+    # parsed sphere, validated as the CLI validates it, nor a step's, is read
+    # twice
     calls = []
-    permutation = FoliationGraph._rotation_permutation
+    read = FoliationGraph._read_rotation
     monkeypatch.setattr(
-        FoliationGraph, "_rotation_permutation", lambda g: calls.append(g) or permutation(g)
+        FoliationGraph, "_read_rotation", lambda g, *args: calls.append(g) or read(g, *args)
     )
     rng = random.Random(2828)
     g, signs = parse(emit(zoo.example("three_basin_chain"))).graph.require_valid(), set()
@@ -189,7 +190,8 @@ def test_a_walk_of_both_signs_reads_each_rotation_system_once(monkeypatch):
         sign = rng.choice((1, -1))
         g = create_pair(g, rng.randrange(len(g.faces())), sign).graph
         signs.add(sign)
-    assert signs == {1, -1} and calls == []
+    assert signs == {1, -1} and calls
+    assert len({id(h) for h in calls}) == len(calls)
 
 
 def test_create_pair_walks_validate_from_their_text():
