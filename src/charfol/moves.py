@@ -9,10 +9,14 @@ orientation of the model, where a face walk keeps its interior on the
 right):
 
 * when a source/saddle pair dies, leaves that lose an endpoint re-emanate
-  from the source of the surviving stable separatrix, fanned in rotation
-  order right after it;
+  from the source of the surviving stable separatrix, fanned out on both
+  sides of it;
 * a surviving separatrix that loses its saddle is re-routed to the sink of
-  the face flanking the dead connection on its rotation-successor side;
+  the face that leaves the saddle along the unstable slot before the
+  survivor's, which flanks the dead connection on its rotation-successor
+  side;
+* an embryo's death is the cancellation of the pair it expands into, read
+  on the sphere where it has not expanded: one surgery serves both;
 * a birth of either sign is planted directly in its face: the negative
   pair is the mirror of the positive one (:func:`create_pair`); the other
   negative-sign moves go through time reversal of the positive case.
@@ -185,36 +189,7 @@ def _conjugated(g: FoliationGraph, move) -> MoveResult:
     )
 
 
-def _reattachments(
-    g: FoliationGraph,
-    anchor: EndRef,
-    orphans: Sequence[Dart],
-    dying: Sequence[Separatrix],
-    through: Separatrix,
-    whose: str,
-) -> dict[str, bool]:
-    """Which dying leaves need a new leaf from ``anchor`` into their far end.
-
-    The ``dying`` leaves die together with ``through``.  A far end in a
-    named slot needs a replacement separatrix (``False``); a free far end
-    whose point keeps no other germ needs a marker leaf (``True``).  When
-    anything, ``orphans`` included, must be re-attached, the anchor has to
-    emit freely.
-    """
-    dead = {leaf.id for leaf in dying} | {through.id}
-    fates: dict[str, bool] = {}
-    for leaf in dying:
-        if leaf.dst.slot not in (None, "zone"):
-            fates[leaf.id] = False
-        elif all(d[0] in dead for d in g.rotation[leaf.dst.point]):
-            fates[leaf.id] = True
-    # extra outgoing leaves attach freely at a saddle's zone or a source's end
-    if (orphans or fates) and not (anchor.slot == "zone" or g.is_elliptic_source(anchor)):
-        raise MoveError(f"re-attachment needed but the {whose} comes from a saddle")
-    return fates
-
-
-# ------------------------------------------------------------- eliminate_pair
+# ------------------------------------------------------------- cancellation
 
 
 def _pair_sign(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> int:
@@ -232,93 +207,119 @@ def _pair_sign(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> int:
 
 @dataclass(frozen=True)
 class _Site:
-    """A positive elliptic point feeding a positive saddle along ``gamma``."""
+    """A positive saddle-type point about to die, and the leaves it touches.
 
-    gamma: Separatrix  # dies with the pair
-    s_opp: Separatrix  # the opposite stable separatrix; its source is the anchor
-    u_after: Separatrix  # the unstable in the slot after the opposite stable one
+    For a pair, a positive elliptic point feeds the saddle along ``gamma``.
+    An embryo is read as the pair it expands into (:func:`resolve_embryo`):
+    the inbound separatrix survives, ``b0`` and ``b1`` are the unstables
+    after and before it, the zone darts are the orphans, and no ``gamma``
+    dies.
+    """
+
+    gamma: Separatrix | None  # dies with a pair
+    survivor: Separatrix  # the stable separatrix that lives on; its source is the anchor
+    u_after: Separatrix  # the unstable in the slot after the survivor
     u_before: Separatrix  # the unstable in the slot before it
-    orphans: tuple[Dart, ...]  # the cancelled point's other germs, in rotation order
+    orphans: tuple[Dart, ...]  # the cancelled source's other germs, in rotation order
 
     @property
     def anchor(self) -> EndRef:
-        return self.s_opp.src
+        return self.survivor.src
 
 
-def _cancellation_site(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> _Site:
+def _pair_site(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> _Site:
     stable_edges = {slot: g.edge_at_slot(saddle_id, slot) for slot in ("s0", "s1")}
     feeding = [s for s, e in stable_edges.items() if e.src.point == elliptic_id]
     if not feeding:
         raise MoveError(f"{elliptic_id} does not feed a stable slot of {saddle_id}")
-    if len(feeding) == 2:
-        raise MoveError(
-            "both stable separatrices return to the cancelled point (same-sign bigon)"
-        )
     opp_slot = "s1" if feeding[0] == "s0" else "s0"
     gamma = stable_edges[feeding[0]]
-    s_opp = stable_edges[opp_slot]
-    if s_opp.src.point == saddle_id:
-        raise MoveError("opposite separatrix loops back to the saddle")
     seq = g.rotation[elliptic_id]
     i = seq.index((gamma.id, "src"))
     return _Site(
         gamma,
-        s_opp,
+        stable_edges[opp_slot],
         g.edge_at_slot(saddle_id, _slot_after(opp_slot)),
         g.edge_at_slot(saddle_id, _slot_before(opp_slot)),
         tuple(seq[(i + k) % len(seq)] for k in range(1, len(seq))),
     )
 
 
-def _fan_out(s: _Surgeon, site: _Site, fates: dict[str, bool], details: dict) -> None:
-    """Re-attach the orphans and the dying unstables' far ends at the anchor.
+def _embryo_site(g: FoliationGraph, embryo_id: str) -> _Site:
+    e_in = g.edge_at_slot(embryo_id, "in")
+    # the zone darts in rotation order from the in slot, wherever the tuple starts
+    seq = tuple(g.rotation[embryo_id])
+    i = seq.index((e_in.id, "tgt"))
+    return _Site(
+        None,
+        e_in,
+        g.edge_at_slot(embryo_id, "b0"),
+        g.edge_at_slot(embryo_id, "b1"),
+        tuple(d for d in seq[i:] + seq[:i] if g.dart_slot(d) == "zone"),
+    )
 
-    The new germs straddle the surviving dart: the successor-side unstable's
-    leaf comes right before it and the predecessor-side one's right after
-    it.  The orphans sit between the former and the surviving dart.
+
+def _reattachments(g: FoliationGraph, site: _Site) -> dict[str, bool]:
+    """Which dying unstables need a new leaf from the anchor into their far end.
+
+    A far end in a named slot needs a replacement separatrix (``False``); a
+    free far end whose point keeps no other germ needs a marker leaf
+    (``True``).  A free far end is neither the saddle nor the cancelled
+    source, so the dying connection is not among its germs.  When anything,
+    orphans included, must be re-attached, the anchor has to emit freely.
     """
-    w_ref = site.anchor
-    head = s.reattach(site.u_after, fates.get(site.u_after.id), w_ref, details)
-    for eid, end in site.orphans:
-        s.set_end(eid, end, w_ref)
-    tail = s.reattach(site.u_before, fates.get(site.u_before.id), w_ref, details)
-    s.splice(w_ref.point, (site.s_opp.id, "src"), head + list(site.orphans), tail)
-
-
-def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveResult:
-    """Cancel an elliptic point against a same-sign hyperbolic neighbour.
-
-    The two points must be joined by a separatrix.  Inapplicable when the
-    saddle's opposite stable separatrix returns to the cancelled point
-    (the same-sign bigon obstruction), when it is a saddle connection while
-    other leaves need re-attachment, or when a leaf would close up.
-    """
-    if _pair_sign(g, elliptic_id, saddle_id) < 0:
-        return _conjugated(g, lambda r: eliminate_pair(r, elliptic_id, saddle_id))
-    site = _cancellation_site(g, elliptic_id, saddle_id)
-    s_opp, w_ref = site.s_opp, site.anchor
     dying = (site.u_after, site.u_before)
-    fates = _reattachments(g, w_ref, site.orphans, dying, site.gamma, "surviving separatrix")
+    dead = {leaf.id for leaf in dying}
+    fates: dict[str, bool] = {}
+    for leaf in dying:
+        if leaf.dst.slot not in (None, "zone"):
+            fates[leaf.id] = False
+        elif all(d[0] in dead for d in g.rotation[leaf.dst.point]):
+            fates[leaf.id] = True
+    # extra outgoing leaves attach freely at a saddle's zone or a source's end
+    anchor = site.anchor
+    if (site.orphans or fates) and not (anchor.slot == "zone" or g.is_elliptic_source(anchor)):
+        raise MoveError("re-attachment needed but the surviving separatrix comes from a saddle")
+    return fates
 
-    # canonical re-route target: sink of the face flanking the dead connection
-    # on its rotation-successor side.  Only negative points have sink
-    # corners, and the pair is positive here, so the target outlives it
-    target_face = _face_of(g, (site.gamma.id, "src"))
-    kappa_ref, kappa_anchor = _insertion(g, target_face, "sink")
+
+def _cancel(g: FoliationGraph, site: _Site) -> MoveResult:
+    """Cancel a positive pair, or let a positive embryo die, at ``site``.
+
+    Inapplicable when the surviving separatrix comes from the cancelled
+    source too (the same-sign bigon obstruction), or from a saddle while
+    other leaves need re-attachment (:func:`_reattachments`).  One that
+    loops back to the dying saddle leaves it through a dying unstable, whose
+    named far end needs a replacement, so it is refused there too.
+    """
+    survivor, saddle_id = site.survivor, site.survivor.dst.point
+    if (survivor.id, "src") in site.orphans:
+        raise MoveError(
+            "both stable separatrices return to the cancelled point (same-sign bigon)"
+        )
+    fates = _reattachments(g, site)
+
+    # canonical re-route target: sink of the face that leaves the saddle
+    # along the predecessor-side unstable, which for a pair flanks the dead
+    # connection on its rotation-successor side.  Only negative points have
+    # sink corners, and the dying points are positive, so the target
+    # outlives them
+    kappa_ref, kappa_anchor = _insertion(g, _face_of(g, (site.u_before.id, "src")), "sink")
 
     s = _Surgeon(g)
-    details: dict = {
-        "eliminated": [elliptic_id, saddle_id],
-        "anchor": w_ref.point,
-        "retargeted": {s_opp.id: kappa_ref.point},
-        "replacements": {},
-        "markers": [],
-    }
+    w_ref = site.anchor
+    details: dict = {"anchor": w_ref.point, "replacements": {}, "markers": []}
+    if site.gamma is None:
+        kind, dead = "eliminate_embryo", [saddle_id]
+    else:
+        kind, dead = "eliminate_pair", [site.gamma.src.point, saddle_id]
+        details["retargeted"] = {survivor.id: kappa_ref.point}
+    details["eliminated"] = dead
 
-    # 1. re-route the surviving stable separatrix to the flanking sink
-    s.insert_after(kappa_ref.point, kappa_anchor, [(s_opp.id, "tgt")])
-    s.remove_dart(saddle_id, (s_opp.id, "tgt"))
-    s.set_end(s_opp.id, "dst", kappa_ref)
+    # 1. re-route the surviving stable separatrix to the target sink
+    s.insert_after(kappa_ref.point, kappa_anchor, [(survivor.id, "tgt")])
+    s.remove_dart(saddle_id, (survivor.id, "tgt"))
+    s.set_end(survivor.id, "dst", kappa_ref)
 
     # 2. fan the orphaned leaves out of the anchor.  The strands through the
     # cancellation site exit it counterclockwise as [successor-side unstable,
@@ -326,16 +327,30 @@ def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveR
     # unstable]; the anchor's pre-existing germs stay between the two
     # unstables, so the blocks straddle the surviving dart rather than form
     # one run.
-    _fan_out(s, site, fates, details)
+    head = s.reattach(site.u_after, fates.get(site.u_after.id), w_ref, details)
+    for eid, end in site.orphans:
+        s.set_end(eid, end, w_ref)
+    tail = s.reattach(site.u_before, fates.get(site.u_before.id), w_ref, details)
+    s.splice(w_ref.point, (survivor.id, "src"), head + list(site.orphans), tail)
 
     # 3. bury the dead
-    for u in dying:
-        if u.id in s.edges:
-            s.delete_edge(u.id)
-    s.delete_edge(site.gamma.id)
-    s.delete_point(elliptic_id)
-    s.delete_point(saddle_id)
-    return s.finish("eliminate_pair", details)
+    for leaf in (site.u_after, site.u_before, site.gamma):
+        if leaf is not None:
+            s.delete_edge(leaf.id)
+    for pid in dead:
+        s.delete_point(pid)
+    return s.finish(kind, details)
+
+
+def eliminate_pair(g: FoliationGraph, elliptic_id: str, saddle_id: str) -> MoveResult:
+    """Cancel an elliptic point against a same-sign hyperbolic neighbour.
+
+    The two points must be joined by a separatrix; the move is inapplicable
+    where :func:`_cancel` is.
+    """
+    if _pair_sign(g, elliptic_id, saddle_id) < 0:
+        return _conjugated(g, lambda r: eliminate_pair(r, elliptic_id, saddle_id))
+    return _cancel(g, _pair_site(g, elliptic_id, saddle_id))
 
 
 # ----------------------------------------------------------------- create_pair
@@ -410,17 +425,6 @@ def create_pair(g: FoliationGraph, face_index: int, sign: int = 1) -> MoveResult
 # ------------------------------------------------------------- embryo moves
 
 
-def _embryo_parts(g: FoliationGraph, bid: str):
-    b = g.points[bid]
-    anchor_slot = "in" if b.sign > 0 else "out"
-    anchor_edge = g.edge_at_slot(bid, anchor_slot)
-    b0e = g.edge_at_slot(bid, "b0")
-    b1e = g.edge_at_slot(bid, "b1")
-    seq = g.rotation[bid]
-    zone_darts = [d for d in seq if g.dart_slot(d) == "zone"]
-    return b, anchor_edge, b0e, b1e, zone_darts
-
-
 def resolve_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
     """Unfold an embryo into an elliptic/hyperbolic pair of its sign.
 
@@ -433,7 +437,8 @@ def resolve_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
         raise MoveError(f"{embryo_id} is not an embryo")
     if p.sign < 0:
         return _conjugated(g, lambda r: resolve_embryo(r, embryo_id))
-    _, e_in, b0e, b1e, zone_darts = _embryo_parts(g, embryo_id)
+    site = _embryo_site(g, embryo_id)
+    e_in, b0e, b1e = site.survivor, site.u_after, site.u_before
     s = _Surgeon(g)
     eps = s.fresh_point_id()
     s.points[eps] = SingularPoint(eps, ELLIPTIC, 1)
@@ -444,16 +449,16 @@ def resolve_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
     s.set_end(b1e.id, "src", EndRef(embryo_id, "u1"))
     gamma_id = s.fresh_edge_id("g")
     s.edges[gamma_id] = Separatrix(gamma_id, EndRef(eps, None), EndRef(embryo_id, "s1"))
-    for d in zone_darts:
+    for d in site.orphans:
         s.set_end(d[0], d[1], EndRef(eps, None))
 
     s.rotation[embryo_id] = [
-        ((e_in.id, "tgt") if e_in.dst.point == embryo_id else (e_in.id, "src")),
-        ((b0e.id, "src")),
+        (e_in.id, "tgt"),
+        (b0e.id, "src"),
         (gamma_id, "tgt"),
-        ((b1e.id, "src")),
+        (b1e.id, "src"),
     ]
-    s.rotation[eps] = [(gamma_id, "src")] + zone_darts
+    s.rotation[eps] = [(gamma_id, "src"), *site.orphans]
     return s.finish(
         "resolve_embryo",
         {"embryo": embryo_id, "saddle": embryo_id, "new_elliptic": eps},
@@ -461,52 +466,22 @@ def resolve_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
 
 
 def eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
-    """Let an embryo die: its separatrices become ordinary through-leaves.
+    """Let an embryo die: the cancellation of the pair it expands into.
 
-    The inbound leaf's source ``w`` takes over the zone leaves, plus a new
-    leaf into the far end of each boundary leaf that needs one
-    (:func:`_reattachments`), so ``w`` is never stranded.  Say the zone is
-    empty and ``w`` emits only the inbound leaf.  The face through both
-    sides of that leaf has its source corner at ``w`` and its sink corner at
-    the end ``z`` of ``b0``, then walks against the flow back along ``b1``.
-    So ``b1`` ends in a named slot beside an outgoing germ, or ``b0`` and
-    ``b1`` end in consecutive incoming slots of ``z``; then the face between
-    them on the embryo's other side has a second sink corner unless ``z``
-    holds nothing else.  A named slot needs a replacement and a point with
-    no other germ needs markers, so a fate always exists.
+    The embryo is the birth-death moment of an elliptic/hyperbolic pair, so
+    its death is :func:`eliminate_pair` on :func:`resolve_embryo`'s result,
+    read on the sphere where it has not expanded (:class:`_Site`): the
+    inbound separatrix is re-routed to the sink of the face that leaves the
+    embryo along ``b1``, and the zone leaves and the far ends of ``b0`` and
+    ``b1`` that need one re-attach at its source.  Only the surviving sphere
+    is validated.
     """
     p = g.points.get(embryo_id)
     if p is None or p.kind != EMBRYO:
         raise MoveError(f"{embryo_id} is not an embryo")
     if p.sign < 0:
         return _conjugated(g, lambda r: eliminate_embryo(r, embryo_id))
-    _, e_in, b0e, b1e, zone_darts = _embryo_parts(g, embryo_id)
-    for e in (e_in, b0e, b1e):
-        if e.src.point == embryo_id and e.dst.point == embryo_id:
-            raise MoveError("a separatrix would close into a leaf")
-
-    w_ref = e_in.src
-    fates = _reattachments(g, w_ref, zone_darts, (b0e, b1e), e_in, "inbound leaf")
-
-    s = _Surgeon(g)
-    details: dict = {
-        "eliminated": [embryo_id],
-        "anchor": w_ref.point,
-        "replacements": {},
-        "markers": [],
-    }
-    fan = s.reattach(b0e, fates.get(b0e.id), w_ref, details)
-    for d in zone_darts:
-        s.set_end(d[0], d[1], w_ref)
-    fan += zone_darts + s.reattach(b1e, fates.get(b1e.id), w_ref, details)
-    if fan:
-        s.insert_after(w_ref.point, (e_in.id, "src"), fan)
-    for e in (b0e, b1e):
-        if e.id in s.edges:
-            s.delete_edge(e.id)
-    s.delete_edge(e_in.id)
-    s.delete_point(embryo_id)
-    return s.finish("eliminate_embryo", details)
+    return _cancel(g, _embryo_site(g, embryo_id))
 
 
 # -------------------------------------------------------- resolve connections

@@ -307,17 +307,24 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
                 # elliptic source, and the re-route sink is a negative point;
                 # so a MoveError here is a bug and is not caught
                 collapsed = eliminate_pair(h, cand.witnesses[0], cand.point).graph
-                sub = recurse(collapsed, child)
-                if sub is not None:
-                    return [cand.point] + sub
+                head = [cand.point]
             else:
+                # an embryo dies as the cancellation of the pair it expands
+                # into.  For a positive allowable embryo that pair is a
+                # PosHypDistinctSources site, fed by w and the fresh source,
+                # so the death passes every guard above.  A negative one is
+                # fed from one source, but its out leaf may be a saddle
+                # connection (tame reads spheres with connections): in the
+                # reversal the anchor is then a saddle, which is refused
+                # when the zone holds a leaf or a boundary leaf needs a new one
                 try:
                     collapsed = eliminate_embryo(h, cand.point).graph
                 except MoveError:
                     continue
-                sub = recurse(collapsed, child)
-                if sub is not None:
-                    return sub
+                head = []  # embryos join the order at its bottom, below
+            sub = recurse(collapsed, child)
+            if sub is not None:
+                return head + sub
         dead.add(key)
         return None
 

@@ -8,6 +8,9 @@ No command runs these, so they live with the tests rather than in
 * :func:`create_pair_by_conjugation` is the negative birth as the positive
   one on the time reversal, reversed back, which
   :func:`charfol.moves.create_pair` plants in place;
+* :func:`reference_eliminate_embryo` is an embryo's death as the expansion
+  followed by the pair's cancellation, which
+  :func:`charfol.moves.eliminate_embryo` runs without expanding;
 * :func:`eq_simplicity_violations` and :func:`eq_simplicity_check` are the
   path-inequality reading of simplicity that acceptance check C6 compares
   with taming;
@@ -39,7 +42,7 @@ from charfol.model import (
     SingularPoint,
     UnionFind,
 )
-from charfol.moves import MoveRecord, MoveResult, create_pair
+from charfol.moves import MoveRecord, MoveResult, create_pair, eliminate_pair, resolve_embryo
 from charfol.taming import (
     Assignment,
     check_assignment,
@@ -115,6 +118,20 @@ def create_pair_by_conjugation(g: FoliationGraph, face_index: int) -> MoveResult
     res = create_pair(rev, rev_face, 1)
     details = {**res.record.details, "conjugated": True, "face": face_index, "sign": -1}
     return MoveResult(res.graph.reverse(), MoveRecord(res.record.kind, details))
+
+
+def reference_eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
+    """An embryo's death as the cancellation of the pair it expands into:
+    :func:`~charfol.moves.resolve_embryo`, then
+    :func:`~charfol.moves.eliminate_pair` on the fresh source and the saddle,
+    recorded as :func:`~charfol.moves.eliminate_embryo` records it.  This
+    validates the expanded sphere too, which the library's move does not."""
+    expanded = resolve_embryo(g, embryo_id)
+    res = eliminate_pair(expanded.graph, expanded.record.details["new_elliptic"], embryo_id)
+    details = {k: v for k, v in res.record.details.items() if k != "retargeted"}
+    return MoveResult(
+        res.graph, MoveRecord("eliminate_embryo", {**details, "eliminated": [embryo_id]})
+    )
 
 
 # ---------------------------------------------- path-inequality simplicity
@@ -296,3 +313,4 @@ def enumerate_reference(plus: int, minus: int) -> list[FoliationGraph]:
                         continue
                     seen.setdefault(cand.canonical_form(), cand)
     return list(seen.values())
+

@@ -18,6 +18,7 @@ from charfol.moves import create_pair
 from charfol.taming import normalized_assignment
 from charfol.tightness import universe
 from references import from_data
+from test_moves import EMBRYO_FED_BY_SADDLE
 
 ZOO_NAMES = sorted(zoo.ZOO)
 
@@ -342,6 +343,19 @@ def test_tame_answers_values_that_are_not_lyapunov(tmp_path, capsys):
     }
     code, _, _ = run(capsys, "extend", "-i", path)
     assert code == 1
+
+
+def test_an_embryo_fed_by_a_saddle_gets_a_verdict(tmp_path, capsys):
+    # the embryo's death keeps the saddle's u0 slot filled, so both
+    # perturbations are decided, on the sphere and on its reversal
+    g = parse(EMBRYO_FED_BY_SADDLE).graph
+    for text in (EMBRYO_FED_BY_SADDLE, emit(g.reverse())):
+        code, out, err = run(capsys, "decide", "-i", write_doc(tmp_path, text), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "tight"
+    values = "value a 0\nvalue b 0\nvalue h 1/3\nvalue B 2/3\nvalue z 1\n"
+    code, out, _ = run(capsys, "tame", "-i", write_doc(tmp_path, EMBRYO_FED_BY_SADDLE + values))
+    assert code == 0 and "tames_simply: yes" in out.splitlines()
 
 
 LYAPUNOV_NOT_TAMING = emit(zoo.example("overtwisted_loop_positive")) + (

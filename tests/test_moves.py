@@ -5,14 +5,12 @@ import random
 from dataclasses import replace
 
 import pytest
-from references import create_pair_by_conjugation
+from references import create_pair_by_conjugation, reference_eliminate_embryo
 
 from charfol import HYPERBOLIC, FoliationGraph, zoo
 from charfol.cli import emit, parse
 from charfol.moves import (
     MoveError,
-    _embryo_parts,
-    _reattachments,
     create_pair,
     eliminate_embryo,
     eliminate_pair,
@@ -259,36 +257,131 @@ rot z: c1.tgt u1.tgt u0.tgt
 """
 
 
-def test_an_embryo_death_never_strands_its_source():
-    # the lemma of eliminate_embryo: where the zone is empty and the inbound
-    # leaf's source emits nothing else, a boundary leaf needs a new leaf
-    rng = random.Random(4747)
-    starts = [zoo.example("embryo_positive"), zoo.example("embryo_negative")]
+# a saddle feeds an embryo whose boundary leaves end at a sink the saddle
+# feeds too: the embryo's death keeps the saddle's u0 slot filled
+EMBRYO_FED_BY_SADDLE = """foliation v1
+point a elliptic +
+point b elliptic +
+point h hyperbolic +
+point B embryo +
+point z elliptic -
+sep ea a h:s0
+sep eb b h:s1
+sep k h:u0 B:in
+sep f h:u1 z
+sep c0 B:b0 z
+sep c1 B:b1 z
+rot a: ea.src
+rot b: eb.src
+rot h: ea.tgt k.src eb.tgt f.src
+rot B: k.tgt c0.src c1.src
+rot z: f.tgt c1.tgt c0.tgt
+"""
+
+# a zone leaf returns to the embryo's in slot: expanded, both stable
+# separatrices come from the fresh source
+EMBRYO_ZONE_LOOP = """foliation v1
+point B embryo +
+point x elliptic -
+point y elliptic -
+sep l B:zone B:in
+sep b0 B:b0 x
+sep b1 B:b1 y
+rot B: l.tgt b0.src l.src b1.src
+rot x: b0.tgt
+rot y: b1.tgt
+"""
+
+
+def _embryo_walks(seed, walks, births):
+    """The embryo spheres above and in the zoo, each also grown by
+    ``walks`` seeded create_pair walks of a length drawn from ``births``."""
+    rng = random.Random(seed)
+    starts = [zoo.example(n) for n in sorted(zoo.ZOO)]
     starts += [parse(EMBRYO_INTO_SADDLE.format(sign=sign)).graph for sign in "+-"]
+    starts += [parse(EMBRYO_FED_BY_SADDLE).graph, parse(EMBRYO_ZONE_LOOP).graph]
     spheres = list(starts)
     for start in starts:
-        for _ in range(60):
+        if not start.points_of_kind("embryo"):
+            continue
+        for _ in range(walks):
             g = start
-            for _ in range(rng.randrange(1, 6)):
+            for _ in range(rng.choice(births)):
                 g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
             spheres.append(g)
-    sites, fates_seen = 0, set()
-    for g in spheres + [g.reverse() for g in spheres]:
-        for p in g.points.values():
-            if p.kind != "embryo" or p.sign < 0:
+    return spheres + [g.reverse() for g in spheres]
+
+
+def test_an_embryo_death_is_the_cancellation_of_its_expansion():
+    # the move reads the pair on the sphere where the embryo has not
+    # expanded; the reference expands it and cancels the pair
+    done, refused = 0, set()
+    for g in _embryo_walks(99, 40, range(10)):
+        for p in g.points_of_kind("embryo"):
+            try:
+                want = reference_eliminate_embryo(g, p.id)
+            except MoveError as err:
+                with pytest.raises(MoveError) as got:
+                    eliminate_embryo(g, p.id)
+                assert str(got.value) == str(err), (emit(g), p.id)
+                refused.add(str(err))
                 continue
-            _, e_in, b0e, b1e, zone = _embryo_parts(g, p.id)
-            w = e_in.src
-            if zone or any(eid != e_in.id for eid, _ in g.rotation[w.point]):
+            got = eliminate_embryo(g, p.id)
+            assert emit(got.graph) == emit(want.graph), (emit(g), p.id)
+            assert got.record == want.record
+            done += 1
+    assert done > 300 and refused == {
+        "re-attachment needed but the surviving separatrix comes from a saddle",
+        "both stable separatrices return to the cancelled point (same-sign bigon)",
+    }
+
+
+def test_an_embryo_death_re_attaches_both_kinds_of_far_end():
+    # where the zone is empty and the inbound leaf's source emits nothing
+    # else, a boundary leaf's far end needs a new leaf: markers into a sink
+    # that holds nothing else, or a replacement into a saddle's slot
+    sites, seen = 0, set()
+    for g in _embryo_walks(4747, 60, range(1, 6)):
+        for p in g.points_of_kind("embryo"):
+            if p.sign < 0:
+                continue
+            e_in = g.edge_at_slot(p.id, "in")
+            zone = [d for d in g.rotation[p.id] if g.dart_slot(d) == "zone"]
+            if zone or any(eid != e_in.id for eid, _ in g.rotation[e_in.src.point]):
                 continue
             sites += 1
-            fates = _reattachments(g, w, zone, (b0e, b1e), e_in, "inbound leaf")
-            assert fates, (emit(g), p.id)
-            fates_seen.add(tuple(sorted(fates.values())))
-            assert eliminate_embryo(g, p.id).graph.validate() == []
-    # markers into a sink that holds nothing else, and a replacement into a
-    # saddle's slot
-    assert sites > 20 and fates_seen == {(True, True), (False,)}
+            res = eliminate_embryo(g, p.id)
+            assert res.graph.validate() == []
+            kinds = {k for k in ("markers", "replacements") if res.record.details[k]}
+            assert kinds, (emit(g), p.id)
+            seen |= kinds
+    assert sites > 20 and seen == {"markers", "replacements"}
+
+
+def _outcome(move, g, embryo_id):
+    try:
+        return move(g, embryo_id).graph.canonical_form()
+    except MoveError as err:
+        return str(err)
+
+
+def test_embryo_moves_read_the_zone_from_the_in_slot_wherever_the_tuple_starts():
+    # rotation tuples are cyclic: a tuple that starts inside the zone run
+    # lists the same sphere, so both moves give the same result on it
+    rotated = 0
+    for g in _embryo_walks(4848, 30, range(1, 8)):
+        for p in g.points_of_kind("embryo"):
+            seq = g.rotation[p.id]
+            zone = [i for i, d in enumerate(seq) if g.dart_slot(d) == "zone"]
+            if len(zone) < 2:
+                continue
+            i = zone[-1]
+            turned = FoliationGraph(g.points, g.edges, {**g.rotation, p.id: seq[i:] + seq[:i]})
+            assert turned.validate() == [] and turned.is_isomorphic(g)
+            for move in (resolve_embryo, eliminate_embryo):
+                assert _outcome(move, turned, p.id) == _outcome(move, g, p.id), (emit(g), p.id)
+            rotated += 1
+    assert rotated > 20
 
 
 def test_embryo_moves_reject_non_embryos():
