@@ -23,7 +23,12 @@ to a point.  A ``transcript`` line may carry one canonical-JSON payload
 
 Exit codes: 0 success (``decide``: Tight), 1 negative verdict
 (``decide``: Overtwisted; ``tame``/``extend``/``oracle``: no taming), 2
-invalid input, 3 internal cross-check failure.
+invalid input, 3 internal cross-check failure.  ``decide`` answers every
+valid sphere.  It, and ``tame`` and ``extend`` without value lines, take
+their order from :func:`~charfol.tightness.simple_taming`: synthesized on a
+Morse–Smale sphere, found by the prefix search on a sphere with an embryo
+or a saddle connection.  ``oracle`` runs the prefix search on any sphere
+of at most 12 singular points.
 
 Every command but ``render`` takes ``--json``.  Under it, exits 0 and 1
 print one JSON value (a list for ``enumerate``, an object otherwise); a

@@ -1,18 +1,20 @@
 """Deciding tightness of a foliated sphere.
 
-Two independent routes are provided:
+:func:`decide_tightness` reads the point surplus first: a mismatch is
+overtwisted.  Otherwise it looks for a simple taming order and verifies it
+on the sphere itself, by one of two searches:
 
-* :func:`decide_tightness` — constructive: recursively collapses allowable
-  bottom events (joins, splits, embryo deaths) to synthesize a simple taming
-  order, verifying the result on the original graph; failures produce an
-  overtwistedness certificate (surplus mismatch or same-sign polygon).
-* :func:`oracle_tightness` — exhaustive: searches the strict orderings of
-  the saddle values, as sets of saddles below each one, for the first that
-  tames simply.
+* :func:`synthesize_taming`, on a Morse–Smale sphere: recursively collapses
+  allowable bottom events (joins and splits);
+* :func:`prefix_taming`, on a sphere with an embryo or a saddle connection:
+  searches the strict orders of the saddle-type values that respect the
+  separatrices between saddle-type points, as sets of points below each one.
 
-They share only the assignment checkers, never the search strategy, so they
-can cross-check each other on enumerated universes
-(:func:`enumerate_foliations`).
+A sphere with no verified order is overtwisted, with a same-sign polygon
+where one can be looked for.  :func:`oracle_tightness` runs the prefix
+search on every sphere.  It shares only the assignment checkers with
+synthesis, never the search strategy, so the two cross-check each other on
+Morse–Smale spheres and enumerated universes (:func:`enumerate_foliations`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .invariants import (
 )
 from .model import (
     ELLIPTIC,
-    EMBRYO,
     HYPERBOLIC,
     HYPERBOLIC_SLOTS,
     SADDLE_KINDS,
@@ -46,14 +47,7 @@ from .model import (
     SingularPoint,
     UnionFind,
 )
-from .moves import (
-    MoveError,
-    _fresh,
-    eliminate_embryo,
-    eliminate_pair,
-    resolve_connection,
-    resolve_embryo,
-)
+from .moves import _fresh, eliminate_pair
 from .taming import normalized_assignment, simplicity_check, stable_circles
 
 
@@ -67,8 +61,6 @@ class TightnessCertificate:
     saddle_order: tuple[str, ...] | None = None
     assignment: dict | None = None
     polygon: Polygon | None = None
-    branches: tuple["TightnessCertificate", ...] = ()
-    resolved_connection: str | None = None
 
     @property
     def tight(self) -> bool:
@@ -82,10 +74,6 @@ class TightnessCertificate:
             out["assignment"] = {k: str(v) for k, v in sorted(self.assignment.items())}
         if self.polygon is not None:
             out["polygon"] = self.polygon.describe()
-        if self.resolved_connection is not None:
-            out["resolved_connection"] = self.resolved_connection
-        if self.branches:
-            out["branches"] = [b.to_data() for b in self.branches]
         return out
 
 
@@ -94,12 +82,10 @@ class TightnessCertificate:
 
 @dataclass(frozen=True)
 class AllowabilityVerdict:
-    """Which of the four bottom-event patterns a point matches, if any."""
+    """Which of the two bottom-event patterns a saddle matches, if any."""
 
     point: str
-    # "PosHypDistinctSources", "NegHypSameSource", "PosEmbryoEllipticSource",
-    # "NegEmbryoAllFromOneElliptic" or "NotAllowable"
-    case: str
+    case: str  # "PosHypDistinctSources", "NegHypSameSource" or "NotAllowable"
     witnesses: tuple[str, ...]  # feeding positive elliptic points
 
     @property
@@ -108,46 +94,31 @@ class AllowabilityVerdict:
 
 
 def classify_allowable(g: FoliationGraph, pid: str) -> AllowabilityVerdict:
-    """Match a saddle-type point against the bottom-event patterns.
+    """Match a saddle against the bottom-event patterns.
 
-    A point can open a simple taming order only if its feed comes straight
+    A saddle can open a simple taming order only if its feed comes straight
     from positive elliptic points in the right multiplicity: a positive
-    saddle from two distinct ones, a negative saddle twice from one, a
-    positive embryo once, a negative embryo entirely from one.
+    saddle from two distinct ones, a negative saddle twice from one.
     """
     p = g.points.get(pid)
     if p is None:
         raise DecisionError(f"unknown point {pid}")
-    if p.kind == ELLIPTIC:
-        raise DecisionError("elliptic points carry no allowability case")
-    nope = AllowabilityVerdict(pid, "NotAllowable", ())
-    if p.kind == HYPERBOLIC:
-        feeders = elliptic_feeders(g, pid)
-        if feeders is None:
-            return nope
+    if p.kind != HYPERBOLIC:
+        raise DecisionError(f"only saddles carry an allowability case, not {p.kind} points")
+    feeders = elliptic_feeders(g, pid)
+    if feeders is not None:
         if p.sign > 0 and feeders[0] != feeders[1]:
             return AllowabilityVerdict(pid, "PosHypDistinctSources", tuple(sorted(feeders)))
         if p.sign < 0 and feeders[0] == feeders[1]:
             return AllowabilityVerdict(pid, "NegHypSameSource", feeders[:1])
-        return nope
-    # the kinds are exhausted: p is an embryo
-    if p.sign > 0:
-        src = g.edge_at_slot(pid, "in").src
-        if g.is_elliptic_source(src):
-            return AllowabilityVerdict(pid, "PosEmbryoEllipticSource", (src.point,))
-        return nope
-    refs = [e.src for e in g.edges.values() if e.dst.point == pid]
-    feeds = {r.point for r in refs}
-    if len(feeds) == 1 and refs and all(g.is_elliptic_source(r) for r in refs):
-        return AllowabilityVerdict(pid, "NegEmbryoAllFromOneElliptic", (refs[0].point,))
-    return nope
+    return AllowabilityVerdict(pid, "NotAllowable", ())
 
 
 def allowable_candidates(g: FoliationGraph) -> list[AllowabilityVerdict]:
-    """All points passing :func:`classify_allowable`, lowest id first."""
+    """All saddles passing :func:`classify_allowable`, lowest id first."""
     out = []
     for pid in sorted(g.points):
-        if g.points[pid].kind in (HYPERBOLIC, EMBRYO):
+        if g.points[pid].kind == HYPERBOLIC:
             v = classify_allowable(g, pid)
             if v.allowable:
                 out.append(v)
@@ -238,15 +209,18 @@ def split_at_negative_saddle(
 
 
 def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
-    """Search for a saddle order whose normalized assignment tames simply.
+    """Search a Morse–Smale sphere for a saddle order whose normalized
+    assignment tames simply.
+
+    Raises :class:`DecisionError` on a sphere with an embryo or a saddle
+    connection, which :func:`prefix_taming` searches instead.
 
     Recursive bottom-up collapse with backtracking over allowable events.
-    A node is keyed by the set of ids of its saddle-type points (hyperbolic
-    and embryo), and the keys of nodes that admit no order are remembered.
-    Every key is looked up before its node is built.  Eliminating a saddle
-    ``h``, or letting an embryo ``h`` die, leaves the key minus ``h``, so a
-    dead child is skipped before its move is made.  A split's two side keys
-    are the saddle-type ids of the two components of the complement of
+    A node is keyed by the set of ids of its saddles, and the keys of nodes
+    that admit no order are remembered.  Every key is looked up before its
+    node is built.  Eliminating a saddle ``h`` leaves the key minus ``h``,
+    so a dead child is skipped before its move is made.  A split's two side
+    keys are the saddle ids of the two components of the complement of
     (source, saddle), because capping adds only an elliptic point and
     ``marker_reduce`` removes only edges (:func:`_side_keys`).  So a split
     with a dead side is skipped before any circle is traced, and side 1 is
@@ -255,12 +229,11 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
     the caller.
 
     The memo rests on a lemma: within one call, a node is determined up to
-    isomorphism by its set of saddle-type ids.
+    isomorphism by its set of saddle ids.
 
     * Every event is surgery on its saddle's stable manifold: a
-      cancellation merges the saddle's two sources across it into one, an
-      embryo death merges the embryo into the source that feeds it, and a
-      split cuts along the annulus of the saddle and its source and caps
+      cancellation merges the saddle's two sources across it into one, and
+      a split cuts along the annulus of the saddle and its source and caps
       the far side with a fresh source.  Stable manifolds of distinct
       saddles meet at most in their sources, so events at distinct saddles
       commute up to isomorphism, and the source a cancellation keeps
@@ -278,6 +251,8 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
     ``tests/test_tightness.py`` checks the lemma, and this search, against
     ``reference_synthesis``, a search whose memo is keyed by canonical form.
     """
+    if not is_morse_smale(g):
+        raise DecisionError("synthesis searches Morse-Smale spheres only")
     dead: set[frozenset[str]] = set()
 
     def recurse(h: FoliationGraph, key: frozenset[str]) -> list[str] | None:
@@ -300,41 +275,19 @@ def synthesize_taming(g: FoliationGraph) -> tuple[str, ...] | None:
             child = key - {cand.point}
             if child in dead:
                 continue
-            if cand.case == "PosHypDistinctSources":
-                # the site passes every guard of eliminate_pair: the pair is
-                # positive, the witness feeds one stable slot since the
-                # feeders differ, the other feeder is the anchor and an
-                # elliptic source, and the re-route sink is a negative point;
-                # so a MoveError here is a bug and is not caught
-                collapsed = eliminate_pair(h, cand.witnesses[0], cand.point).graph
-                head = [cand.point]
-            else:
-                # an embryo dies as the cancellation of the pair it expands
-                # into.  For a positive allowable embryo that pair is a
-                # PosHypDistinctSources site, fed by w and the fresh source,
-                # so the death passes every guard above.  A negative one is
-                # fed from one source, but its out leaf may be a saddle
-                # connection (tame reads spheres with connections): in the
-                # reversal the anchor is then a saddle, which is refused
-                # when the zone holds a leaf or a boundary leaf needs a new one
-                try:
-                    collapsed = eliminate_embryo(h, cand.point).graph
-                except MoveError:
-                    continue
-                head = []  # embryos join the order at its bottom, below
-            sub = recurse(collapsed, child)
+            # the site passes every guard of eliminate_pair: the pair is
+            # positive, the witness feeds one stable slot since the feeders
+            # differ, the other feeder is the anchor and an elliptic source,
+            # and the re-route sink is a negative point; so a MoveError here
+            # is a bug and is not caught
+            sub = recurse(eliminate_pair(h, cand.witnesses[0], cand.point).graph, child)
             if sub is not None:
-                return head + sub
+                return [cand.point] + sub
         dead.add(key)
         return None
 
     order = recurse(g, frozenset(p.id for p in g.saddle_points()))
-    if order is None:
-        return None
-    # embryos take part in the Lyapunov constraints even though they carry
-    # no join/split event; slot them at the bottom of the order
-    embryo_ids = sorted(p.id for p in g.points.values() if p.kind == EMBRYO)
-    return tuple(embryo_ids + order)
+    return None if order is None else tuple(order)
 
 
 def verify_taming_order(g: FoliationGraph, order: tuple[str, ...]) -> dict | None:
@@ -348,7 +301,10 @@ def verify_taming_order(g: FoliationGraph, order: tuple[str, ...]) -> dict | Non
 
 
 def simple_taming(g: FoliationGraph) -> tuple[tuple[str, ...], dict] | None:
-    """A synthesized saddle order and its verified assignment, or None."""
+    """A saddle order and its verified assignment, or None: synthesized on a
+    Morse–Smale sphere, found by :func:`prefix_taming` on any other."""
+    if not is_morse_smale(g):
+        return prefix_taming(g)
     order = synthesize_taming(g)
     assignment = verify_taming_order(g, order) if order is not None else None
     return (order, assignment) if assignment is not None else None
@@ -357,95 +313,39 @@ def simple_taming(g: FoliationGraph) -> tuple[tuple[str, ...], dict] | None:
 # ------------------------------------------------------------------- decide
 
 
-def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate:
+def decide_tightness(g: FoliationGraph) -> TightnessCertificate:
     """Decide whether the foliated sphere bounds a tight structure.
 
-    Routes: surplus mismatch -> overtwisted, with a same-sign polygon when
+    The point surplus comes first: no perturbation of an embryo or a saddle
+    connection changes it, so a mismatch is overtwisted on the sphere and
+    on every sphere near it.  Otherwise :func:`simple_taming` looks for an
+    order, and a verified one is the certificate of tightness.  Without one
+    the sphere is overtwisted, with a same-sign polygon when
     :func:`~charfol.invariants.witness_polygon` can look for one (up to the
-    subset search's face limit, or on a Morse-Smale sphere); saddle
-    connections -> resolve and decide both sides (tight only when every
-    perturbation is); otherwise
-    synthesize a simple taming order and verify it, or exhibit the
-    obstruction.
+    subset search's face limit, or on a Morse–Smale sphere).  Without a
+    polygon the verdict rests on the exhaustion of every order, which the
+    prefix search vouches for; on a Morse–Smale sphere it runs once more,
+    as a cross-check of synthesis.
     """
     g.require_valid()
-    if _depth > len(g.edges) + 1:
-        raise DecisionError("connection resolution did not terminate")
-
-    connections = g.homoclinic_edges()
-    if connections:
-        eid = connections[0]
-        e = g.edges[eid]
-        embryo = next(
-            (
-                pid
-                for pid in (e.src.point, e.dst.point)
-                if g.points[pid].kind == EMBRYO
-            ),
-            None,
-        )
-        if embryo is not None:
-            # a connection through an embryo is removed by perturbing the
-            # embryo itself: nearby foliations have it died or expanded
-            label = f"perturbations of embryo {embryo} on connection {eid}"
-            perturbations = [
-                (move, (embryo,), f"embryo {embryo} on connection {eid} admits no {word}")
-                for move, word in ((eliminate_embryo, "death"), (resolve_embryo, "expansion"))
-            ]
-        else:
-            label = f"resolutions of connection {eid}"
-            perturbations = [
-                (
-                    resolve_connection,
-                    (eid, side),
-                    f"connection {eid} cannot be resolved on side {side}",
-                )
-                for side in ("left", "right")
-            ]
-        branches = []
-        for move, args, failure in perturbations:
-            try:
-                perturbed = move(g, *args).graph
-            except MoveError as ex:
-                raise DecisionError(f"{failure}: {ex}") from ex
-            branches.append(decide_tightness(perturbed, _depth + 1))
-        if all(b.tight for b in branches):
-            return TightnessCertificate(
-                "tight",
-                f"both {label} are tight",
-                branches=tuple(branches),
-                resolved_connection=eid,
-            )
-        bad = next(b for b in branches if not b.tight)
-        return TightnessCertificate(
-            "overtwisted",
-            f"one of the {label} is overtwisted: {bad.reason}",
-            polygon=bad.polygon,
-            branches=tuple(branches),
-            resolved_connection=eid,
-        )
-
+    morse_smale = is_morse_smale(g)
+    searchable = morse_smale or len(g.face_table().orbits) <= MAX_POLYGON_FACES
     surplus = point_surplus(g)
     if surplus != (1, 1):
-        # the surplus alone proves it; the polygon is evidence, which past
-        # the subset search's face limit only a Morse-Smale sphere offers
-        poly = (
-            witness_polygon(g)
-            if len(g.face_table().orbits) <= MAX_POLYGON_FACES or is_morse_smale(g)
-            else None
-        )
+        # the surplus alone proves it; the polygon is evidence
         return TightnessCertificate(
             "overtwisted",
             f"point surplus {surplus} != (1, 1)",
-            polygon=poly,
+            polygon=witness_polygon(g) if searchable else None,
         )
 
     tamed = simple_taming(g)
     if tamed is not None:
         order, assignment = tamed
-        reason = "simple taming order synthesized and verified"
+        route = "synthesized" if morse_smale else "found by prefix search"
+        reason = f"simple taming order {route} and verified"
         return TightnessCertificate("tight", reason, saddle_order=order, assignment=assignment)
-    poly = witness_polygon(g)
+    poly = witness_polygon(g) if searchable else None
     if poly is not None:
         return TightnessCertificate(
             "overtwisted",
@@ -453,19 +353,19 @@ def decide_tightness(g: FoliationGraph, _depth: int = 0) -> TightnessCertificate
             polygon=poly,
         )
     # no human-checkable polygon: fall back to search-relative evidence
-    exhaustion = oracle_tightness(g)
-    if exhaustion["tight"]:
+    if morse_smale and prefix_taming(g) is not None:
         raise InternalCheckError(
             "synthesis missed a taming order the exhaustive search found"
         )
     return TightnessCertificate(
         "overtwisted",
         "no simple taming order exists "
-        f"(all {exhaustion['orders_tried']} orderings exhausted, no polygon found)",
+        f"(all {math.factorial(len(g.saddle_points()))} orderings exhausted, "
+        "no polygon found)",
     )
 
 
-# -------------------------------------------------------------------- oracle
+# ------------------------------------------------------------ prefix search
 
 #: the most singular points :func:`oracle_tightness` accepts
 MAX_ORACLE_POINTS = 12
@@ -475,13 +375,15 @@ def _complete(
     g: FoliationGraph,
     ids: list[str],
     sources: frozenset[str],
+    feeds: dict[str, set[str]],
     order: list[str],
     dead: set[frozenset[str]],
     below: frozenset[str],
 ) -> bool:
     """Extend ``order``, whose points are ``below``, to a full order of
-    ``ids``; ``dead`` holds the sets already found to have no completion.
-    A module-level function, so the search leaves no reference cycle
+    ``ids`` in which each point comes after the points in ``feeds[pid]``;
+    ``dead`` holds the sets already found to have no completion.  A
+    module-level function, so the search leaves no reference cycle
     through ``g``."""
     if len(order) == len(ids):
         return True
@@ -489,7 +391,7 @@ def _complete(
         return False
     region = Region.of(g, sources | below)
     for pid in ids:
-        if pid in below:
+        if pid in below or not feeds[pid] <= below:
             continue
         p = g.points[pid]
         if p.kind == HYPERBOLIC:
@@ -497,66 +399,95 @@ def _complete(
             if (c0 != c1) != (p.sign > 0):
                 continue
         order.append(pid)
-        if _complete(g, ids, sources, order, dead, below | {pid}):
+        if _complete(g, ids, sources, feeds, order, dead, below | {pid}):
             return True
         order.pop()
     dead.add(below)
     return False
 
 
+def prefix_taming(g: FoliationGraph) -> tuple[tuple[str, ...], dict] | None:
+    """The first simple taming order in lexicographic order of sorted ids,
+    with the assignment :func:`verify_taming_order` gives it, or None when
+    no order tames simply.
+
+    The search rests on a lemma, which ``tests/test_tightness.py`` checks:
+    on any valid sphere, a strict order of the saddle-type points is
+    Lyapunov exactly when it respects the feeds, that is, when each
+    saddle-type point comes after every saddle-type point with a separatrix
+    into it.  The normalized assignment puts positive elliptic points at 0,
+    negative ones at 1 and each saddle-type point alone at a level between.
+    Nothing enters a positive elliptic point and nothing leaves a negative
+    one, so an edge with an elliptic end rises, and an edge between two
+    saddle-type points rises exactly when its source comes first.  A zone
+    leaf that returns to its own embryo feeds the embryo itself, so no
+    order respects it, just as no order is Lyapunov.
+
+    Below a saddle of a Lyapunov order lie the positive elliptic points and
+    the points before it, and no edge enters that region, so each
+    hyperbolic point's join or split, read by :func:`stable_circles`, still
+    depends only on the set of points below it.  A level holds one point,
+    so its joins always form a forest.  An order therefore tames simply
+    exactly when it respects the feeds and each hyperbolic point joins if
+    positive and splits if negative.  So the search runs depth first over
+    order prefixes in sorted-id order and remembers the sets with no
+    completion (Held and Karp's subset recursion): at most ``n * 2**(n - 1)``
+    one-point readings for ``n`` saddle-type points, where a loop over the
+    permutations makes ``n!`` full checks.  Its cost depends on the
+    verdict: an overtwisted sphere with surplus (1, 1) makes it read every
+    set.  An order that :func:`verify_taming_order` rejects would refute
+    the lemma, and raises :class:`InternalCheckError`.
+    """
+    ids = sorted(p.id for p in g.saddle_points())
+    sources = frozenset(
+        p.id for p in g.points.values() if p.kind == ELLIPTIC and p.sign > 0
+    )
+    feeds: dict[str, set[str]] = {pid: set() for pid in ids}
+    for e in g.edges.values():
+        if e.src.point in feeds and e.dst.point in feeds:
+            feeds[e.dst.point].add(e.src.point)
+    order: list[str] = []
+    if not _complete(g, ids, sources, feeds, order, set(), frozenset()):
+        return None
+    assignment = verify_taming_order(g, tuple(order))
+    if assignment is None:
+        raise InternalCheckError("the prefix search's order fails verify_taming_order")
+    return tuple(order), assignment
+
+
 def oracle_tightness(g: FoliationGraph) -> dict:
-    """Exhaustive search for a simple taming order of saddle and embryo values.
+    """Exhaustive search for a simple taming order of saddle and embryo
+    values: :func:`prefix_taming`, on any valid sphere with at most
+    :data:`MAX_ORACLE_POINTS` singular points.
 
-    Independent of the synthesis route.  On a connection-free graph every
-    leaf runs from a positive elliptic point (value 0) or to a negative one
-    (value 1), so every strict order is Lyapunov, and the normalized
-    assignment puts each saddle alone at its level, so a join level's forest
-    check always holds.  An order therefore tames simply exactly when each
-    saddle, read by :func:`stable_circles` over the region of the positive
-    sources and the points before it, joins if positive and splits if
-    negative.  That reading depends only on the *set* below the saddle, so
-    the search runs depth first over order prefixes in sorted-id order and
-    remembers the sets with no completion (Held and Karp's subset
-    recursion): at most ``n * 2**(n - 1)`` one-saddle readings for ``n``
-    saddle-type points, where a loop over the permutations makes ``n!``
-    full checks.
-
-    Returns the lexicographically first order that passes, with the
-    assignment :func:`verify_taming_order` gives it, and ``orders_tried``:
-    the order's lexicographic rank plus one, or ``n!`` when none passes, the
-    count that loop would have made.  Precondition: no saddle connections
-    (resolve first) and at most :data:`MAX_ORACLE_POINTS` singular points.
+    Returns the lexicographically first order that passes, with its
+    verified assignment, and ``orders_tried``: the order's lexicographic
+    rank plus one, or ``n!`` when none passes, the count that a loop over
+    the permutations would have made.
     """
     g.require_valid()
-    if g.homoclinic_edges():
-        raise DecisionError("oracle requires a connection-free graph")
     if len(g.points) > MAX_ORACLE_POINTS:
         raise DecisionError(
             f"instance has {len(g.points)} singular points, "
             f"oracle bound is {MAX_ORACLE_POINTS}"
         )
     ids = sorted(p.id for p in g.saddle_points())
-    sources = frozenset(
-        p.id for p in g.points.values() if p.kind == ELLIPTIC and p.sign > 0
-    )
-    order: list[str] = []
-    if not _complete(g, ids, sources, order, set(), frozenset()):
+    tamed = prefix_taming(g)
+    if tamed is None:
         return {
             "tight": False,
             "order": None,
             "assignment": None,
             "orders_tried": math.factorial(len(ids)),
         }
-    assignment = verify_taming_order(g, tuple(order))
-    if assignment is None:
-        raise InternalCheckError("the oracle's order fails verify_taming_order")
+    order, assignment = tamed
     rank, rest = 0, list(ids)
     for pid in order:
         rank += rest.index(pid) * math.factorial(len(rest) - 1)
         rest.remove(pid)
     return {
         "tight": True,
-        "order": order,
+        "order": list(order),
         "assignment": assignment,
         "orders_tried": rank + 1,
     }

