@@ -11,7 +11,6 @@ from .model import (
     EMBRYO,
     HYPERBOLIC,
     EndRef,
-    Face,
     FoliationGraph,
     GraphError,
     Separatrix,
@@ -24,7 +23,6 @@ __all__ = [
     "EMBRYO",
     "HYPERBOLIC",
     "EndRef",
-    "Face",
     "FoliationGraph",
     "GraphError",
     "Separatrix",

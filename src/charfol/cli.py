@@ -369,12 +369,10 @@ def render_dot(g: FoliationGraph) -> str:
 
 def _layout(g: FoliationGraph) -> dict[str, tuple[float, float]]:
     """Planar-ish positions: outer face on a circle, interior relaxed."""
-    faces = g.faces()
-    outer = max(faces, key=lambda f: (len(f.darts), -f.index))
-    ring: list[str] = []
-    for c in outer.corners:
-        if c.point not in ring:
-            ring.append(c.point)
+    # the outer face is the first longest face walk, and the corner at dart
+    # d of a walk sits at the point that d ends at
+    point = g.dart_table().point
+    ring = list(dict.fromkeys(point[d ^ 1] for d in max(g.face_table().orbits, key=len)))
     cx = cy = 200.0
     radius = 150.0
     pos: dict[str, tuple[float, float]] = {}

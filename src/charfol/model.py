@@ -151,45 +151,6 @@ _SLOT_CLASS = {
 _KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
 
 
-class Corner(NamedTuple):
-    """An angular sector of a face at one of its boundary points.
-
-    ``enter`` is the dart along which the face walk arrives at ``point``,
-    ``leave`` the dart along which it departs (the rotation successor of
-    ``enter``).  ``flavor`` is ``"source"`` (both germs outgoing),
-    ``"sink"`` (both incoming) or ``"through"``.
-    """
-
-    point: str
-    enter: Dart
-    leave: Dart
-    flavor: str
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face of the sphere as :meth:`FoliationGraph.faces` builds it.
-
-    ``index`` is its place among the faces, ``darts`` its darts in walk order
-    from its least one, and ``corners`` the corner at each of them, in the
-    same order.  ``source_corners`` and ``sink_corners`` are the source and
-    the sink corners among ``corners``, in walk order, derived on each read.
-    Equality compares the three fields.
-    """
-
-    index: int
-    darts: tuple[Dart, ...]
-    corners: tuple[Corner, ...]
-
-    @property
-    def source_corners(self) -> tuple[Corner, ...]:
-        return tuple([c for c in self.corners if c.flavor == "source"])
-
-    @property
-    def sink_corners(self) -> tuple[Corner, ...]:
-        return tuple([c for c in self.corners if c.flavor == "sink"])
-
-
 class DartTable(NamedTuple):
     """The darts of a graph as integers.
 
@@ -208,19 +169,34 @@ class DartTable(NamedTuple):
 class FaceTable(NamedTuple):
     """The faces of a graph over its integer darts.
 
-    Faces are numbered as :meth:`FoliationGraph.faces` numbers them, by
-    their least tuple dart.  ``face[d]`` is the face of dart ``d`` and
-    ``orbits[f]`` lists face ``f``'s darts in walk order from its least one.
-    The corner at dart ``d`` of a walk is entered along ``d ^ 1``, so a
-    corner is named by that enter dart: ``source[f]`` and ``sink[f]`` are
-    the enter darts of face ``f``'s source and sink corners, or ``-1`` when
-    the face does not have exactly one, which a valid graph rules out.
+    Faces are numbered by their least tuple dart.  ``face[d]`` is the face
+    of dart ``d`` and ``orbits[f]`` lists face ``f``'s darts in walk order
+    from its least one.  A corner is named by its enter dart (see
+    :func:`_corners`): ``source[f]`` and ``sink[f]`` are the enter darts of
+    face ``f``'s source and sink corners, or ``-1`` when the face does not
+    have exactly one, which a valid graph rules out.
     """
 
     face: list[int]
     orbits: list[list[int]]
     source: list[int]
     sink: list[int]
+
+
+def _corners(orbit: list[int], sigma: list[int], out: list[bool]) -> tuple[list[int], list[int]]:
+    """The enter darts of a face's source corners and of its sink corners.
+
+    The corner at dart ``d`` of the face walk ``orbit`` is entered along
+    ``d ^ 1`` and left along ``sigma[d ^ 1]``: a source corner when both
+    germs emit flow, a sink corner when both absorb it.
+    """
+    sources: list[int] = []
+    sinks: list[int] = []
+    for d in orbit:
+        enter = d ^ 1
+        if out[enter] == out[sigma[enter]]:
+            (sources if out[enter] else sinks).append(enter)
+    return sources, sinks
 
 
 class FoliationGraph:
@@ -247,7 +223,6 @@ class FoliationGraph:
             pid: tuple(seq) for pid, seq in rotation.items()
         }
         # lazily built caches; the graph is never mutated after construction
-        self._faces: tuple[Face, ...] | None = None
         self._face_table: FaceTable | None = None
         self._problems: tuple[str, ...] | None = None
         self._canon: str | None = None
@@ -362,40 +337,22 @@ class FoliationGraph:
                 # meets no seen dart before it closes at start
                 f = len(orbits)
                 orbit: list[int] = []
-                sources: list[int] = []
-                sinks: list[int] = []
                 d = start
                 while face[d] < 0:
                     face[d] = f
                     orbit.append(d)
-                    enter = d ^ 1
-                    d = sigma[enter]
-                    if out[enter] == out[d]:
-                        (sources if out[d] else sinks).append(enter)
+                    d = sigma[d ^ 1]
                 orbits.append(orbit)
+                sources, sinks = _corners(orbit, sigma, out)
                 source.append(sources[0] if len(sources) == 1 else -1)
                 sink.append(sinks[0] if len(sinks) == 1 else -1)
             self._face_table = FaceTable(face, orbits, source, sink)
         return self._face_table
 
-    def faces(self) -> tuple[Face, ...]:
-        """The faces as objects, built from the face table's walks; the
-        library reads the table itself and builds these only for output and
-        to name a face that breaks the face rule."""
-        if self._faces is None:
-            darts, _, sigma, out, point = self.dart_table()
-            flavors = {(True, True): "source", (False, False): "sink"}
-            faces: list[Face] = []
-            for orbit in self.face_table().orbits:
-                corners: list[Corner] = []
-                for d in orbit:
-                    enter = d ^ 1
-                    leave = sigma[enter]
-                    flavor = flavors.get((out[enter], out[leave]), "through")
-                    corners.append(Corner(point[enter], darts[enter], darts[leave], flavor))
-                faces.append(Face(len(faces), tuple([darts[d] for d in orbit]), tuple(corners)))
-            self._faces = tuple(faces)
-        return self._faces
+    def faces(self) -> list[list[int]]:
+        """The face table's orbits.  No command calls this; the benchmark's
+        set-up (``perfbench/workloads.py``) counts faces through it."""
+        return self.face_table().orbits
 
     # ------------------------------------------------------------ validation
 
@@ -404,8 +361,7 @@ class FoliationGraph:
 
         The checks run once per graph, which is never mutated, so validating
         a graph again (``require_valid`` after a load) is a lookup.  The face
-        rule reads the face table; the faces are built only to name a face
-        that breaks it.
+        rule reads the face table.
         """
         if self._problems is None:
             self._problems = tuple(self._check())
@@ -535,18 +491,14 @@ class FoliationGraph:
         # against the flow to along it exactly at a source corner and back
         # exactly at a sink corner: a face has as many sink corners as
         # source corners, and it is a flow box when it has one source corner.
-        source = self.face_table().source
-        euler = len(points) - len(edges) + len(source)
+        table = self.face_table()
+        euler = len(points) - len(edges) + len(table.orbits)
         if euler != 2:
             problems.append(f"Euler count V-E+F = {euler} != 2 (not a sphere)")
-        if -1 in source:
-            # name each bad face by its index among faces()
-            for f in self.faces():
-                ns, nk = len(f.source_corners), len(f.sink_corners)
-                if (ns, nk) != (1, 1):
-                    problems.append(
-                        f"face {f.index}: {ns} source / {nk} sink corners (need 1/1)"
-                    )
+        for f, s in enumerate(table.source):
+            if s < 0:
+                ns, nk = map(len, _corners(table.orbits[f], sigma, out))
+                problems.append(f"face {f}: {ns} source / {nk} sink corners (need 1/1)")
         return problems
 
     @property

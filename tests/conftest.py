@@ -50,7 +50,7 @@ def walk_spheres():
     for name, saddles in WALKS:
         g = zoo.example(name)
         while len(g.saddle_points()) < saddles:
-            g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+            g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
         out.append((f"{name}+{saddles}", g))
     return out
 

@@ -3,6 +3,10 @@
 No command runs these, so they live with the tests rather than in
 ``charfol``:
 
+* :class:`TupleReference` is the face walk and canonical code over tuple
+  darts that the dart table, the face table and ``canonical_form``
+  replaced; its :class:`TupleFace` and :class:`TupleCorner` are the faces
+  that the tests read corners from;
 * :func:`relabel` and :func:`from_data` build graphs for the isomorphism
   and round-trip tests, and :func:`without_edge` builds invalid ones;
 * :func:`create_pair_by_conjugation` is the negative birth as the positive
@@ -32,19 +36,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from charfol import zoo
 from charfol.invariants import elliptic_feeders, positive_tree
 from charfol.model import (
+    _KIND_CODE,
+    _SLOT_CLASS,
     ELLIPTIC,
     EMBRYO,
     HYPERBOLIC,
+    Dart,
     EndRef,
     FoliationGraph,
     Separatrix,
     SingularPoint,
     UnionFind,
+    end_direction,
 )
 from charfol.moves import (
     MoveError,
@@ -64,6 +72,124 @@ from charfol.taming import (
     stable_circles,
 )
 from charfol.tightness import DecisionError, decide_tightness
+
+# --------------------------------------------------------- the tuple walk
+
+
+class TupleCorner(NamedTuple):
+    """An angular sector of a face at one of its boundary points.
+
+    ``enter`` is the dart along which the face walk arrives at ``point`` and
+    ``leave`` the dart along which it departs (the rotation successor of
+    ``enter``).  ``flavor`` is ``"source"`` (both germs outgoing), ``"sink"``
+    (both incoming) or ``"through"``.
+    """
+
+    point: str
+    enter: Dart
+    leave: Dart
+    flavor: str
+
+
+class TupleFace(NamedTuple):
+    """A face: its place among the faces, its darts in walk order from its
+    least one, and the corner at each of them in the same order."""
+
+    index: int
+    darts: tuple[Dart, ...]
+    corners: tuple[TupleCorner, ...]
+
+    def corners_of(self, flavor: str) -> tuple[TupleCorner, ...]:
+        return tuple(c for c in self.corners if c.flavor == flavor)
+
+
+class TupleReference:
+    """What ``FoliationGraph`` computed before its integer tables.
+
+    Each dart's rotation successor comes from its position in its rotation
+    tuple and its flow direction from its slot.  Faces are traced by
+    ``phi`` over tuple darts in sorted order, each corner classified by the
+    directions of its two darts, and the canonical code is numbered from a
+    dart index and successor array of its own.  The rotation system must be
+    a permutation of the darts.
+    """
+
+    def __init__(self, g: FoliationGraph) -> None:
+        self.g = g
+        self.pos = {}
+        for seq in g.rotation.values():
+            for i, d in enumerate(seq):
+                self.pos.setdefault(d, (seq, i))
+
+    def sigma(self, d):
+        seq, i = self.pos[d]
+        return seq[(i + 1) % len(seq)]
+
+    def phi(self, d):
+        return self.sigma(FoliationGraph.theta(d))
+
+    def direction(self, d):
+        ref = self.g.end_ref(d)
+        return end_direction(self.g.points[ref.point], ref.slot)
+
+    def faces(self) -> tuple[TupleFace, ...]:
+        g = self.g
+        seen, faces = set(), []
+        for start in sorted(g.darts()):
+            if start in seen:
+                continue
+            orbit, d = [], start
+            while True:
+                orbit.append(d)
+                seen.add(d)
+                d = self.phi(d)
+                if d == start:
+                    break
+            corners = []
+            for d in orbit:
+                enter, leave = FoliationGraph.theta(d), self.phi(d)
+                dirs = {self.direction(enter), self.direction(leave)}
+                flavor = (
+                    "source" if dirs == {"out"} else "sink" if dirs == {"in"} else "through"
+                )
+                corners.append(TupleCorner(g.end_ref(enter).point, enter, leave, flavor))
+            faces.append(TupleFace(len(faces), tuple(orbit), tuple(corners)))
+        return tuple(faces)
+
+    def canonical_form(self) -> str:
+        g = self.g
+        darts = g.darts()
+        if not darts:
+            return "empty"
+        n = len(darts)
+        index = {d: i for i, d in enumerate(darts)}
+        label = [0] * n
+        for k, e in enumerate(g.edges.values()):
+            for end, ref in ((0, e.src), (1, e.dst)):
+                p = g.points[ref.point]
+                label[2 * k + end] = (
+                    ((_KIND_CODE[p.kind] * 3 + p.sign + 1) * 8 + _SLOT_CLASS[ref.slot]) * 2 + end
+                ) * 2 + e.marker
+        sigma, degree = [0] * n, [0] * n
+        for seq in g.rotation.values():
+            for j, d in enumerate(seq):
+                sigma[index[d]] = index[seq[(j + 1) % len(seq)]]
+                degree[index[d]] = len(seq)
+        local = [(label[d], degree[d], label[d ^ 1], label[sigma[d]]) for d in range(n)]
+        codes = []
+        for start in range(n):
+            if local[start] != min(local):
+                continue
+            pos, order = [-1] * n, [start]
+            pos[start] = 0
+            for d in order:
+                for s in (d ^ 1, sigma[d]):
+                    if pos[s] < 0:
+                        pos[s] = len(order)
+                        order.append(s)
+            codes.append([(label[d], pos[d ^ 1], pos[sigma[d]]) for d in order])
+        return ";".join(f"{a},{b},{c}" for a, b, c in min(codes))
+
 
 # ------------------------------------------------------------------- graphs
 
@@ -126,8 +252,8 @@ def create_pair_by_conjugation(g: FoliationGraph, face_index: int) -> MoveResult
     positive one's, marked ``conjugated``, with the caller's face and sign.
     """
     rev = g.reverse()
-    target = {FoliationGraph.theta(d) for d in g.faces()[face_index].darts}
-    (rev_face,) = [f.index for f in rev.faces() if set(f.darts) == target]
+    target = {FoliationGraph.theta(d) for d in TupleReference(g).faces()[face_index].darts}
+    (rev_face,) = [f.index for f in TupleReference(rev).faces() if set(f.darts) == target]
     res = create_pair(rev, rev_face, 1)
     details = {**res.record.details, "conjugated": True, "face": face_index, "sign": -1}
     return MoveResult(res.graph.reverse(), MoveRecord(res.record.kind, details))

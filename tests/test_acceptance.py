@@ -205,10 +205,10 @@ def applicable_moves(g):
                     yield mv(g, p.id).graph
                 except MoveError:
                     pass
-    for f in g.faces():
+    for f in range(len(g.face_table().orbits)):
         for sign in (1, -1):
             try:
-                yield create_pair(g, f.index, sign).graph
+                yield create_pair(g, f, sign).graph
             except MoveError:
                 pass
     for eid in g.homoclinic_edges():

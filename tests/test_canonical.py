@@ -86,7 +86,7 @@ def grown(name: str, saddles: int, rng: random.Random) -> FoliationGraph:
     """A ``create_pair`` walk from a zoo fixture up to a saddle count."""
     g = zoo.example(name)
     while len(g.saddle_points()) < saddles:
-        g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+        g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
     return g
 
 
@@ -129,7 +129,7 @@ def test_partition_matches_reference_on_grown_spheres(grown_spheres):
     rng = random.Random(5)
     g = grown_spheres[0]
     planted = [
-        create_pair(g, i, sign).graph for i in range(len(g.faces())) for sign in (1, -1)
+        create_pair(g, i, sign).graph for i in range(len(g.face_table().orbits)) for sign in (1, -1)
     ]
     graphs = grown_spheres + [relabelled(h, rng) for h in grown_spheres] + planted
     assert_same_partition(graphs)

@@ -584,8 +584,8 @@ def test_invariants_command(tmp_path, capsys):
 
 
 def test_polygons_and_basins_build_no_faces(tmp_path, capsys, monkeypatch):
-    # faces() objects are for render and for naming a bad face; the polygon
-    # search, the basins and the face count read the face table
+    # no command calls faces(): the polygon search, the basins, the face
+    # count and the render layout read the face table
     paths = {
         name: write_doc(tmp_path, emit(zoo.example(name)), f"{name}.fol") for name in ZOO_NAMES
     }
@@ -594,10 +594,11 @@ def test_polygons_and_basins_build_no_faces(tmp_path, capsys, monkeypatch):
         ("decide", "-i", paths[name], "--json")
         for name in ("overtwisted_loop_positive", "double_join_cycle")
     ]
+    argvs += [("render", "-i", paths[name], "--format", "svg") for name in ZOO_NAMES]
     expected = [run(capsys, *argv) for argv in argvs]
 
     def refuse(self):
-        raise AssertionError("Face objects built on a polygon path")
+        raise AssertionError("faces() called by a command")
 
     monkeypatch.setattr(FoliationGraph, "faces", refuse)
     assert [run(capsys, *argv) for argv in argvs] == expected
@@ -780,13 +781,28 @@ def test_library_render_matches_cli(tmp_path, capsys):
     assert out == render_svg(g)
 
 
+#: one sha256 over render_dot then render_svg of each zoo fixture, each
+#: class of the <=3-saddle universe and each seeded walk, in that order
+RENDER_GOLDEN = "5591c18eb9af094f514c5657ba5f1c9cdd1b81af35fcdc85f655b92d6758c6e8"
+
+
+def test_render_output_is_pinned(universe_list, walked_spheres):
+    graphs = [zoo.example(name) for name in ZOO_NAMES] + universe_list
+    graphs += [g for _, g in walked_spheres]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(render_dot(g).encode())
+        digest.update(render_svg(g).encode())
+    assert (len(graphs), digest.hexdigest()) == (122, RENDER_GOLDEN)
+
+
 def test_surplus_mismatch_past_the_polygon_limit_still_decides(tmp_path, capsys):
     # the surplus proves the verdict; past the subset search's face limit a
     # Morse-Smale sphere's polygon comes from a cycle of its separatrix graphs
     rng = random.Random(22)
     g = zoo.example("overtwisted_loop_positive")
-    while len(g.faces()) <= MAX_POLYGON_FACES:
-        g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+    while len(g.face_table().orbits) <= MAX_POLYGON_FACES:
+        g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
     assert point_surplus(g) != (1, 1) and is_morse_smale(g)
     path = write_doc(tmp_path, emit(g))
     code, out, err = run(capsys, "decide", "-i", path, "--json")
@@ -806,8 +822,8 @@ def test_surplus_mismatch_past_the_polygon_limit_still_decides(tmp_path, capsys)
     # a sphere with an embryo is no Morse-Smale sphere: past the limit its
     # polygon search still refuses, with exit 2
     g = zoo.example("embryo_positive")
-    while len(g.faces()) <= MAX_POLYGON_FACES:
-        g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+    while len(g.face_table().orbits) <= MAX_POLYGON_FACES:
+        g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
     assert not is_morse_smale(g)
     code, out, err = run(capsys, "invariants", "-i", write_doc(tmp_path, emit(g), "e.fol"))
     assert (code, out) == (2, "")
@@ -847,7 +863,7 @@ def test_an_untameable_sphere_past_the_polygon_limit_decides_with_a_polygon(tmp_
     rng = random.Random(5)
     g = parse(UNTAMEABLE_CLASS_0).graph
     for _ in range(10):
-        g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+        g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
     assert (len(g.saddle_points()), len(g.face_table().orbits)) == (12, 24)
     assert point_surplus(g) == (1, 1) and is_morse_smale(g)
     code, out, err = run(capsys, "decide", "-i", write_doc(tmp_path, emit(g)), "--json")

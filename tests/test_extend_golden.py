@@ -42,7 +42,7 @@ GROWN = [
 def _grown(name: str, saddles: int, rng: random.Random):
     g = zoo.example(name)
     while len(g.saddle_points()) < saddles:
-        g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+        g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
     return g
 
 

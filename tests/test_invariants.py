@@ -27,6 +27,7 @@ from charfol.invariants import (
 from charfol.model import InternalCheckError, end_direction
 from charfol.moves import create_pair
 from charfol.tightness import decide_tightness
+from references import TupleReference
 
 ZOO_NAMES = sorted(zoo.ZOO)
 
@@ -173,9 +174,9 @@ def reference_region_problems(region):
         for eid, e in sorted(g.edges.items())
         if e.src.point not in inside and e.dst.point in inside
     ]
-    for f in g.faces():
+    for f in TupleReference(g).faces():
         touches = any(c.point in inside for c in f.corners)
-        (source,) = f.source_corners
+        (source,) = f.corners_of("source")
         if touches and source.point not in inside:
             problems.append(
                 f"face {f.index} touches the region but its source corner is outside"
@@ -245,13 +246,13 @@ def test_double_join_cycle_polygon():
 
 
 def reference_trace_polygon(g, face_set):
-    """trace_polygon over ``Face`` objects and tuple darts.
+    """trace_polygon over the faces of the tuple walk and tuple darts.
 
-    The face of each dart comes from ``faces()``, and the rotation successor
-    from the corners: a corner entered along ``d`` leaves along the dart
-    after ``d`` counterclockwise.  Directions come from the slots.
+    The face of each dart comes from ``TupleReference``, and the rotation
+    successor from the corners: a corner entered along ``d`` leaves along
+    the dart after ``d`` counterclockwise.  Directions come from the slots.
     """
-    faces = g.faces()
+    faces = TupleReference(g).faces()
     if not face_set or not face_set <= set(range(len(faces))):
         return None
     if len(face_set) == len(faces):
@@ -321,7 +322,7 @@ def reference_trace_polygon(g, face_set):
 def test_trace_polygon_matches_the_face_walk(universe_list):
     traced = discs = 0
     for g in universe_list + [zoo.example(name) for name in ZOO_NAMES]:
-        n = len(g.faces())
+        n = len(g.face_table().orbits)
         for size in range(n + 1):
             for combo in itertools.combinations(range(n), size):
                 face_set = frozenset(combo)
@@ -337,7 +338,7 @@ def test_trace_polygon_matches_the_face_walk(universe_list):
 
 def test_trace_polygon_rejects_non_disc_unions():
     g = zoo.example("double_join_cycle")
-    all_faces = frozenset(f.index for f in g.faces())
+    all_faces = frozenset(range(len(g.face_table().orbits)))
     assert trace_polygon(g, all_faces) is None  # the whole sphere is not a disc
 
 
@@ -375,7 +376,7 @@ def test_basins_partition_faces_and_count_sources(universe_list):
         sk = skeleton_decomposition(g)
         groups = sk.basins + sk.semibasins
         covered = sorted(i for _, faces in groups for i in faces)
-        assert covered == [f.index for f in g.faces()]
+        assert covered == list(range(len(g.face_table().orbits)))
         positive_sources = [
             p.id for p in g.points_of_kind(ELLIPTIC) if p.sign > 0
         ]

@@ -37,25 +37,22 @@ def test_zoo_covers_frozen_table():
 def test_zoo_fixture_is_valid(name):
     g = zoo.example(name)
     assert g.validate() == []
-    assert len(g.faces()) == FROZEN_FACE_COUNTS[name]
+    assert len(g.face_table().orbits) == FROZEN_FACE_COUNTS[name]
 
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
 def test_euler_formula_on_fixtures(name):
     g = zoo.example(name)
-    assert len(g.points) - len(g.edges) + len(g.faces()) == 2
+    assert len(g.points) - len(g.edges) + len(g.face_table().orbits) == 2
 
 
 def test_face_corners_one_source_one_sink():
     g = zoo.example("tight_one_saddle")
-    for f in g.faces():
-        (source,) = f.source_corners
-        assert source.point in g.points
-        (sink,) = f.sink_corners
-        assert sink.point in g.points
+    table, point = g.face_table(), g.dart_table().point
+    assert -1 not in table.source and -1 not in table.sink
     # both faces of the one-saddle sphere run source -> saddle -> sink
-    assert {c.point for f in g.faces() for c in f.source_corners} == {"a", "b"}
-    assert {c.point for f in g.faces() for c in f.sink_corners} == {"z"}
+    assert {point[d] for d in table.source} == {"a", "b"}
+    assert {point[d] for d in table.sink} == {"z"}
 
 
 def test_points_of_kind_and_slots():

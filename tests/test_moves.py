@@ -97,10 +97,10 @@ def test_create_pair_rejects_a_sign_other_than_one(sign):
 
 
 def test_create_pair_records_the_callers_face_for_both_signs(zoo_graph):
-    for f in zoo_graph.faces():
+    for f in range(len(zoo_graph.face_table().orbits)):
         for sign in (1, -1):
-            details = create_pair(zoo_graph, f.index, sign).record.details
-            assert (details["face"], details["sign"]) == (f.index, sign)
+            details = create_pair(zoo_graph, f, sign).record.details
+            assert (details["face"], details["sign"]) == (f, sign)
 
 
 def _with_slots_renamed(g, pid, names):
@@ -186,7 +186,7 @@ def test_a_walk_of_both_signs_reads_each_rotation_system_once(monkeypatch):
     g, signs = parse(emit(zoo.example("three_basin_chain"))).graph.require_valid(), set()
     for _ in range(20):
         sign = rng.choice((1, -1))
-        g = create_pair(g, rng.randrange(len(g.faces())), sign).graph
+        g = create_pair(g, rng.randrange(len(g.face_table().orbits)), sign).graph
         signs.add(sign)
     assert signs == {1, -1} and calls
     assert len({id(h) for h in calls}) == len(calls)
@@ -209,9 +209,9 @@ def test_create_pair_preserves_tightness_verdict():
     for name in ("trivial", "tight_one_saddle", "overtwisted_loop_positive"):
         g = zoo.example(name)
         before = decide_tightness(g).tight
-        for f in g.faces():
+        for f in range(len(g.face_table().orbits)):
             for sign in (1, -1):
-                res = create_pair(g, f.index, sign)
+                res = create_pair(g, f, sign)
                 assert res.graph.validate() == []
                 assert decide_tightness(res.graph).tight == before
 

@@ -46,9 +46,9 @@ def _sites(move_kind, g):
         for b in _ids(g, EMBRYO):
             yield b, lambda b=b: move(g, b)
     elif move_kind == "create_pair":
-        for f in g.faces():
+        for f in range(len(g.face_table().orbits)):
             for sign in (1, -1):
-                yield f"{f.index} {sign:+d}", lambda i=f.index, s=sign: create_pair(g, i, s)
+                yield f"{f} {sign:+d}", lambda i=f, s=sign: create_pair(g, i, s)
     else:
         for eid in sorted(g.edges):
             for side in ("left", "right"):

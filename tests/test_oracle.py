@@ -44,7 +44,7 @@ def five_saddle_walks(count):
     while len(out) < count:
         g = zoo.example(rng.choice(starts))
         while len(g.saddle_points()) < 5:
-            g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+            g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
         if len(g.points) <= tightness.MAX_ORACLE_POINTS and not g.homoclinic_edges():
             out.append(g)
     return out

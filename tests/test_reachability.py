@@ -14,7 +14,8 @@ reached; annotations are not references.
 
 Every definition must be reached.  Code that only tests call, such as the
 reference implementations the tests compare the library with, belongs in
-``tests/``.
+``tests/``.  The definitions that only ``perfbench/`` reaches are pinned by
+name, so what the benchmark alone keeps alive is written down.
 
 A second scan holds every library module to its imports: each name an
 import binds must be read in the module, in an annotation or through
@@ -203,6 +204,43 @@ def test_every_library_definition_is_reached():
     defined, reached = _library_scan()
     unreached = sorted(defined - reached)
     assert unreached == [], f"only tests reach {unreached}: delete them or move them to tests/"
+
+
+#: the definitions that only ``perfbench/`` reaches, each with the line
+#: there that keeps it; a benchmark change that drops the line frees the
+#: definition, and a library change that keeps a definition alive for the
+#: benchmark alone adds it here
+BENCHMARK_ONLY = {
+    # workloads.py: len(g.faces()) in _add_pair, _instance and the _grow predicates
+    "model.FoliationGraph.faces",
+    # workloads.py check_universe: g.is_isomorphic(lib.zoo.example(name))
+    "model.FoliationGraph.is_isomorphic",
+    # workloads.py _add_pair: lib.moves.create_pair(g, ...); tracer.py TRACED
+    "moves.create_pair",
+    # workloads.py check_polygon: lib.moves.eliminate_embryo; tracer.py TRACED
+    "moves.eliminate_embryo",
+    # workloads.py check_polygon: lib.moves.resolve_connection(g, eid, ...); tracer.py TRACED
+    "moves.resolve_connection",
+    # workloads.py check_polygon: lib.moves.resolve_embryo
+    "moves.resolve_embryo",
+    # workloads.py check_polygon, through eliminate_embryo and resolve_embryo
+    "moves._embryo_site",
+    # workloads.py _add_pair and check_polygon, through create_pair and resolve_embryo
+    "moves._Surgeon.fresh_point_id",
+    # tracer.py TRACED: ("taming", "is_lyapunov")
+    "taming.is_lyapunov",
+    # tracer.py TRACED: ("taming", "is_taming")
+    "taming.is_taming",
+}
+
+
+def test_the_benchmark_alone_keeps_these_definitions():
+    trees = {path.stem: ast.parse(path.read_text()) for path in LIBRARY}
+    entries = {path: ast.parse(path.read_text()) for path in ENTRY_POINTS}
+    _, reached = _scan(trees, list(entries.values()))
+    others = [tree for path, tree in entries.items() if path.parent.name != "perfbench"]
+    _, without = _scan(trees, others)
+    assert reached - without == BENCHMARK_ONLY
 
 
 # a method that shares its name with a reached one: the scan that matched

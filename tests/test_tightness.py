@@ -29,6 +29,7 @@ from charfol.tightness import (
     verify_taming_order,
 )
 from references import (
+    TupleReference,
     enumerate_reference,
     from_data,
     reference_decide_by_perturbation,
@@ -98,7 +99,7 @@ def test_a_mismatch_past_the_polygon_limit_builds_no_faces(monkeypatch):
         g = _walk(
             zoo.example(name),
             random.Random(7),
-            lambda h: len(h.faces()) > tightness.MAX_POLYGON_FACES,
+            lambda h: len(h.face_table().orbits) > tightness.MAX_POLYGON_FACES,
         )
         expected = decide_tightness(g).to_data()
         polygon = expected["polygon"]
@@ -345,7 +346,7 @@ rot z1: e3.tgt e11.tgt e9.tgt e5.tgt
 
 def _walk(g: FoliationGraph, rng: random.Random, done) -> FoliationGraph:
     while not done(g):
-        g = create_pair(g, rng.randrange(len(g.faces())), rng.choice((1, -1))).graph
+        g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
     return g
 
 
@@ -674,7 +675,7 @@ def test_universe_faces_are_source_saddle_sink_saddle(universe3):
         if sig == (0, 0):
             continue  # the trivial sphere keeps its marker leaf
         for g in graphs:
-            faces = g.faces()
+            faces = TupleReference(g).faces()
             for f in faces:
                 flavors = [c.flavor for c in f.corners]
                 i = flavors.index("source")

@@ -1,8 +1,9 @@
-"""Validation counts corners on the dart table; the face-building check
+"""Validation counts corners on the face table; the face-building check
 it replaced is the reference.
 
 ``reference_check`` is ``FoliationGraph._check`` as it read when the face
-rule traced every face (``faces()``) to count its corners.  ``validate()``
+rule traced every face to count its corners, with the faces traced by
+``references.TupleReference``.  ``validate()``
 must return exactly its problem list, message by message and in order, on
 every graph below: the <=3-saddle universe and its reversals, the zoo, the
 seeded walks, every enumeration candidate at <=3 saddles, and systematic
@@ -24,7 +25,7 @@ from charfol import FoliationGraph, GraphError, SingularPoint, zoo
 from charfol import tightness
 from charfol.cli import emit
 from charfol.model import EMBRYO, HYPERBOLIC, HYPERBOLIC_SLOTS, Dart, end_direction
-from references import relabel, without_edge
+from references import TupleReference, relabel, without_edge
 
 
 def reference_check(self: FoliationGraph) -> list[str]:
@@ -161,15 +162,12 @@ def reference_check(self: FoliationGraph) -> list[str]:
         return problems
 
     # sphere closure and flow-coherent faces
-    try:
-        faces = self.faces()
-    except GraphError as exc:
-        return [str(exc)]
+    faces = TupleReference(self).faces()
     euler = len(self.points) - len(self.edges) + len(faces)
     if euler != 2:
         problems.append(f"Euler count V-E+F = {euler} != 2 (not a sphere)")
     for f in faces:
-        ns, nk = len(f.source_corners), len(f.sink_corners)
+        ns, nk = len(f.corners_of("source")), len(f.corners_of("sink"))
         if (ns, nk) != (1, 1):
             problems.append(
                 f"face {f.index}: {ns} source / {nk} sink corners (need 1/1)"
@@ -273,10 +271,7 @@ def enumeration_candidates(accepted_rotation_systems):
 
 def test_validate_matches_the_face_building_check_on_valid_graphs(valid_graphs):
     for g in valid_graphs:
-        fresh = _copy(g)
-        assert fresh.validate() == reference_check(_copy(g)) == []
-        # counting corners builds no face
-        assert fresh._faces is None
+        assert _copy(g).validate() == reference_check(_copy(g)) == []
 
 
 def test_validate_matches_the_face_building_check_on_enumeration_candidates(
@@ -285,7 +280,6 @@ def test_validate_matches_the_face_building_check_on_enumeration_candidates(
     assert len(enumeration_candidates) == 1786
     for g in enumeration_candidates:
         assert g.validate() == reference_check(_copy(g)) == []
-        assert g._faces is None
 
 
 def test_every_signing_reads_as_the_validated_one(accepted_rotation_systems):
@@ -374,8 +368,11 @@ def test_a_bad_face_is_named_by_its_index_among_faces():
         "Euler count V-E+F = 0 != 2 (not a sphere)",
         "face 1: 3 source / 3 sink corners (need 1/1)",
     ]
-    faces = bad.faces()
-    assert [(len(f.source_corners), len(f.sink_corners)) for f in faces] == [(1, 1), (3, 3)]
+    faces = TupleReference(bad).faces()
+    assert [(len(f.corners_of("source")), len(f.corners_of("sink"))) for f in faces] == [
+        (1, 1),
+        (3, 3),
+    ]
     # the face table names no corner of a face that is no flow box
     table = bad.face_table()
     assert [s >= 0 for s in table.source] == [s >= 0 for s in table.sink] == [True, False]
