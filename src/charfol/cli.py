@@ -28,7 +28,7 @@ valid sphere.  It, and ``tame`` and ``extend`` without value lines, take
 their order from :func:`~charfol.tightness.simple_taming`: synthesized on a
 Morse–Smale sphere, found by the prefix search on a sphere with an embryo
 or a saddle connection.  ``oracle`` runs the prefix search on any sphere
-of at most 12 singular points.
+of at most 15 saddle-type points.
 
 Every command but ``render`` takes ``--json``.  Under it, exits 0 and 1
 print one JSON value (a list for ``enumerate``, an object otherwise); a
@@ -53,7 +53,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .handles import ExtensionError, extend_to_ball, verify_decomposition
 from .invariants import (
@@ -101,41 +101,48 @@ class FoliationDocument:
 # ------------------------------------------------------------------ parsing
 
 
-def _column(raw: str, tokens: Sequence[str], k: int) -> int:
-    """The column of ``tokens[k]``, the k-th whitespace-split token of ``raw``."""
-    end = 0
-    for tok in tokens[: k + 1]:
-        end = raw.index(tok, end) + len(tok)
-    return end - len(tokens[k]) + 1
+class _Line(NamedTuple):
+    """One non-blank line of a document: its number, its text and its tokens."""
+
+    number: int
+    raw: str
+    tokens: list[str]
+
+    def error(self, message: str, k: int | None = None) -> ParseError:
+        """A :class:`ParseError` at the k-th token, or at the line's start."""
+        if k is None:
+            return ParseError(message, self.number)
+        end = 0
+        for tok in self.tokens[: k + 1]:
+            end = self.raw.index(tok, end) + len(tok)
+        return ParseError(message, self.number, end - len(self.tokens[k]) + 1)
 
 
 #: an optionally signed run of ASCII digits, then optionally ``/`` and another
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
-def _parse_fraction(lineno: int, raw: str, tokens: Sequence[str], k: int) -> Fraction:
-    token = tokens[k]
+def _parse_fraction(line: _Line, k: int) -> Fraction:
+    token = line.tokens[k]
     m = _RATIONAL.fullmatch(token)
     try:
         if m is None:
             raise ValueError(token)
         n, d = int(m[1]), int(m[2] or 1)
     except ValueError:  # not a rational, or more digits than int() converts
-        raise ParseError(
-            f"malformed rational {token!r}", lineno, _column(raw, tokens, k)
-        ) from None
+        raise line.error(f"malformed rational {token!r}", k) from None
     if d == 0:
-        raise ParseError("zero denominator", lineno, _column(raw, tokens, k))
+        raise line.error("zero denominator", k)
     return Fraction(n, d)
 
 
-def _parse_endpoint(lineno: int, raw: str, tokens: Sequence[str], k: int) -> EndRef:
-    token = tokens[k]
+def _parse_endpoint(line: _Line, k: int) -> EndRef:
+    token = line.tokens[k]
     pid, colon, slot = token.partition(":")
     if not pid:
-        raise ParseError(f"empty point id in {token!r}", lineno, _column(raw, tokens, k))
+        raise line.error(f"empty point id in {token!r}", k)
     if colon and not slot:
-        raise ParseError(f"empty slot in {token!r}", lineno, _column(raw, tokens, k))
+        raise line.error(f"empty slot in {token!r}", k)
     return EndRef(pid, slot if colon else None)
 
 
@@ -148,124 +155,109 @@ def parse(text: str) -> FoliationDocument:
     edges: dict[str, Separatrix] = {}
     rotation: dict[str, tuple] = {}
     values: dict[str, Fraction] = {}
-    value_lines: dict[str, tuple[int, str, list[str]]] = {}
+    value_lines: dict[str, _Line] = {}
     transcript: object | None = None
-    claimed_connections: list[tuple[str, int, str, list[str], int]] = []
+    claimed_connections: list[tuple[str, _Line, int]] = []
     seen_header = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for number, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
             continue
+        line = _Line(number, raw, body.split())
         if not seen_header:
-            if line != HEADER:
-                raise ParseError(f"expected {HEADER!r} header", lineno)
+            if body != HEADER:
+                raise line.error(f"expected {HEADER!r} header")
             seen_header = True
             continue
-        tokens = line.split()
+        tokens = line.tokens
         key = tokens[0]
 
         if key == "point":
             if len(tokens) != 4:
-                raise ParseError("point line needs: id kind sign", lineno)
+                raise line.error("point line needs: id kind sign")
             _, pid, kind, sign_tok = tokens
             if sign_tok not in _SIGNS:
-                raise ParseError(
-                    f"sign must be + or -, got {sign_tok!r}", lineno, _column(raw, tokens, 3)
-                )
+                raise line.error(f"sign must be + or -, got {sign_tok!r}", 3)
             if pid in points:
-                raise ParseError(f"duplicate point {pid}", lineno, _column(raw, tokens, 1))
+                raise line.error(f"duplicate point {pid}", 1)
             try:
                 points[pid] = SingularPoint(pid, kind, _SIGNS[sign_tok])
             except GraphError as exc:
-                raise ParseError(str(exc), lineno, _column(raw, tokens, 2)) from None
+                raise line.error(str(exc), 2) from None
 
         elif key == "sep":
             if len(tokens) < 4:
-                raise ParseError("sep line needs: id src dst [marker] [homoclinic]", lineno)
+                raise line.error("sep line needs: id src dst [marker] [homoclinic]")
             _, eid, _, _, *flags = tokens
             if eid in edges:
-                raise ParseError(f"duplicate separatrix {eid}", lineno, _column(raw, tokens, 1))
+                raise line.error(f"duplicate separatrix {eid}", 1)
             marker = False
             for k, flag in enumerate(flags, start=4):
                 if flag == "marker":
                     marker = True
                 elif flag == "homoclinic":
-                    claimed_connections.append((eid, lineno, raw, tokens, k))
+                    claimed_connections.append((eid, line, k))
                 else:
-                    raise ParseError(
-                        f"unknown separatrix flag {flag!r}", lineno, _column(raw, tokens, k)
-                    )
+                    raise line.error(f"unknown separatrix flag {flag!r}", k)
             edges[eid] = Separatrix(
-                eid,
-                _parse_endpoint(lineno, raw, tokens, 2),
-                _parse_endpoint(lineno, raw, tokens, 3),
-                marker,
+                eid, _parse_endpoint(line, 2), _parse_endpoint(line, 3), marker
             )
 
         elif key == "rot":
             if len(tokens) < 2 or not tokens[1].endswith(":"):
-                raise ParseError("rot line needs: <point-id>: <edge-end> ...", lineno)
+                raise line.error("rot line needs: <point-id>: <edge-end> ...")
             pid = tokens[1][:-1]
             if not pid:
-                raise ParseError(
-                    f"empty point id in {tokens[1]!r}", lineno, _column(raw, tokens, 1)
-                )
+                raise line.error(f"empty point id in {tokens[1]!r}", 1)
             if pid in rotation:
-                raise ParseError(f"duplicate rotation for {pid}", lineno, _column(raw, tokens, 1))
+                raise line.error(f"duplicate rotation for {pid}", 1)
             darts = []
             for k, tok in enumerate(tokens[2:], start=2):
                 eid, dot, end = tok.rpartition(".")
                 if not dot or end not in ("src", "tgt"):
-                    raise ParseError(
-                        f"edge end must look like <edge-id>.src or .tgt, got {tok!r}",
-                        lineno,
-                        _column(raw, tokens, k),
+                    raise line.error(
+                        f"edge end must look like <edge-id>.src or .tgt, got {tok!r}", k
                     )
                 darts.append((eid, end))
             rotation[pid] = tuple(darts)
 
         elif key == "value":
             if len(tokens) != 3:
-                raise ParseError("value line needs: point-id numerator/denominator", lineno)
+                raise line.error("value line needs: point-id numerator/denominator")
             pid = tokens[1]
             if pid in values:
-                raise ParseError(f"duplicate value for {pid}", lineno, _column(raw, tokens, 1))
-            values[pid] = _parse_fraction(lineno, raw, tokens, 2)
-            value_lines[pid] = (lineno, raw, tokens)
+                raise line.error(f"duplicate value for {pid}", 1)
+            values[pid] = _parse_fraction(line, 2)
+            value_lines[pid] = line
 
         elif key == "transcript":
             if transcript is not None:
-                raise ParseError("duplicate transcript line", lineno)
-            payload = line[len("transcript") :].strip()
+                raise line.error("duplicate transcript line")
+            payload = body[len("transcript") :].strip()
             try:
                 transcript = json.loads(payload)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"bad transcript JSON: {exc.msg}", lineno) from None
+                raise line.error(f"bad transcript JSON: {exc.msg}") from None
 
         else:
-            raise ParseError(f"unknown key {key!r}", lineno, _column(raw, tokens, 0))
+            raise line.error(f"unknown key {key!r}", 0)
 
     if not seen_header:
         raise ParseError(f"empty document (missing {HEADER!r} header)", 1)
 
     graph = FoliationGraph(points, edges, rotation)
-    for eid, lineno, raw, tokens, k in claimed_connections:
-        both_saddle = all(
-            points.get(ref.point) is not None
-            and points[ref.point].kind in (HYPERBOLIC, EMBRYO)
-            for ref in (edges[eid].src, edges[eid].dst)
-        )
-        if not both_saddle:
-            raise ParseError(
+    for eid, line, k in claimed_connections:
+        e = edges[eid]
+        if not ({e.src.point, e.dst.point} <= points.keys() and graph.is_homoclinic(eid)):
+            raise line.error(
                 f"separatrix {eid} is flagged homoclinic but does not join "
                 "two saddle-type points",
-                lineno,
-                _column(raw, tokens, k),
+                k,
             )
-    for pid, (lineno, raw, tokens) in value_lines.items():
+    for pid, line in value_lines.items():
         if pid not in points:
-            raise ParseError(f"value for unknown point {pid}", lineno, _column(raw, tokens, 1))
+            raise line.error(f"value for unknown point {pid}", 1)
     return FoliationDocument(graph, values or None, transcript)
 
 

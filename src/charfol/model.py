@@ -112,35 +112,31 @@ class Separatrix:
     marker: bool = False
 
 
+#: every local model's slots by kind and sign, each as ``(an end in it emits
+#: flow, it must be filled)``, the filled ones in the order validation names
+#: a vacancy.  ``None`` is an elliptic point's free attachment and ``"zone"``
+#: one inside an embryo's parabolic sector
+SLOTS: dict[tuple[str, int], dict[str | None, tuple[bool, bool]]] = {
+    (ELLIPTIC, 1): {None: (True, False)},
+    (ELLIPTIC, -1): {None: (False, False)},
+    **{(HYPERBOLIC, sign): {s: (s[0] == "u", True) for s in HYPERBOLIC_SLOTS} for sign in (1, -1)},
+    (EMBRYO, 1): {"in": (False, True), "b0": (True, True), "b1": (True, True), "zone": (True, False)},
+    (EMBRYO, -1): {"out": (True, True), "b0": (False, True), "b1": (False, True), "zone": (False, False)},
+}
+#: the slots an end may share with others: those that need not be filled
+FREE_SLOTS = (None, "zone")
+
+
 def end_direction(point: SingularPoint, slot: str | None) -> str:
     """Return ``"out"`` if an end in this slot emits flow, ``"in"`` if it absorbs.
 
     Raises :class:`GraphError` for a slot that does not exist on the kind.
     """
-    kind, sign = point.kind, point.sign
-    if kind == ELLIPTIC:
-        if slot is not None:
-            raise GraphError(f"elliptic point {point.id} has no slot {slot!r}")
-        return "out" if sign > 0 else "in"
-    if kind == HYPERBOLIC:
-        if slot in ("s0", "s1"):
-            return "in"
-        if slot in ("u0", "u1"):
-            return "out"
-        raise GraphError(f"hyperbolic point {point.id} has no slot {slot!r}")
-    if kind == EMBRYO:
-        if sign > 0:
-            if slot == "in":
-                return "in"
-            if slot in ("b0", "b1", "zone"):
-                return "out"
-        else:
-            if slot == "out":
-                return "out"
-            if slot in ("b0", "b1", "zone"):
-                return "in"
-        raise GraphError(f"embryo point {point.id} has no slot {slot!r}")
-    raise GraphError(f"unknown kind {kind!r}")
+    try:
+        emits, _ = SLOTS[point.kind, point.sign][slot]
+    except KeyError:
+        raise GraphError(f"{point.kind} point {point.id} has no slot {slot!r}") from None
+    return "out" if emits else "in"
 
 
 #: slot kinds as the canonical form sees them: the arbitrary 0/1 labels on
@@ -209,14 +205,10 @@ class FoliationGraph:
 
     def __init__(
         self,
-        points: Mapping[str, SingularPoint] | Sequence[SingularPoint],
-        edges: Mapping[str, Separatrix] | Sequence[Separatrix],
+        points: Mapping[str, SingularPoint],
+        edges: Mapping[str, Separatrix],
         rotation: Mapping[str, Sequence[Dart]],
     ) -> None:
-        if not isinstance(points, Mapping):
-            points = {p.id: p for p in points}
-        if not isinstance(edges, Mapping):
-            edges = {e.id: e for e in edges}
         self.points: dict[str, SingularPoint] = dict(points)
         self.edges: dict[str, Separatrix] = dict(edges)
         self.rotation: dict[str, tuple[Dart, ...]] = {
@@ -384,7 +376,6 @@ class FoliationGraph:
 
         # end directions and slot discipline; the point, slot and direction
         # of every end are read once, in dart order (see DartTable)
-        free = (None, "zone")
         point: list[str] = []
         slot: list[str | None] = []
         out: list[bool] = []
@@ -403,29 +394,22 @@ class FoliationGraph:
                 problems.append(f"edge {eid}: src end sits in an absorbing slot")
             if d_dst != "in":
                 problems.append(f"edge {eid}: dst end sits in an emitting slot")
-            if e.marker and not (src.slot in free and dst.slot in free):
+            if e.marker and not (src.slot in FREE_SLOTS and dst.slot in FREE_SLOTS):
                 problems.append(f"edge {eid}: marker leaves may not occupy named slots")
-            if not e.marker and src.slot in free and dst.slot in free:
+            if not e.marker and src.slot in FREE_SLOTS and dst.slot in FREE_SLOTS:
                 problems.append(f"edge {eid}: slot-free edge must be a marker leaf")
 
         # named slots occupied exactly once, with the full complement present
         occupancy: dict[tuple[str, str], int] = {}
         for key in zip(point, slot):
-            if key[1] not in free:
+            if key[1] not in FREE_SLOTS:
                 occupancy[key] = occupancy.get(key, 0) + 1
         for (pid, s), n in occupancy.items():
             if n > 1:
                 problems.append(f"slot {pid}.{s} occupied {n} times")
         for pid, p in points.items():
-            # tuples, not sets, so the messages come in one order under every hash seed
-            if p.kind == HYPERBOLIC:
-                needed = HYPERBOLIC_SLOTS
-            elif p.kind == EMBRYO:
-                needed = ("in" if p.sign > 0 else "out", "b0", "b1")
-            else:
-                continue
-            for s in needed:
-                if (pid, s) not in occupancy:
+            for s, (_, filled) in SLOTS[p.kind, p.sign].items():
+                if filled and (pid, s) not in occupancy:
                     problems.append(f"slot {pid}.{s} is vacant")
         if problems:
             return problems
@@ -752,10 +736,10 @@ def build(
     ``points``: (id, kind, sign) triples.
     ``edges``: (id, src_point, src_slot, dst_point, dst_slot[, marker]).
     """
-    ps = [SingularPoint(*t) for t in points]
-    es = []
+    ps = {t[0]: SingularPoint(*t) for t in points}
+    es = {}
     for t in edges:
         eid, sp, ss, dp, ds = t[:5]
         marker = bool(t[5]) if len(t) > 5 else False
-        es.append(Separatrix(eid, EndRef(sp, ss), EndRef(dp, ds), marker))
+        es[eid] = Separatrix(eid, EndRef(sp, ss), EndRef(dp, ds), marker)
     return FoliationGraph(ps, es, rotation)

@@ -30,6 +30,7 @@ from typing import Container, Sequence
 from .model import (
     ELLIPTIC,
     EMBRYO,
+    FREE_SLOTS,
     HYPERBOLIC,
     HYPERBOLIC_SLOTS,
     Dart,
@@ -134,9 +135,8 @@ class _Surgeon:
 
     def finish(self, kind: str, details: dict) -> MoveResult:
         # slot-free edges are marker leaves by definition
-        free = (None, "zone")
         for eid, e in list(self.edges.items()):
-            if not e.marker and e.src.slot in free and e.dst.slot in free:
+            if not e.marker and e.src.slot in FREE_SLOTS and e.dst.slot in FREE_SLOTS:
                 self.edges[eid] = replace(e, marker=True)
         g = FoliationGraph(self.points, self.edges, self.rotation)
         problems = g.validate()
@@ -272,7 +272,7 @@ def _reattachments(g: FoliationGraph, site: _Site) -> dict[str, bool]:
     dead = {leaf.id for leaf in dying}
     fates: dict[str, bool] = {}
     for leaf in dying:
-        if leaf.dst.slot not in (None, "zone"):
+        if leaf.dst.slot not in FREE_SLOTS:
             fates[leaf.id] = False
         elif all(d[0] in dead for d in g.rotation[leaf.dst.point]):
             fates[leaf.id] = True
@@ -505,7 +505,7 @@ def resolve_connection(g: FoliationGraph, edge_id: str, side: str = "right") -> 
     if side not in ("left", "right"):
         raise MoveError("side must be 'left' or 'right'")
     e = g.edges[edge_id]
-    if e.dst.slot in (None, "zone"):
+    if e.dst.slot in FREE_SLOTS:
         raise MoveError("connection is already generic at its target")
     face_bend = _face_of(g, (edge_id, "tgt" if side == "left" else "src"))
     face_feed = _face_of(g, (edge_id, "src" if side == "left" else "tgt"))

@@ -221,16 +221,16 @@ def relabel(
 
 def from_data(data: Mapping) -> FoliationGraph:
     """The inverse of ``FoliationGraph.to_data``."""
-    points = [SingularPoint(d["id"], d["kind"], int(d["sign"])) for d in data["points"]]
-    edges = [
-        Separatrix(
+    points = {d["id"]: SingularPoint(d["id"], d["kind"], int(d["sign"])) for d in data["points"]}
+    edges = {
+        d["id"]: Separatrix(
             d["id"],
             EndRef(d["src"]["point"], d["src"].get("slot")),
             EndRef(d["dst"]["point"], d["dst"].get("slot")),
             bool(d.get("marker", False)),
         )
         for d in data["edges"]
-    ]
+    }
     rotation = {
         pid: tuple((eid, end) for eid, end in seq) for pid, seq in data["rotation"].items()
     }

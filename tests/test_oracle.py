@@ -4,8 +4,10 @@
 ``verify_taming_order`` on every strict order of the saddle-type points, in
 lexicographic order of sorted ids.  The search must return exactly its
 result dict (verdict, order, assignment and ``orders_tried``) on every
-graph below, the zoo's embryo and saddle-connection fixtures included.  The seeded walks of ``conftest`` all have
-more than 12 points, so five-saddle walks grown here stand in for them.
+graph below, the zoo's embryo and saddle-connection fixtures included.  The
+permutation loop is too slow for the seeded walks of ``conftest``, so
+five-saddle walks grown here stand in for them; on those walks and on the
+embryo walks of ``test_moves`` the oracle's verdict is ``decide``'s.
 """
 
 import gc
@@ -18,8 +20,10 @@ import pytest
 from charfol import taming, tightness, zoo
 from charfol.model import HYPERBOLIC
 from charfol.moves import create_pair
-from charfol.tightness import oracle_tightness, verify_taming_order
+from charfol.tightness import decide_tightness, oracle_tightness, verify_taming_order
+from conftest import walk_spheres
 from references import from_data, relabel
+from test_moves import _embryo_walks
 
 
 def reference_oracle(g):
@@ -36,17 +40,15 @@ def reference_oracle(g):
 
 def five_saddle_walks(count):
     """Seeded create_pair walks from the connection-free zoo fixtures to five
-    saddle-type points, kept when they are connection-free and have at most
-    12 points."""
+    saddle-type points."""
     rng = random.Random(2024)
     starts = [name for name in sorted(zoo.ZOO) if not zoo.example(name).homoclinic_edges()]
     out = []
-    while len(out) < count:
+    for _ in range(count):
         g = zoo.example(rng.choice(starts))
         while len(g.saddle_points()) < 5:
             g = create_pair(g, rng.randrange(len(g.face_table().orbits)), rng.choice((1, -1))).graph
-        if len(g.points) <= tightness.MAX_ORACLE_POINTS and not g.homoclinic_edges():
-            out.append(g)
+        out.append(g)
     return out
 
 
@@ -101,8 +103,9 @@ def test_search_reads_each_saddle_once_per_set_below_it(monkeypatch, walks):
 
 
 def test_the_search_frees_its_graph_without_the_cycle_collector(universe_list, walks):
-    # a tight universe class and an overtwisted walk: the search caches a
-    # region per set it reads, and none of them may keep the graph alive
+    # a tight universe class and an overtwisted walk: neither the regions
+    # the search reads nor those its verifying walk caches may keep the
+    # graph alive
     tight = next(
         g for g in universe_list if len(g.saddle_points()) == 3 and oracle_tightness(g)["tight"]
     )
@@ -118,3 +121,28 @@ def test_the_search_frees_its_graph_without_the_cycle_collector(universe_list, w
             assert graph_ref() is None
     finally:
         gc.enable()
+
+
+def test_the_search_leaves_no_region_in_the_graphs_cache(universe_list, walks):
+    # the search reads each set below a prefix once, so it keeps none of its
+    # regions; a found order is verified by a level walk, whose sublevel
+    # regions stay cached: one per level, from the empty set below the
+    # sources up to every point but the sinks
+    tight = 0
+    for source in universe_list[::5] + walks:
+        g = from_data(source.to_data())
+        out = oracle_tightness(g)
+        tight += out["tight"]
+        assert len(g._regions) == (len(g.saddle_points()) + 2 if out["tight"] else 0)
+    assert 0 < tight < len(universe_list[::5] + walks)
+
+
+def test_the_oracle_agrees_with_decide_where_the_permutation_loop_cannot_go():
+    # embryo walks, most of them with saddle connections, and the seeded
+    # walks of 8 to 14 saddle-type points, all within the oracle's bound
+    spheres = random.Random(33).sample(_embryo_walks(99, 40, range(10)), 200)
+    spheres += [g for _, g in walk_spheres()]
+    verdicts = [oracle_tightness(g)["tight"] for g in spheres]
+    assert verdicts == [decide_tightness(g).tight for g in spheres]
+    assert 0 < sum(verdicts) < len(spheres)
+    assert sum(bool(g.homoclinic_edges()) for g in spheres) > len(spheres) // 2

@@ -626,8 +626,8 @@ def test_oracle_preconditions():
     # a saddle connection is no precondition: the search reads it as a feed
     out = oracle_tightness(zoo.example("tight_saddle_connection"))
     assert out["tight"] and out["order"] == ["h", "h2"] and out["orders_tried"] == 1
-    big = _walk(parse(UNTAMEABLE).graph, random.Random(11), lambda h: len(h.points) > 12)
-    with pytest.raises(DecisionError, match="oracle bound is 12"):
+    big = _walk(parse(UNTAMEABLE).graph, random.Random(11), lambda h: len(h.saddle_points()) > 15)
+    with pytest.raises(DecisionError, match="16 saddle-type points, oracle bound is 15"):
         oracle_tightness(big)
 
 
